@@ -2,7 +2,7 @@
 
 from .analytic import PUBLISHED, fidelity_closed, fidelity_linear, linear_slope, rho10_closed
 from .channels import ChannelSpec, GateSet, NoiseKind, apply_layer, apply_to_qubit, gate_set, kraus_operators
-from .exact import EXACT, BigRational, GaussianRational, P, PolyP, extract_transfer_map, run_pipeline_symbolic
+from .exact import EXACT, GaussianRational, P, PolyP, extract_transfer_map, run_pipeline_symbolic
 from .linalg import (
     FLOAT,
     BackendMismatchError,

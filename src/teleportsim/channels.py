@@ -1,11 +1,14 @@
 """Single- and multi-qubit Pauli noise channels, plus the fixed gate set.
 
-Channels are applied as weighted Kraus sums of Pauli conjugations.  A
-"layer" applies the same single-qubit channel independently to every qubit,
-the way noise is inserted after each gate column of the teleportation
-circuit.  The explicit expanded forms (subset expansion for depolarizing,
-Pauli-string sums for the flip channels) are kept as independent oracles
-used to cross-check the Kraus-composition implementation; they are not the
+Every channel is a weighted sum of one-qubit Pauli conjugations.  They are
+applied by index flips and sign masks (:func:`linalg.pauli_conjugate`), with
+no matrix product; :func:`kraus_operators` gives the same branches as
+explicit 2x2 Kraus operators.  A "layer" applies the same single-qubit
+channel independently to every qubit, the way noise is inserted after each
+gate column of the teleportation circuit.  The explicit expanded forms
+(subset expansion for depolarizing, Pauli-string sums for the flip
+channels) are kept as independent oracles, built by dense tensor products
+and conjugations, to cross-check the per-qubit composition; they are not the
 production path.
 """
 
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -24,6 +28,7 @@ from .linalg import (
     FLOAT,
     conjugate_by,
     partial_trace,
+    pauli_conjugate,
     sort_qubits,
     tensor,
 )
@@ -48,9 +53,9 @@ class ChannelSpec:
     p: Any
 
     def __post_init__(self):
-        if isinstance(self.p, (int, float, Fraction)):
-            if not 0 <= self.p <= 1:
-                raise ValueError(f"noise probability {self.p} outside [0, 1]")
+        # any real type, numpy scalars included; nan fails the comparison
+        if isinstance(self.p, numbers.Real) and not 0 <= self.p <= 1:
+            raise ValueError(f"noise probability {self.p} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,6 @@ class GateSet:
 
 _GATES: dict[str, GateSet] = {}
 _IDENTITIES: dict[tuple[str, int], Operator] = {}
-_EMBEDDED: dict[tuple[str, str, int, int], Operator] = {}
 
 
 def gate_set(backend: ScalarBackend = FLOAT) -> GateSet:
@@ -116,25 +120,18 @@ def identity(backend: ScalarBackend, num_qubits: int) -> Operator:
     return cached
 
 
-def _kraus_labeled(
-    spec: ChannelSpec, backend: ScalarBackend
-) -> list[tuple[Any, str, Operator]]:
-    g = gate_set(backend)
+def _pauli_weights(spec: ChannelSpec, backend: ScalarBackend) -> list[tuple[Any, str]]:
+    """The channel as weighted Pauli branches [(w, label)], identity first."""
     p = backend.coerce(spec.p)
     one = backend.one
     if spec.kind is NoiseKind.BIT_FLIP:
-        return [(one - p, "I", g.I), (p, "X", g.X)]
+        return [(one - p, "I"), (p, "X")]
     if spec.kind is NoiseKind.PHASE_FLIP:
-        return [(one - p, "I", g.I), (p, "Z", g.Z)]
+        return [(one - p, "I"), (p, "Z")]
     quarter = backend.coerce(Fraction(1, 4))
     w_pauli = p * quarter
     w_keep = one - p * backend.coerce(Fraction(3, 4))
-    return [
-        (w_keep, "I", g.I),
-        (w_pauli, "X", g.X),
-        (w_pauli, "Y", g.Y),
-        (w_pauli, "Z", g.Z),
-    ]
+    return [(w_keep, "I"), (w_pauli, "X"), (w_pauli, "Y"), (w_pauli, "Z")]
 
 
 def kraus_operators(
@@ -146,22 +143,8 @@ def kraus_operators(
     Depolarizing: {(1-3p/4, I), (p/4, X), (p/4, Y), (p/4, Z)}, which equals
     the mix-with-I/2 form (1-p) rho + p I/2 on every input.
     """
-    return [(w, op) for w, _, op in _kraus_labeled(spec, backend)]
-
-
-def _embedded(
-    backend: ScalarBackend, label: str, op: Operator, qubit: int, n: int
-) -> Operator:
-    key = (backend.name, label, qubit, n)
-    cached = _EMBEDDED.get(key)
-    if cached is None:
-        full = op
-        if qubit > 1:
-            full = tensor(identity(backend, qubit - 1), full)
-        if qubit < n:
-            full = tensor(full, identity(backend, n - qubit))
-        cached = _EMBEDDED[key] = full
-    return cached
+    g = gate_set(backend)
+    return [(w, getattr(g, label)) for w, label in _pauli_weights(spec, backend)]
 
 
 def apply_to_qubit(
@@ -171,13 +154,11 @@ def apply_to_qubit(
     n = rho.num_qubits
     if not 1 <= qubit <= n:
         raise ValueError(f"qubit index {qubit} out of range 1..{n}")
-    backend = rho.backend
     acc = None
-    for w, label, op in _kraus_labeled(spec, backend):
-        full = _embedded(backend, label, op, qubit, n)
-        branch = conjugate_by(rho, full).entries * w
+    for w, label in _pauli_weights(spec, rho.backend):
+        branch = pauli_conjugate(rho.entries, label, qubit, n) * w
         acc = branch if acc is None else acc + branch
-    return DensityOperator(backend, acc)
+    return DensityOperator(rho.backend, acc)
 
 
 def apply_layer(spec: ChannelSpec, rho: DensityOperator) -> DensityOperator:

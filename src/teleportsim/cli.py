@@ -10,6 +10,7 @@ mask a typo in the amplitudes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -79,6 +80,9 @@ class SweepConfig:
     columns: tuple[str, ...] = ALL_COLUMNS
 
     def __post_init__(self):
+        for name, value in (("p_start", self.p_start), ("p_end", self.p_end)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} {value} is not finite")
         if not self.p_start <= self.p_end:
             raise ValueError(f"p_start {self.p_start} exceeds p_end {self.p_end}")
         if self.steps < 2:

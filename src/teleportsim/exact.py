@@ -6,7 +6,7 @@ probability, which can then be compared coefficient-by-coefficient against
 published closed forms.  Equality here is always exact, never tolerance
 based.
 
-``BigRational`` is :class:`fractions.Fraction` (arbitrary precision, always
+Rationals are :class:`fractions.Fraction` (arbitrary precision, always
 reduced, positive denominator).  ``GaussianRational`` is a complex number
 with rational parts.  ``PolyP`` is a dense univariate polynomial in the
 noise probability with Gaussian-rational coefficients; internally it keeps
@@ -25,9 +25,6 @@ import numpy as np
 
 from . import channels, teleport
 from .linalg import DensityOperator, ScalarBackend
-
-BigRational = Fraction
-
 
 def _as_fraction(value: Any) -> Fraction:
     if isinstance(value, Fraction):
@@ -99,24 +96,6 @@ class GaussianRational:
         )
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: Any):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = o.norm_sq()
-        if not d:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
-
-    def __rtruediv__(self, other: Any):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -409,10 +388,6 @@ def _coerce_exact(value: Any) -> PolyP:
     )
 
 
-def _eq_exact(a: Any, b: Any, tol: float = 0.0) -> bool:
-    return a == b
-
-
 EXACT = ScalarBackend(
     name="exact",
     dtype=object,
@@ -420,7 +395,6 @@ EXACT = ScalarBackend(
     one=PolyP.ONE,
     imaginary=PolyP([GaussianRational(0, 1)]),
     coerce=_coerce_exact,
-    eq=_eq_exact,
     is_exact=True,
 )
 

@@ -32,9 +32,8 @@ class ScalarBackend:
     Ring operations (+, *, unary -) and conjugation come from the scalar
     objects themselves via the usual Python protocols; each scalar type must
     provide a ``conjugate()`` method (complex, Fraction and the exact types
-    all do).  The backend supplies the constants, coercion from exact
-    rational inputs, and equality (exact for symbolic scalars, tolerance
-    based for floats).
+    all do).  The backend supplies the constants and coercion from exact
+    rational inputs.
     """
 
     def __init__(
@@ -45,7 +44,6 @@ class ScalarBackend:
         one: Scalar,
         imaginary: Scalar,
         coerce: Callable[[Any], Scalar],
-        eq: Callable[[Scalar, Scalar, float], bool],
         is_exact: bool,
     ):
         self.name = name
@@ -54,7 +52,6 @@ class ScalarBackend:
         self.one = one
         self.imaginary = imaginary
         self.coerce = coerce
-        self.eq = eq
         self.is_exact = is_exact
 
     def __repr__(self) -> str:
@@ -73,10 +70,6 @@ def _coerce_complex(value: Any) -> complex:
     raise TypeError(f"cannot coerce {value!r} to a complex scalar")
 
 
-def _eq_complex(a: Scalar, b: Scalar, tol: float = 1e-12) -> bool:
-    return abs(a - b) <= tol
-
-
 FLOAT = ScalarBackend(
     name="float",
     dtype=np.complex128,
@@ -84,7 +77,6 @@ FLOAT = ScalarBackend(
     one=1 + 0j,
     imaginary=1j,
     coerce=_coerce_complex,
-    eq=_eq_complex,
     is_exact=False,
 )
 
@@ -318,6 +310,26 @@ def conjugate_by(rho: DensityOperator, u: Operator) -> DensityOperator:
     return DensityOperator(backend, raw)
 
 
+def pauli_conjugate(entries: np.ndarray, label: str, qubit: int, n: int) -> np.ndarray:
+    """Entries of P rho P^dagger for the Pauli ``label`` on ``qubit`` of ``n``.
+
+    Conjugating by a one-qubit Pauli only permutes entries and flips signs,
+    so no matrix product is needed: X flips the qubit's bit in the row and
+    column index, Z negates the entries whose row and column bits differ,
+    and Y does both.  Works on complex and object arrays alike.
+    """
+    bit = 1 << (n - qubit)
+    index = np.arange(1 << n)
+    if label in ("X", "Y"):
+        flipped = index ^ bit
+        entries = entries[np.ix_(flipped, flipped)]
+    if label in ("Y", "Z"):
+        set_bit = (index & bit) != 0
+        differ = set_bit[:, None] != set_bit[None, :]
+        entries = np.where(differ, -entries, entries)
+    return entries
+
+
 def fidelity_with(psi: PureState, rho: DensityOperator) -> Any:
     """Overlap <psi| rho |psi>.
 
@@ -377,12 +389,3 @@ def max_entry_delta(a: Operator, b: Operator) -> float:
         raise ValueError("max_entry_delta is a float-backend check")
     return float(np.max(np.abs(a.dense() - b.dense())))
 
-
-def entries_equal(a: Operator, b: Operator) -> bool:
-    """Exact entrywise equality (exact backend)."""
-    backend = _require_same_backend(a, b)
-    if not backend.is_exact:
-        raise ValueError("entries_equal is an exact-backend check; use max_entry_delta")
-    if a.root2_shift != b.root2_shift or a.dim != b.dim:
-        return False
-    return bool(np.equal(a.entries, b.entries).all())

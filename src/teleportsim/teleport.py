@@ -13,6 +13,7 @@ the noise strength is zero.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -25,6 +26,7 @@ from .linalg import (
     ScalarBackend,
     conjugate_by,
     fidelity_with,
+    pauli_conjugate,
     tensor,
 )
 
@@ -61,6 +63,9 @@ class InputState:
             if exact != 1:
                 raise ValueError(f"exact amplitudes have |a|^2+|b|^2 = {exact}, not 1")
             return
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not cmath.isfinite(complex(value)):
+                raise ValueError(f"amplitude {name} = {value} is not finite")
         norm_sq = abs(complex(self.alpha)) ** 2 + abs(complex(self.beta)) ** 2
         if abs(norm_sq - 1.0) > 1e-9:
             raise ValueError(
@@ -171,6 +176,11 @@ def build_initial(input_state: InputState, backend: ScalarBackend = FLOAT) -> De
     return tensor(psi.projector(), ancilla)
 
 
+# Correction applied for each (x_pow, z_pow); Z X = iY, so conjugating by
+# Z X is conjugating by Y.
+_CORRECTION = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+
+
 def measure_and_correct(
     rho9: DensityOperator, assignment: CorrectionAssignment | None = None
 ) -> DensityOperator:
@@ -185,26 +195,16 @@ def measure_and_correct(
         assignment = DEFAULT_ASSIGNMENT
     if rho9.num_qubits != 3:
         raise ValueError(f"expected a 3-qubit state, got {rho9.num_qubits} qubits")
-    backend = rho9.backend
-    g = gate_set(backend)
-    zx = g.Z @ g.X
     acc = None
     for m1 in (0, 1):
         for m2 in (0, 1):
             base = 4 * m1 + 2 * m2
             block = rho9.entries[base : base + 2, base : base + 2]
-            branch = DensityOperator(backend, block)
             outcome = {1: m1, 2: m2}
-            x_pow = outcome[assignment.x_source]
-            z_pow = outcome[assignment.z_source]
-            if x_pow and z_pow:
-                branch = conjugate_by(branch, zx)
-            elif x_pow:
-                branch = conjugate_by(branch, g.X)
-            elif z_pow:
-                branch = conjugate_by(branch, g.Z)
-            acc = branch.entries if acc is None else acc + branch.entries
-    return DensityOperator(backend, acc)
+            label = _CORRECTION[outcome[assignment.x_source], outcome[assignment.z_source]]
+            branch = pauli_conjugate(block, label, 1, 1)
+            acc = branch if acc is None else acc + branch
+    return DensityOperator(rho9.backend, acc)
 
 
 def run_stages_from_initial(

@@ -1,5 +1,7 @@
 """Kraus decompositions, per-qubit application, layers, and the expanded-form oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from teleportsim.channels import (
     identity,
     kraus_operators,
 )
-from teleportsim.exact import EXACT, P, PolyP
+from teleportsim.exact import EXACT, GaussianRational, P, PolyP
 from teleportsim.linalg import (
     FLOAT,
     DensityOperator,
@@ -26,6 +28,7 @@ from teleportsim.linalg import (
     sort_qubits,
     tensor,
 )
+from teleportsim.teleport import ALTERNATE_ASSIGNMENTS, DEFAULT_ASSIGNMENT, measure_and_correct
 
 P_GRID = [k / 10 for k in range(11)]
 
@@ -98,6 +101,19 @@ class TestKrausOperators:
             ChannelSpec(NoiseKind.DEPOLARIZING, 1.2)
         with pytest.raises(ValueError):
             ChannelSpec(NoiseKind.BIT_FLIP, -0.1)
+
+    @pytest.mark.parametrize(
+        "p",
+        [np.float32(1.5), np.int64(2), np.float32("nan"), float("nan"), float("inf"), Fraction(-1, 3)],
+        ids=repr,
+    )
+    def test_range_enforced_for_any_real_type(self, p):
+        with pytest.raises(ValueError, match=f"noise probability {p} outside"):
+            ChannelSpec(NoiseKind.BIT_FLIP, p)
+
+    def test_in_range_reals_and_symbolic_accepted(self):
+        for p in (np.float32(0.5), np.int64(1), Fraction(1, 3), True, P, P * P + 2):
+            assert ChannelSpec(NoiseKind.PHASE_FLIP, p).p is p
 
 
 class TestApplyToQubit:
@@ -217,3 +233,96 @@ class TestExpandedForms:
     def test_flip_sum_rejects_depolarizing(self, random_density):
         with pytest.raises(ValueError):
             flip_sum_expansion(spec(NoiseKind.DEPOLARIZING, 0.1), random_density(3))
+
+
+def embedded_kraus_reference(spec, rho, qubit):
+    """Dense form of apply_to_qubit: each weighted Kraus Pauli tensored up to
+    the full register, then applied by two matrix products."""
+    backend = rho.backend
+    n = rho.num_qubits
+    acc = None
+    for w, op in kraus_operators(spec, backend):
+        if qubit > 1:
+            op = tensor(identity(backend, qubit - 1), op)
+        if qubit < n:
+            op = tensor(op, identity(backend, n - qubit))
+        branch = conjugate_by(rho, op).entries * w
+        acc = branch if acc is None else acc + branch
+    return acc
+
+
+def dense_correction_reference(rho9, assignment):
+    """Dense form of measure_and_correct: Z @ X, X or Z by matrix products."""
+    g = gate_set(rho9.backend)
+    acc = None
+    for m1 in (0, 1):
+        for m2 in (0, 1):
+            base = 4 * m1 + 2 * m2
+            branch = DensityOperator(rho9.backend, rho9.entries[base : base + 2, base : base + 2])
+            outcome = {1: m1, 2: m2}
+            x_pow = outcome[assignment.x_source]
+            z_pow = outcome[assignment.z_source]
+            if x_pow and z_pow:
+                branch = conjugate_by(branch, g.Z @ g.X)
+            elif x_pow:
+                branch = conjugate_by(branch, g.X)
+            elif z_pow:
+                branch = conjugate_by(branch, g.Z)
+            acc = branch.entries if acc is None else acc + branch.entries
+    return acc
+
+
+def random_exact_operator(rng, num_qubits):
+    """Operator with random Gaussian-rational polynomial entries, about a third zero."""
+    dim = 2**num_qubits
+    ent = np.full((dim, dim), PolyP.ZERO, dtype=object)
+    for r in range(dim):
+        for c in range(dim):
+            if rng.random() < 0.3:
+                continue
+            ent[r, c] = PolyP(
+                GaussianRational(
+                    Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))),
+                    Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))),
+                )
+                for _ in range(int(rng.integers(1, 4)))
+            )
+    return DensityOperator(EXACT, ent)
+
+
+class TestAgainstDenseReference:
+    """The index-flip and sign-mask path equals the embedded-Kraus matmul path
+    bit for bit: the arithmetic per entry is the same."""
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_apply_to_qubit_float_bytes_equal(self, kind, num_qubits, random_density, rng):
+        for _ in range(20):
+            rho = random_density(num_qubits)
+            for p in (0.0, 1.0, float(rng.random())):
+                for qubit in range(1, num_qubits + 1):
+                    got = apply_to_qubit(spec(kind, p), rho, qubit).entries
+                    want = embedded_kraus_reference(spec(kind, p), rho, qubit)
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_apply_to_qubit_exact_equal(self, kind, num_qubits, rng):
+        for _ in range(3):
+            rho = random_exact_operator(rng, num_qubits)
+            for p in (0, 1, Fraction(int(rng.integers(1, 100)), 101), P):
+                for qubit in range(1, num_qubits + 1):
+                    got = apply_to_qubit(ChannelSpec(kind, p), rho, qubit).entries
+                    want = embedded_kraus_reference(ChannelSpec(kind, p), rho, qubit)
+                    assert (got == want).all()
+
+    @pytest.mark.parametrize("assignment", [DEFAULT_ASSIGNMENT, *ALTERNATE_ASSIGNMENTS])
+    def test_measure_and_correct_equals_dense_corrections(self, assignment, random_density, rng):
+        for _ in range(20):
+            rho9 = random_density(3)
+            got = measure_and_correct(rho9, assignment).entries
+            assert got.tobytes() == dense_correction_reference(rho9, assignment).tobytes()
+        for _ in range(3):
+            rho9 = random_exact_operator(rng, 3)
+            got = measure_and_correct(rho9, assignment).entries
+            assert (got == dense_correction_reference(rho9, assignment)).all()

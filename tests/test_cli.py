@@ -119,10 +119,38 @@ class TestSweep:
         assert code == 2
         assert "'zz'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--p-start", "nan"), ("--p-end", "nan"), ("--p-end", "inf"), ("--p-start", "-inf")]
+    )
+    def test_non_finite_grid_bound_exits_2(self, flag, value, capsys):
+        assert main(["sweep", "--noise", "bitflip", f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')} {value} is not finite" in err
+        assert "exceeds" not in err
+
     def test_unnormalized_rejected_without_flag(self, capsys):
         assert main(["sweep", "--noise", "bitflip", "--states", "1,1"]) == 2
         assert main(["sweep", "--noise", "bitflip", "--states", "1,1",
                      "--normalize", "--steps", "2", "--out", "/dev/null"]) == 0
+
+
+class TestNonFiniteAmplitude:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--noise", "bitflip", "--columns", "numeric"],
+            ["sweep", "--noise", "depolarizing"],
+            ["trace", "--noise", "bitflip", "--p", "0.1"],
+            ["curves", "--noise", "phaseflip"],
+        ],
+        ids=["sweep-numeric", "sweep-default-columns", "trace", "curves"],
+    )
+    def test_nan_amplitude_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(argv + ["--alpha", "nan", "--beta", "0", "--out", str(out)])
+        assert code == 2
+        assert "amplitude alpha = (nan+0j) is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrace:

@@ -14,7 +14,6 @@ from teleportsim.linalg import (
     Operator,
     PureState,
     conjugate_by,
-    entries_equal,
     fidelity_with,
     hermitian_eigenvalues,
     hermiticity_deviation,
@@ -230,11 +229,11 @@ class TestOperatorScaling:
 
     def test_exact_entrywise_equality(self):
         g = gate_set(EXACT)
-        assert entries_equal(g.X @ g.X, identity(EXACT, 1))
-        assert not entries_equal(g.X, g.Z)
-        assert not entries_equal(g.H, identity(EXACT, 1))  # shifts differ
-        with pytest.raises(ValueError):
-            entries_equal(gate_set(FLOAT).X, gate_set(FLOAT).X)
+        xx = g.X @ g.X
+        assert xx.root2_shift == 0
+        assert np.array_equal(xx.entries, identity(EXACT, 1).entries)
+        assert not np.array_equal(g.X.entries, g.Z.entries)
+        assert g.H.root2_shift == 1 and identity(EXACT, 1).root2_shift == 0
 
     def test_trace_linearity(self, random_density, rng):
         a, b = random_density(2), random_density(2)

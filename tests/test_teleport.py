@@ -52,6 +52,22 @@ class TestInputState:
         with pytest.raises(ValueError):
             InputState.normalized(0, 0)
 
+    @pytest.mark.parametrize(
+        "alpha,beta,name",
+        [
+            (float("nan"), 0, "alpha"),
+            (complex(0, float("nan")), 1, "alpha"),
+            (float("-inf"), 0, "alpha"),
+            (1, float("inf"), "beta"),
+        ],
+    )
+    def test_rejects_non_finite(self, alpha, beta, name):
+        # nan slips through the norm check, so finiteness is checked first
+        with pytest.raises(ValueError, match=f"amplitude {name} = .* is not finite"):
+            InputState(alpha, beta)
+        with pytest.raises(ValueError, match="is not finite"):
+            InputState.normalized(alpha, beta)
+
     def test_exact_amplitudes_accepted(self):
         InputState(GaussianRational(Fraction(3, 5)), GaussianRational(0, Fraction(4, 5)))
 

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
+import numpy as np
+
 from .linalg import (
     DensityOperator,
     Operator,
@@ -46,16 +48,39 @@ class ChannelSpec:
 
     ``p`` is a probability in [0, 1] for numeric runs, or an exact scalar
     (rational or polynomial) for symbolic runs, where the range constraint
-    does not apply.
+    does not apply.  A 1-D sequence or array of probabilities makes a
+    batch: it is stored as a tuple of floats, and a float pipeline run on
+    the spec carries one matrix per probability along a leading axis.
     """
 
     kind: NoiseKind
     p: Any
 
     def __post_init__(self):
+        if isinstance(self.p, (list, tuple, np.ndarray)):
+            object.__setattr__(self, "p", _probability_batch(self.p))
+        elif isinstance(self.p, numbers.Complex) and not isinstance(self.p, numbers.Real):
+            raise ValueError(f"noise probability {self.p!r} is not real")
         # any real type, numpy scalars included; nan fails the comparison
-        if isinstance(self.p, numbers.Real) and not 0 <= self.p <= 1:
+        elif isinstance(self.p, numbers.Real) and not 0 <= self.p <= 1:
             raise ValueError(f"noise probability {self.p} outside [0, 1]")
+
+
+def _probability_batch(values: Any) -> tuple[float, ...]:
+    """Validate a batch of probabilities; return it as a tuple of floats."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(
+            f"a batch of noise probabilities must be 1-D and non-empty, got shape {arr.shape}"
+        )
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"noise probabilities must be real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64)
+    bad = np.flatnonzero(~((arr >= 0) & (arr <= 1)))  # nan fails both
+    if bad.size:
+        # the scalar check's message, naming the first bad value
+        raise ValueError(f"noise probability {arr[bad[0]].item()} outside [0, 1]")
+    return tuple(arr.tolist())
 
 
 @dataclass(frozen=True)
@@ -121,7 +146,11 @@ def identity(backend: ScalarBackend, num_qubits: int) -> Operator:
 
 
 def _pauli_weights(spec: ChannelSpec, backend: ScalarBackend) -> list[tuple[Any, str]]:
-    """The channel as weighted Pauli branches [(w, label)], identity first."""
+    """The channel as weighted Pauli branches [(w, label)], identity first.
+
+    For a batched spec each weight is a (B, 1, 1) array, so a branch of an
+    unbatched state broadcasts to a (B, dim, dim) stack.
+    """
     p = backend.coerce(spec.p)
     one = backend.one
     if spec.kind is NoiseKind.BIT_FLIP:

@@ -23,6 +23,8 @@ from .verify import run_verification
 
 DEFAULT_STATES = ((1.0, 0.0), (2**-0.5, 2**-0.5), (0.6, 0.8))
 ALL_COLUMNS = ("numeric", "analytic", "linear")
+# grid points per batched pipeline run; bounds the memory of a long sweep
+BATCH_POINTS = 1024
 
 
 def parse_amplitude(token: str) -> complex:
@@ -100,6 +102,15 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _grid_fidelities(kind: NoiseKind, state: InputState, grid: list[float]) -> list[float]:
+    """Pipeline fidelity at every grid point, one batched run per chunk."""
+    out: list[float] = []
+    for start in range(0, len(grid), BATCH_POINTS):
+        batch = ChannelSpec(kind, grid[start : start + BATCH_POINTS])
+        out += teleport_fidelity(TeleportConfig(state, batch)).tolist()
+    return out
+
+
 def run_sweep(config: SweepConfig) -> str:
     """Compute the sweep as CSV text, rows ordered by (state, p)."""
     want = set(config.columns)
@@ -114,16 +125,17 @@ def run_sweep(config: SweepConfig) -> str:
     if with_diff:
         header.append("abs_diff")
     lines = [",".join(header)]
+    grid = config.grid()
     for alpha, beta in config.states:
         label = state_label(alpha, beta)
         state = InputState(alpha, beta)
-        for p in config.grid():
+        if "numeric" in want:
+            numeric = _grid_fidelities(config.kind, state, grid)
+        for i, p in enumerate(grid):
             row = [_fmt(p), label]
             f_num = f_ana = None
             if "numeric" in want:
-                f_num = teleport_fidelity(
-                    TeleportConfig(state, ChannelSpec(config.kind, p))
-                )
+                f_num = numeric[i]
                 row.append(_fmt(f_num))
             if "analytic" in want:
                 f_ana = fidelity_closed(config.kind, state, p)
@@ -236,14 +248,11 @@ def cmd_curves(args) -> int:
         p_end=args.p_end,
         steps=args.steps,
     )
+    grid = config.grid()
     series = []
     for alpha, beta in config.states:
-        state = InputState(alpha, beta)
-        points = [
-            (p, teleport_fidelity(TeleportConfig(state, ChannelSpec(config.kind, p))))
-            for p in config.grid()
-        ]
-        series.append((state_label(alpha, beta), points))
+        fidelities = _grid_fidelities(config.kind, InputState(alpha, beta), grid)
+        series.append((state_label(alpha, beta), list(zip(grid, fidelities))))
     svg = render_line_chart(
         title=f"teleportation fidelity under {config.kind.value} noise",
         x_label="noise probability p",

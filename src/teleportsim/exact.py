@@ -323,11 +323,15 @@ class PolyP:
         return acc
 
     def evaluate_float(self, p: float) -> complex:
-        """Horner evaluation converting each exact coefficient to float."""
+        """Horner evaluation converting each exact coefficient to float.
+
+        ``int / int`` rounds the exact quotient correctly, as
+        ``float(Fraction(...))`` does, without building the Fraction.
+        """
         acc = 0j
         den = self._den
         for k in range(len(self._re) - 1, -1, -1):
-            c = complex(float(Fraction(self._re[k], den)), float(Fraction(self._im[k], den)))
+            c = complex(self._re[k] / den, self._im[k] / den)
             acc = acc * p + c
         return acc
 

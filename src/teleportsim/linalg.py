@@ -8,6 +8,11 @@ be executed numerically or symbolically without change.
 
 Qubits are numbered 1..n with qubit 1 the most significant bit of the basis
 index, i.e. basis state |q1 q2 q3> has index 4*q1 + 2*q2 + q3.
+
+Float operators may carry one leading batch axis, shape (B, dim, dim): one
+matrix per noise probability of a batched :class:`channels.ChannelSpec`.
+The elementwise, index and matmul operations here broadcast over it, so a
+batch runs the same code as a single matrix.
 """
 
 from __future__ import annotations
@@ -58,11 +63,14 @@ class ScalarBackend:
         return f"<ScalarBackend {self.name}>"
 
 
-def _coerce_complex(value: Any) -> complex:
+def _coerce_complex(value: Any) -> complex | np.ndarray:
     if isinstance(value, complex):
         return value
     if isinstance(value, (int, float, Fraction)):
         return complex(value)
+    if isinstance(value, tuple):
+        # a batch of probabilities, shaped to scale a (B, dim, dim) stack
+        return np.array(value, dtype=np.complex128).reshape(-1, 1, 1)
     # exact scalars know their float image
     to_c = getattr(value, "__complex__", None)
     if to_c is not None:
@@ -119,6 +127,7 @@ def _freeze(entries: np.ndarray) -> np.ndarray:
 class Operator:
     """Square matrix on ``num_qubits`` qubits over a scalar backend.
 
+    ``entries`` has shape (dim, dim), or (B, dim, dim) for a float batch.
     The represented matrix is ``entries * (1/sqrt(2)) ** root2_shift``.
     Keeping the power of 1/sqrt(2) explicit lets gates like the Hadamard be
     stored with integer entries, so they stay exactly representable under
@@ -130,9 +139,13 @@ class Operator:
 
     def __init__(self, backend: ScalarBackend, entries: Any, root2_shift: int = 0):
         arr = np.array(entries, dtype=backend.dtype)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"operator entries must be square, got shape {arr.shape}")
-        dim = arr.shape[0]
+        if arr.ndim not in (2, 3) or arr.shape[-2] != arr.shape[-1]:
+            raise ValueError(
+                f"operator entries must be square, optionally batched, got shape {arr.shape}"
+            )
+        if arr.ndim == 3 and backend.is_exact:
+            raise ValueError("exact operators carry no batch axis")
+        dim = arr.shape[-1]
         n = dim.bit_length() - 1
         if dim != 2**n or n < 1:
             raise ValueError(f"operator dimension {dim} is not a power of two >= 2")
@@ -147,11 +160,11 @@ class Operator:
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     def dagger(self) -> "Operator":
         return Operator(
-            self.backend, np.conjugate(self.entries).T, self.root2_shift
+            self.backend, np.conjugate(self.entries).swapaxes(-1, -2), self.root2_shift
         )
 
     def dense(self) -> np.ndarray:
@@ -174,10 +187,11 @@ class Operator:
         return self.entries * factor
 
     def trace(self) -> Scalar:
-        t = self.entries.trace()
+        """The trace; a (B,) array for a batch."""
+        t = self.entries.trace(axis1=-2, axis2=-1)
         if self.root2_shift == 0:
             return t
-        return self.dense().trace()
+        return self.dense().trace(axis1=-2, axis2=-1)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         backend = _require_same_backend(self, other)
@@ -316,13 +330,14 @@ def pauli_conjugate(entries: np.ndarray, label: str, qubit: int, n: int) -> np.n
     Conjugating by a one-qubit Pauli only permutes entries and flips signs,
     so no matrix product is needed: X flips the qubit's bit in the row and
     column index, Z negates the entries whose row and column bits differ,
-    and Y does both.  Works on complex and object arrays alike.
+    and Y does both.  Works on complex and object arrays alike, and on a
+    batch of matrices along the leading axis.
     """
     bit = 1 << (n - qubit)
     index = np.arange(1 << n)
     if label in ("X", "Y"):
         flipped = index ^ bit
-        entries = entries[np.ix_(flipped, flipped)]
+        entries = entries[..., flipped[:, None], flipped]
     if label in ("Y", "Z"):
         set_bit = (index & bit) != 0
         differ = set_bit[:, None] != set_bit[None, :]
@@ -333,9 +348,9 @@ def pauli_conjugate(entries: np.ndarray, label: str, qubit: int, n: int) -> np.n
 def fidelity_with(psi: PureState, rho: DensityOperator) -> Any:
     """Overlap <psi| rho |psi>.
 
-    Returns a real float under the float backend; under the exact backend
-    the result is the backend scalar (a polynomial when the noise strength
-    is symbolic).
+    Returns a real float under the float backend, or a (B,) float array
+    for a batched ``rho``; under the exact backend the result is the
+    backend scalar (a polynomial when the noise strength is symbolic).
     """
     backend = _require_same_backend_state(psi, rho)
     if psi.num_qubits != rho.num_qubits:
@@ -347,8 +362,11 @@ def fidelity_with(psi: PureState, rho: DensityOperator) -> Any:
         dev = hermiticity_deviation(rho)
         if dev > 1e-9:
             raise ValueError(f"operator is not Hermitian (deviation {dev:.3e})")
-        val = np.conjugate(psi.amplitudes) @ rho.entries @ psi.amplitudes
-        return float(val.real)
+        rows = np.conjugate(psi.amplitudes) @ rho.entries
+        if rows.ndim == 1:
+            return float((rows @ psi.amplitudes).real)
+        # one dot per slice: a batched `rows @ amplitudes` rounds differently
+        return np.array([(row @ psi.amplitudes).real for row in rows])
     amps = psi.amplitudes
     acc = backend.zero
     for i, ai in enumerate(amps):
@@ -369,10 +387,10 @@ def _require_same_backend_state(psi: PureState, rho: DensityOperator) -> ScalarB
 
 
 def hermiticity_deviation(op: Operator) -> float:
-    """Max entrywise |A - A^dagger| (float backend only)."""
+    """Max entrywise |A - A^dagger|, over the whole batch (float backend only)."""
     if op.backend.is_exact:
         raise ValueError("hermiticity_deviation is a float-backend check")
-    return float(np.max(np.abs(op.entries - np.conjugate(op.entries).T)))
+    return float(np.max(np.abs(op.entries - np.conjugate(op.entries).swapaxes(-1, -2))))
 
 
 def hermitian_eigenvalues(op: Operator) -> np.ndarray:

@@ -17,6 +17,8 @@ import cmath
 from dataclasses import dataclass
 from typing import Any, Iterator
 
+import numpy as np
+
 from .channels import ChannelSpec, apply_layer, gate_set, identity
 from .linalg import (
     DensityOperator,
@@ -199,7 +201,7 @@ def measure_and_correct(
     for m1 in (0, 1):
         for m2 in (0, 1):
             base = 4 * m1 + 2 * m2
-            block = rho9.entries[base : base + 2, base : base + 2]
+            block = rho9.entries[..., base : base + 2, base : base + 2]
             outcome = {1: m1, 2: m2}
             label = _CORRECTION[outcome[assignment.x_source], outcome[assignment.z_source]]
             branch = pauli_conjugate(block, label, 1, 1)
@@ -216,7 +218,8 @@ def run_stages_from_initial(
     """Run the gate/noise ladder from an arbitrary three-qubit initial state.
 
     Used directly by the symbolic transfer-map extraction, which probes the
-    pipeline with matrix units that are not physical states.
+    pipeline with matrix units that are not physical states.  With a
+    batched ``noise`` spec the stages from rho3 on carry the batch axis.
     """
     if rho1.num_qubits != 3:
         raise ValueError(f"pipeline expects 3 qubits, got {rho1.num_qubits}")
@@ -259,10 +262,17 @@ def teleport_fidelity(
 ) -> Any:
     """Overlap of the pipeline output with the input state.
 
-    Floats on the numeric backend; a polynomial in p when run symbolically.
+    A float on the numeric backend, or a (B,) float array when the noise
+    spec is a batch of B probabilities; a polynomial in p when run
+    symbolically.
     """
     trace = run_stages(config, backend, assignment)
     psi = PureState(
         backend, [backend.coerce(config.input.alpha), backend.coerce(config.input.beta)]
     )
-    return fidelity_with(psi, trace.final)
+    fidelity = fidelity_with(psi, trace.final)
+    batch = config.noise.p
+    if isinstance(batch, tuple) and np.ndim(fidelity) == 0:
+        # noise disabled: no stage carries the batch axis
+        return np.full(len(batch), fidelity)
+    return fidelity

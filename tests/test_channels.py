@@ -1,5 +1,6 @@
 """Kraus decompositions, per-qubit application, layers, and the expanded-form oracles."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -114,6 +115,53 @@ class TestKrausOperators:
     def test_in_range_reals_and_symbolic_accepted(self):
         for p in (np.float32(0.5), np.int64(1), Fraction(1, 3), True, P, P * P + 2):
             assert ChannelSpec(NoiseKind.PHASE_FLIP, p).p is p
+
+    @pytest.mark.parametrize("p", [2j, 0.5 + 0j, np.complex128(0.5)], ids=repr)
+    def test_non_real_probability_rejected_by_name(self, p):
+        with pytest.raises(ValueError, match=re.escape(f"noise probability {p!r} is not real")):
+            ChannelSpec(NoiseKind.BIT_FLIP, p)
+
+
+class TestProbabilityBatch:
+    def test_stored_as_hashable_tuple_of_floats(self):
+        a = ChannelSpec(NoiseKind.BIT_FLIP, [0, 0.25, np.float32(0.5), 1])
+        b = ChannelSpec(NoiseKind.BIT_FLIP, np.array([0.0, 0.25, 0.5, 1.0]))
+        assert a.p == (0.0, 0.25, 0.5, 1.0)
+        assert all(type(x) is float for x in a.p)
+        assert a == b and hash(a) == hash(b)
+        assert a != ChannelSpec(NoiseKind.BIT_FLIP, (0.0, 0.25, 0.5))
+
+    @pytest.mark.parametrize(
+        "batch,message",
+        [
+            ([0.1, float("nan"), 0.3], "noise probability nan outside [0, 1]"),
+            ((0.1, 1.5), "noise probability 1.5 outside [0, 1]"),
+            (np.array([-0.25, 0.5]), "noise probability -0.25 outside [0, 1]"),
+            ([0.5, float("inf")], "noise probability inf outside [0, 1]"),
+            ([], "must be 1-D and non-empty, got shape (0,)"),
+            ([[0.1, 0.2]], "must be 1-D and non-empty, got shape (1, 2)"),
+            (np.array(0.5), "must be 1-D and non-empty, got shape ()"),
+            ([0.5, 0.5j], "must be real numbers, got dtype complex128"),
+            (["0.5"], "must be real numbers, got dtype <U3"),
+        ],
+        ids=["nan", "above-one", "negative", "inf", "empty", "2-D", "0-D", "complex", "string"],
+    )
+    def test_every_element_validated(self, batch, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ChannelSpec(NoiseKind.DEPOLARIZING, batch)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_layer_slices_equal_scalar_layers(self, kind, random_density):
+        batch = (0.0, 0.125, 0.7, 1.0)
+        rho = random_density(3)
+        got = apply_layer(spec(kind, batch), rho).entries
+        assert got.shape == (len(batch), 8, 8)
+        for k, p in enumerate(batch):
+            assert got[k].tobytes() == apply_layer(spec(kind, p), rho).entries.tobytes()
+
+    def test_exact_backend_refuses_a_batch(self):
+        with pytest.raises(TypeError, match="tuple"):
+            kraus_operators(spec(NoiseKind.BIT_FLIP, [0.1, 0.2]), EXACT)
 
 
 class TestApplyToQubit:

@@ -1,7 +1,14 @@
 """CLI surface: amplitude grammar, CSV sweeps, traces, verify, SVG curves."""
 
+import contextlib
+import hashlib
+import importlib.util
+import io
+from pathlib import Path
+
 import pytest
 
+from teleportsim import teleport
 from teleportsim.cli import (
     SweepConfig,
     format_amplitude,
@@ -238,3 +245,89 @@ class TestCurves:
         data = out.read_text()
         assert data.count("<polyline") == 1
         assert state_label(1 + 0j, 0j) in data
+
+
+COMPLEX_STATES = "--states=0.6,0+0.8i;0.6+0.8i,0;0.5+0.5i,0.5-0.5i"
+TRACE_STATE = ["--alpha", "0.6", "--beta", "0+0.8i"]
+
+
+GOLDEN_ARGV = {}
+for _kind in ("depolarizing", "bitflip", "phaseflip"):
+    GOLDEN_ARGV.update({
+        f"sweep-{_kind}-default": ["sweep", "--noise", _kind],
+        f"sweep-{_kind}-complex": ["sweep", "--noise", _kind, COMPLEX_STATES],
+        f"curves-{_kind}": ["curves", "--noise", _kind],
+        f"trace-{_kind}-p0": ["trace", "--noise", _kind, "--p", "0", *TRACE_STATE],
+        f"trace-{_kind}-p0.3": ["trace", "--noise", _kind, "--p", "0.3", *TRACE_STATE],
+    })
+
+
+# sha256 of each output file, recorded from the per-point pipeline before the
+# batched one replaced it (x86-64, numpy 2.4 with its bundled OpenBLAS).  The
+# CSV prints 17 significant digits, so any change in the last bit of a
+# fidelity changes a hash.
+GOLDEN_SHA256 = {
+    "sweep-depolarizing-default": "93b4ad5dfe0036494718d390d93ba32edf4a4076b61d20766c7c7f627e5f2608",
+    "sweep-depolarizing-complex": "9d0e33b4900de5c2298adb170ed2a9a370fa49019007dbfdd46a633bb7c98dd9",
+    "curves-depolarizing": "145839f51d7ef39376ed1905e5e71408ebc467ccb331cc9bfdda09267671666d",
+    "trace-depolarizing-p0": "2d5344aac398693555257dd7fbfa123bf0d62e9a1ed75d7d9e7b6f793b4fc355",
+    "trace-depolarizing-p0.3": "ec0ea7dcd11a4e40bf3d85f1bf7869c95ba300276bd342e7c0fc3ce5611802c6",
+    "sweep-bitflip-default": "985336a944877f8dbbe41081979301e7c358fe25b105f656bdfbf3e05efacd0c",
+    "sweep-bitflip-complex": "484dc8f81b3b449d72ee6ea18f6877662b62586c184c74ef0c5e2a353b5b2827",
+    "curves-bitflip": "b68bf71df5da7dc9ca20acd08352a33cebda4de547733d22bc047b30aacde803",
+    "trace-bitflip-p0": "96d45d2d3d802699592422a6131b11f808f7c59cf2dccbbba7142962137c6e19",
+    "trace-bitflip-p0.3": "28cff94cfa60f64c6fc67ebc22db92f44c8e624f3222308a794b4a59866910ee",
+    "sweep-phaseflip-default": "a9951ef000d2dab38e7fa00bf5451ec1b231f1716cf14483dc3e2f8f4249a562",
+    "sweep-phaseflip-complex": "a06954c3f3c1b111847a60da35453ed8de96962a5686ad024960f5b435e65e87",
+    "curves-phaseflip": "db6559f2a0f5ba65f75597e5e6416d615b8503d043b102f32a446c2e932a2412",
+    "trace-phaseflip-p0": "8580ae0573d5be638803b49e537527c135c860c603ae9b217db72c3812ce9644",
+    "trace-phaseflip-p0.3": "cb991593ba1cb416ae1205b0b7d82f977560ba492e002b0e354f5a4bfeed0a3c",
+}
+
+
+class TestGoldenBytes:
+    """The output files are pinned byte for byte, not only run to run."""
+
+    @pytest.mark.parametrize("name", list(GOLDEN_SHA256))
+    def test_output_sha256(self, name, tmp_path):
+        out = tmp_path / "out"
+        assert main(GOLDEN_ARGV[name] + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
+
+
+def _run_cli(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue()
+
+
+class TestTracerBindings:
+    """The benchmark's trace harness wraps module bindings of the package;
+    every binding it patches must exist and keep its call signature."""
+
+    def test_traced_outputs_equal_untraced(self):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracer", Path(__file__).parents[1] / "perfbench" / "tracer.py"
+        )
+        tracer_mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer_mod)
+        argvs = [
+            ["sweep", "--noise", "depolarizing", "--steps", "11", "--states", "0.6,0+0.8i"],
+            ["trace", "--noise", "bitflip", "--p", "0.3", *TRACE_STATE],
+        ]
+        untraced = [_run_cli(argv) for argv in argvs]
+        original = teleport.run_stages_from_initial
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            traced = [_run_cli(argv) for argv in argvs]
+        finally:
+            tracer.uninstall()
+        assert traced == untraced
+        # one batched run for the sweep's state, one for the trace
+        assert tracer.calls["teleport.run_stages_from_initial"] == 2
+        assert dict(tracer.runs) == {"depolarizing": 1, "bitflip": 1}
+        assert tracer.run_conjugations == {"depolarizing": 4, "bitflip": 4}
+        assert teleport.run_stages_from_initial is original
+        assert [_run_cli(argv) for argv in argvs] == untraced

@@ -19,6 +19,7 @@ from teleportsim.linalg import (
     hermiticity_deviation,
     max_entry_delta,
     partial_trace,
+    pauli_conjugate,
     sort_qubits,
     tensor,
 )
@@ -280,3 +281,59 @@ def test_min_eigenvalue_helper(random_density):
     eigs = hermitian_eigenvalues(rho)
     assert eigs[0] >= -1e-12
     assert eigs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestBatchAxis:
+    """Float operators may stack matrices along one leading axis; each slice
+    behaves exactly as the matrix on its own."""
+
+    def stack(self, random_density, num_qubits, size=5):
+        return DensityOperator(FLOAT, np.stack([random_density(num_qubits).entries for _ in range(size)]))
+
+    def test_shape_rules(self):
+        op = Operator(FLOAT, np.zeros((4, 8, 8)))
+        assert op.num_qubits == 3 and op.dim == 8
+        with pytest.raises(ValueError, match="optionally batched"):
+            Operator(FLOAT, np.zeros((2, 2, 4)))
+        with pytest.raises(ValueError, match="optionally batched"):
+            Operator(FLOAT, np.zeros((2, 2, 2, 2)))
+        with pytest.raises(ValueError, match="exact operators carry no batch axis"):
+            Operator(EXACT, np.full((2, 2, 2), PolyP.ZERO, dtype=object))
+
+    def test_trace_dagger_and_hermiticity_per_slice(self, random_density, rng):
+        rho = self.stack(random_density, 2)
+        skew = DensityOperator(FLOAT, rho.entries + 1j * rng.normal(size=rho.entries.shape))
+        assert rho.trace().shape == (5,)
+        for k in range(5):
+            single = DensityOperator(FLOAT, skew.entries[k])
+            assert skew.trace()[k] == single.trace()
+            assert skew.dagger().entries[k].tobytes() == single.dagger().entries.tobytes()
+        assert hermiticity_deviation(skew) == max(
+            hermiticity_deviation(DensityOperator(FLOAT, e)) for e in skew.entries
+        )
+
+    @pytest.mark.parametrize("label", ["I", "X", "Y", "Z"])
+    def test_pauli_conjugate_slices_and_index_grid(self, label, random_density):
+        rho = self.stack(random_density, 3)
+        for qubit in (1, 2, 3):
+            got = pauli_conjugate(rho.entries, label, qubit, 3)
+            for k in range(5):
+                single = pauli_conjugate(rho.entries[k], label, qubit, 3)
+                assert got[k].tobytes() == single.tobytes()
+            # the broadcast index equals the open-mesh (np.ix_) index
+            if label == "X":
+                flipped = np.arange(8) ^ (1 << (3 - qubit))
+                mesh = rho.entries[0][np.ix_(flipped, flipped)]
+                assert got[0].tobytes() == mesh.tobytes()
+
+    def test_fidelity_per_slice(self, random_density, rng):
+        rho = self.stack(random_density, 1, size=7)
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi = PureState(FLOAT, v / np.linalg.norm(v))
+        got = fidelity_with(psi, rho)
+        assert got.shape == (7,)
+        assert got.tolist() == [fidelity_with(psi, DensityOperator(FLOAT, e)) for e in rho.entries]
+        bad = rho.entries.copy()
+        bad[3, 0, 1] += 1
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fidelity_with(psi, DensityOperator(FLOAT, bad))

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from teleportsim import cli
 from teleportsim.channels import ChannelSpec, NoiseKind
+from teleportsim.cli import SweepConfig, run_sweep
 from teleportsim.exact import EXACT, GaussianRational
 from teleportsim.linalg import (
     FLOAT,
@@ -244,3 +246,67 @@ class TestTeleportFidelity:
             )
             assert f1 == pytest.approx(f2, abs=1e-12)
             assert f1 == pytest.approx(f3, abs=1e-12)
+
+
+GRID_101 = tuple(k / 100 for k in range(101))
+
+
+def random_states(seed, count):
+    rng = np.random.default_rng(seed)
+    return [InputState.normalized(*(rng.normal(size=2) + 1j * rng.normal(size=2))) for _ in range(count)]
+
+
+class TestBatchedPipeline:
+    """A batch of probabilities runs the pipeline once; every slice equals the
+    per-point run bit for bit."""
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_stages_and_fidelity_equal_per_point(self, kind):
+        for state in random_states(11, 3) + [PROBES[2]]:
+            batched = TeleportConfig(state, ChannelSpec(kind, GRID_101))
+            trace = run_stages(batched)
+            fidelities = teleport_fidelity(batched)
+            assert fidelities.shape == (len(GRID_101),) and fidelities.dtype == np.float64
+            for k, p in enumerate(GRID_101):
+                point = TeleportConfig(state, ChannelSpec(kind, p))
+                point_trace = run_stages(point)
+                for label in STAGE_LABELS[2:]:
+                    assert trace[label].entries[k].tobytes() == point_trace[label].entries.tobytes()
+                assert fidelities[k] == teleport_fidelity(point)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_batched_stages_are_physical(self, kind):
+        for state in random_states(12, 3):
+            trace = run_stages(TeleportConfig(state, ChannelSpec(kind, GRID_101)))
+            assert trace["rho2"].entries.shape == (8, 8)
+            for label in STAGE_LABELS[2:]:
+                rho = trace[label]
+                assert rho.entries.shape[0] == len(GRID_101)
+                assert rho.num_qubits == (1 if label == "rho10" else 3)
+                assert np.max(np.abs(rho.trace() - 1)) <= 1e-12
+                assert hermiticity_deviation(rho) <= 1e-12
+                assert hermitian_eigenvalues(rho)[:, 0].min() >= -1e-12
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_sweep_longer_than_one_chunk_equals_per_point(self, kind):
+        # --steps 2500 runs three batches of at most 1024 points
+        state = random_states(13, 1)[0]
+        alpha, beta = complex(state.alpha), complex(state.beta)
+        config = SweepConfig(kind, ((alpha, beta),), steps=2500, columns=("numeric",))
+        rows = run_sweep(config).splitlines()[1:]
+        assert len(rows) == 2500 > cli.BATCH_POINTS
+        for row, p in zip(rows, config.grid()):
+            f = float(row.split(",")[2])
+            assert f == teleport_fidelity(TeleportConfig(state, ChannelSpec(kind, p)))
+
+    def test_chunk_boundaries_do_not_change_bytes(self, monkeypatch):
+        config = SweepConfig(NoiseKind.DEPOLARIZING, ((0.6, 0.8j),), steps=101)
+        whole = run_sweep(config)
+        # chunks of 10 leave a last batch of one point
+        monkeypatch.setattr(cli, "BATCH_POINTS", 10)
+        assert run_sweep(config) == whole
+
+    def test_noise_disabled_batch_returns_one_value_per_point(self):
+        off = TeleportConfig(PROBES[1], depolarizing((0.1, 0.9)), noise_enabled=False)
+        single = TeleportConfig(PROBES[1], depolarizing(0.5), noise_enabled=False)
+        assert teleport_fidelity(off).tolist() == [teleport_fidelity(single)] * 2

@@ -18,8 +18,6 @@ from .linalg import (
 from .teleport import (
     CorrectionAssignment,
     InputState,
-    StageTrace,
-    TeleportConfig,
     build_initial,
     measure_and_correct,
     run_stages,

@@ -18,7 +18,7 @@ from .analytic import fidelity_closed, fidelity_linear
 from .channels import ChannelSpec, NoiseKind
 from .charts import render_line_chart
 from .linalg import hermitian_eigenvalues
-from .teleport import InputState, TeleportConfig, run_stages, teleport_fidelity
+from .teleport import InputState, run_stages, teleport_fidelity
 from .verify import run_verification
 
 DEFAULT_STATES = ((1.0, 0.0), (2**-0.5, 2**-0.5), (0.6, 0.8))
@@ -107,7 +107,7 @@ def _grid_fidelities(kind: NoiseKind, state: InputState, grid: list[float]) -> l
     out: list[float] = []
     for start in range(0, len(grid), BATCH_POINTS):
         batch = ChannelSpec(kind, grid[start : start + BATCH_POINTS])
-        out += teleport_fidelity(TeleportConfig(state, batch)).tolist()
+        out += teleport_fidelity(state, batch).tolist()
     return out
 
 
@@ -204,13 +204,12 @@ def cmd_trace(args) -> int:
         raise ValueError("trace works on exactly one input state")
     alpha, beta = states[0]
     state = InputState(alpha, beta)
-    config = TeleportConfig(state, ChannelSpec(NoiseKind(args.noise), args.p))
-    trace = run_stages(config)
+    stages = run_stages(state, ChannelSpec(NoiseKind(args.noise), args.p))
     lines = [
         f"stage trace: noise={args.noise} p={_fmt(args.p)} "
         f"state={state_label(alpha, beta)}"
     ]
-    for label, rho in trace.items():
+    for label, rho in stages.items():
         lines.append("")
         lines.append(f"{label} ({rho.num_qubits} qubit{'s' if rho.num_qubits > 1 else ''})")
         for row in rho.entries:

@@ -414,8 +414,7 @@ def run_pipeline_symbolic(
     polynomial 1 and every entry has degree at most 12.
     """
     spec = channels.ChannelSpec(kind, P)
-    config = teleport.TeleportConfig(input=input_state, noise=spec)
-    return teleport.run_stages(config, backend=EXACT).final
+    return teleport.run_stages(input_state, spec, EXACT)["rho10"]
 
 
 _BASIS_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -443,10 +442,10 @@ def extract_transfer_map(
         ent = np.full((8, 8), PolyP.ZERO, dtype=object)
         ent[4 * i, 4 * j] = PolyP.ONE
         rho1 = DensityOperator(EXACT, ent)
-        trace = teleport.run_stages_from_initial(
+        stages = teleport.run_stages_from_initial(
             rho1, spec, noise_enabled=True, assignment=assignment
         )
-        out = trace.final.entries
+        out = stages["rho10"].entries
         for row, (a, b) in enumerate(_BASIS_PAIRS):
             matrix[row, col] = out[a, b]
     matrix.setflags(write=False)

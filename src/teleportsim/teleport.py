@@ -14,10 +14,9 @@ the noise strength is zero.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-from typing import Any, Iterator
-
-import numpy as np
+from typing import Any
 
 from .channels import ChannelSpec, apply_layer, gate_set, identity
 from .linalg import (
@@ -68,7 +67,10 @@ class InputState:
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
             if not cmath.isfinite(complex(value)):
                 raise ValueError(f"amplitude {name} = {value} is not finite")
-        norm_sq = abs(complex(self.alpha)) ** 2 + abs(complex(self.beta)) ** 2
+        try:
+            norm_sq = abs(complex(self.alpha)) ** 2 + abs(complex(self.beta)) ** 2
+        except OverflowError:
+            norm_sq = math.inf
         if abs(norm_sq - 1.0) > 1e-9:
             raise ValueError(
                 f"amplitudes deviate from unit norm by {abs(norm_sq - 1.0):.3e}; "
@@ -78,10 +80,20 @@ class InputState:
     @classmethod
     def normalized(cls, alpha: Any, beta: Any) -> "InputState":
         a, b = complex(alpha), complex(beta)
-        norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
-        if norm == 0:
+        if a == 0 and b == 0:
             raise ValueError("cannot normalize the zero vector")
-        return cls(a / norm, b / norm)
+        try:
+            norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
+            return cls(a / norm, b / norm)
+        except (OverflowError, ZeroDivisionError, ValueError):
+            if not (cmath.isfinite(a) and cmath.isfinite(b)):
+                raise
+            # finite amplitudes fail only when |a|^2 + |b|^2 overflows,
+            # underflows to zero or loses precision in the subnormal range
+            raise ValueError(
+                f"cannot normalize amplitudes ({a}, {b}): their squared norm "
+                "is outside the double range"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -111,30 +123,6 @@ ALTERNATE_ASSIGNMENTS = (
     CorrectionAssignment(x_source=1, z_source=1),
     CorrectionAssignment(x_source=2, z_source=2),
 )
-
-
-@dataclass(frozen=True)
-class TeleportConfig:
-    input: InputState
-    noise: ChannelSpec
-    noise_enabled: bool = True
-
-
-@dataclass(frozen=True)
-class StageTrace:
-    """Ordered map of the ten pipeline stages rho1..rho10."""
-
-    stages: dict[str, DensityOperator]
-
-    def __getitem__(self, label: str) -> DensityOperator:
-        return self.stages[label]
-
-    def items(self) -> Iterator[tuple[str, DensityOperator]]:
-        return iter(self.stages.items())
-
-    @property
-    def final(self) -> DensityOperator:
-        return self.stages["rho10"]
 
 
 _CIRCUIT_OPS: dict[str, tuple[Operator, Operator, Operator, Operator]] = {}
@@ -214,10 +202,11 @@ def run_stages_from_initial(
     noise: ChannelSpec,
     noise_enabled: bool = True,
     assignment: CorrectionAssignment | None = None,
-) -> StageTrace:
+) -> dict[str, DensityOperator]:
     """Run the gate/noise ladder from an arbitrary three-qubit initial state.
 
-    Used directly by the symbolic transfer-map extraction, which probes the
+    Returns the ten stages keyed in :data:`STAGE_LABELS` order.  Used
+    directly by the symbolic transfer-map extraction, which probes the
     pipeline with matrix units that are not physical states.  With a
     batched ``noise`` spec the stages from rho3 on carry the batch axis.
     """
@@ -240,39 +229,23 @@ def run_stages_from_initial(
     stages["rho8"] = conjugate_by(stages["rho7"], h1)
     stages["rho9"] = noisy(stages["rho8"])
     stages["rho10"] = measure_and_correct(stages["rho9"], assignment)
-    return StageTrace(stages)
+    return stages
 
 
 def run_stages(
-    config: TeleportConfig,
-    backend: ScalarBackend = FLOAT,
-    assignment: CorrectionAssignment | None = None,
-) -> StageTrace:
-    """Run the full protocol for a configuration, returning every stage."""
-    rho1 = build_initial(config.input, backend)
-    return run_stages_from_initial(
-        rho1, config.noise, config.noise_enabled, assignment
-    )
+    input_state: InputState, noise: ChannelSpec, backend: ScalarBackend = FLOAT
+) -> dict[str, DensityOperator]:
+    """Run the full protocol for one input state, returning every stage."""
+    return run_stages_from_initial(build_initial(input_state, backend), noise)
 
 
-def teleport_fidelity(
-    config: TeleportConfig,
-    backend: ScalarBackend = FLOAT,
-    assignment: CorrectionAssignment | None = None,
-) -> Any:
-    """Overlap of the pipeline output with the input state.
+def teleport_fidelity(input_state: InputState, noise: ChannelSpec) -> Any:
+    """Overlap of the float pipeline output with the input state.
 
-    A float on the numeric backend, or a (B,) float array when the noise
-    spec is a batch of B probabilities; a polynomial in p when run
-    symbolically.
+    A float, or a (B,) float array when the noise spec is a batch of B
+    probabilities.  The exact fidelity, a polynomial in p, is
+    :func:`teleportsim.verify.fidelity_polynomial`.
     """
-    trace = run_stages(config, backend, assignment)
-    psi = PureState(
-        backend, [backend.coerce(config.input.alpha), backend.coerce(config.input.beta)]
-    )
-    fidelity = fidelity_with(psi, trace.final)
-    batch = config.noise.p
-    if isinstance(batch, tuple) and np.ndim(fidelity) == 0:
-        # noise disabled: no stage carries the batch axis
-        return np.full(len(batch), fidelity)
-    return fidelity
+    rho10 = run_stages(input_state, noise)["rho10"]
+    psi = PureState(FLOAT, [FLOAT.coerce(input_state.alpha), FLOAT.coerce(input_state.beta)])
+    return fidelity_with(psi, rho10)

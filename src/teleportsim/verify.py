@@ -145,65 +145,41 @@ def _published_targets_for(
     ]
 
 
-def verify_depolarizing() -> list[VerificationTarget]:
-    matrix = extract_transfer_map(NoiseKind.DEPOLARIZING)
-    return [
-        _poly_target(name, expected, derived)
-        for name, expected, derived in _published_targets_for(NoiseKind.DEPOLARIZING, matrix)
-    ]
-
-
-def verify_bitflip() -> list[VerificationTarget]:
-    matrix = extract_transfer_map(NoiseKind.BIT_FLIP)
+def verify_kind(kind: NoiseKind) -> list[VerificationTarget]:
+    """The published-form targets of one noise kind, in report order."""
+    matrix = extract_transfer_map(kind)
     targets = [
         _poly_target(name, expected, derived)
-        for name, expected, derived in _published_targets_for(NoiseKind.BIT_FLIP, matrix)
+        for name, expected, derived in _published_targets_for(kind, matrix)
     ]
-    targets.append(
-        VerificationTarget(
-            "bitflip u3 standalone",
-            TargetStatus.NOT_IDENTIFIABLE,
-            PUBLISHED.u3.to_text(),
-            "only the combinations u1+u3 and u2+u3 enter the output state "
-            "for normalized inputs; u3 alone is not observable",
+    if kind is NoiseKind.PHASE_FLIP:
+        targets.insert(
+            1,
+            _poly_target("phaseflip u6 binomial structure (1-2p)^8", PUBLISHED.u6, _R**8),
         )
-    )
-    targets.append(
-        _poly_target(
-            "bitflip trace identity u1+u2+2u3",
-            PolyP([Fraction(1, 4)]),
-            PUBLISHED.u1 + PUBLISHED.u2 + PUBLISHED.u3 * 2,
-        )
-    )
-    at_zero = [
-        str(matrix[r, c].evaluate_at(0)) for r in range(4) for c in range(4)
-    ]
-    is_identity = all(
-        matrix[r, c].evaluate_at(0) == (1 if r == c else 0)
-        for r in range(4)
-        for c in range(4)
-    )
-    targets.append(
-        VerificationTarget(
-            "bitflip map at p=0 is the identity",
-            TargetStatus.MATCH if is_identity else TargetStatus.MISMATCH,
-            "entrywise identity map",
-            "[" + ", ".join(at_zero) + "]",
-        )
-    )
-    return targets
-
-
-def verify_phaseflip() -> list[VerificationTarget]:
-    matrix = extract_transfer_map(NoiseKind.PHASE_FLIP)
-    targets = [
-        _poly_target(name, expected, derived)
-        for name, expected, derived in _published_targets_for(NoiseKind.PHASE_FLIP, matrix)
-    ]
-    targets.insert(
-        1,
-        _poly_target("phaseflip u6 binomial structure (1-2p)^8", PUBLISHED.u6, _R**8),
-    )
+    elif kind is NoiseKind.BIT_FLIP:
+        at_zero = [matrix[r, c].evaluate_at(0) for r in range(4) for c in range(4)]
+        unit = [1 if r == c else 0 for r in range(4) for c in range(4)]
+        targets += [
+            VerificationTarget(
+                "bitflip u3 standalone",
+                TargetStatus.NOT_IDENTIFIABLE,
+                PUBLISHED.u3.to_text(),
+                "only the combinations u1+u3 and u2+u3 enter the output state "
+                "for normalized inputs; u3 alone is not observable",
+            ),
+            _poly_target(
+                "bitflip trace identity u1+u2+2u3",
+                PolyP([Fraction(1, 4)]),
+                PUBLISHED.u1 + PUBLISHED.u2 + PUBLISHED.u3 * 2,
+            ),
+            VerificationTarget(
+                "bitflip map at p=0 is the identity",
+                TargetStatus.MATCH if at_zero == unit else TargetStatus.MISMATCH,
+                "entrywise identity map",
+                "[" + ", ".join(map(str, at_zero)) + "]",
+            ),
+        ]
     return targets
 
 
@@ -318,13 +294,8 @@ def _published_forms_match(assignment: CorrectionAssignment) -> bool:
 
 def run_verification() -> VerificationReport:
     """Run every verification target in fixed order and assemble the report."""
-    targets = [
-        *verify_depolarizing(),
-        *verify_bitflip(),
-        *verify_phaseflip(),
-        *verify_linear_slopes(),
-        *verify_marginal_factorization(),
-    ]
+    targets = [target for kind in NoiseKind for target in verify_kind(kind)]
+    targets += verify_linear_slopes() + verify_marginal_factorization()
     notes = [f"correction assignment used: {DEFAULT_ASSIGNMENT.describe()}"]
     published_mismatch = any(
         t.status is TargetStatus.MISMATCH

@@ -44,7 +44,7 @@ from teleportsim.linalg import (
     hermiticity_deviation,
     max_entry_delta,
 )
-from teleportsim.teleport import InputState, TeleportConfig, run_stages, teleport_fidelity
+from teleportsim.teleport import InputState, run_stages, teleport_fidelity
 from teleportsim.verify import TargetStatus, fidelity_polynomial
 
 FIVE_AMPLITUDES = ((1, 0), (2**-0.5, 2**-0.5), (0.6, 0.8), (0.6, 0.8j), (0.28, 0.96))
@@ -148,7 +148,7 @@ def test_criterion_1_numeric_analytic_equivalence():
             r = bloch(a.real, a.imag, b.real, b.imag)
             published_dev = 0.0
             for p in P_GRID_101:
-                f_num = teleport_fidelity(TeleportConfig(state, ChannelSpec(kind, p)))
+                f_num = teleport_fidelity(state, ChannelSpec(kind, p))
                 delta = abs(f_num - table_fidelity(kind, r, p))
                 if delta > worst:
                     worst, worst_at = delta, (amp, p)
@@ -345,16 +345,16 @@ def test_criterion_6_limit_checks():
     failures = []
     for kind in NoiseKind:
         for state in FIVE_STATES:
-            f0 = teleport_fidelity(TeleportConfig(state, ChannelSpec(kind, 0.0)))
+            f0 = teleport_fidelity(state, ChannelSpec(kind, 0.0))
             if abs(f0 - 1) > 1e-14:
                 failures.append(f"{kind.value} at p=0: F = {f0!r}")
     for state in FIVE_STATES:
-        f1 = teleport_fidelity(TeleportConfig(state, ChannelSpec(NoiseKind.DEPOLARIZING, 1.0)))
+        f1 = teleport_fidelity(state, ChannelSpec(NoiseKind.DEPOLARIZING, 1.0))
         if abs(f1 - 0.5) > 1e-12:
             failures.append(f"depolarizing at p=1: F = {f1!r}")
     basis = InputState(1, 0)
     for p in P_GRID_101:
-        f = teleport_fidelity(TeleportConfig(basis, ChannelSpec(NoiseKind.PHASE_FLIP, p)))
+        f = teleport_fidelity(basis, ChannelSpec(NoiseKind.PHASE_FLIP, p))
         if abs(f - 1) > 1e-12:
             failures.append(f"phase flip on basis state at p={p}: F = {f!r}")
     criterion(6, "limits: F(0)=1, depolarizing F(1)=1/2, phase flip immune basis state", failures)
@@ -407,8 +407,8 @@ def test_criterion_9_property_suite():
     for kind in NoiseKind:
         for state in DEFAULT_STATES:
             for p in P_GRID_11:
-                trace = run_stages(TeleportConfig(state, ChannelSpec(kind, p)))
-                for label, rho in trace.items():
+                stages = run_stages(state, ChannelSpec(kind, p))
+                for label, rho in stages.items():
                     if abs(rho.trace() - 1) > 1e-12:
                         failures.append(f"{kind.value} {label} p={p}: trace off")
                     if hermiticity_deviation(rho) > 1e-12:
@@ -421,10 +421,10 @@ def test_criterion_9_property_suite():
         for a, b in pairs:
             for p in (0.15, 0.35):
                 spec = ChannelSpec(kind, p)
-                f = teleport_fidelity(TeleportConfig(InputState(a, b), spec))
-                f_swap = teleport_fidelity(TeleportConfig(InputState(b, a), spec))
+                f = teleport_fidelity(InputState(a, b), spec)
+                f_swap = teleport_fidelity(InputState(b, a), spec)
                 f_phase = teleport_fidelity(
-                    TeleportConfig(InputState(a * phase, b * phase), spec)
+                    InputState(a * phase, b * phase), spec
                 )
                 if abs(f - f_swap) > 1e-12:
                     failures.append(f"{kind.value} swap asymmetry at ({a},{b}), p={p}")
@@ -434,7 +434,7 @@ def test_criterion_9_property_suite():
     for kind in NoiseKind:
         for state in DEFAULT_STATES:
             values = [
-                teleport_fidelity(TeleportConfig(state, ChannelSpec(kind, float(p))))
+                teleport_fidelity(state, ChannelSpec(kind, float(p)))
                 for p in half_grid
             ]
             for prev, cur in zip(values, values[1:]):

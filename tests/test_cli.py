@@ -4,11 +4,12 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from teleportsim import teleport
+from teleportsim import exact, teleport
 from teleportsim.cli import (
     SweepConfig,
     format_amplitude,
@@ -19,6 +20,8 @@ from teleportsim.cli import (
     state_label,
 )
 from teleportsim.channels import NoiseKind
+from teleportsim.exact import GaussianRational
+from teleportsim.teleport import InputState
 
 
 class TestAmplitudeGrammar:
@@ -160,6 +163,33 @@ class TestNonFiniteAmplitude:
         assert not out.exists()
 
 
+class TestAmplitudeRange:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--noise", "bitflip"],
+            ["trace", "--noise", "bitflip", "--p", "0.1"],
+            ["curves", "--noise", "phaseflip"],
+        ],
+        ids=["sweep", "trace", "curves"],
+    )
+    def test_overflowing_amplitude_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--alpha", "1e200", "--beta", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "deviate from unit norm by inf" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_normalize_outside_double_range_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["sweep", "--noise", "bitflip", "--normalize", "--states", "1e155,1e155"]
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "squared norm is outside the double range" in err
+        assert not out.exists()
+
+
 class TestTrace:
     def test_noiseless_layers_repeat_stages(self, capsys):
         assert main(["trace", "--noise", "depolarizing", "--p", "0",
@@ -285,6 +315,16 @@ GOLDEN_SHA256 = {
 }
 
 
+# sha256 of the `verify --out report` outputs, run from the report's
+# directory so that stdout names a relative path; recorded before the
+# per-kind target builders were folded into one.
+GOLDEN_VERIFY_SHA256 = {
+    "report.txt": "ecddcede80fee18d8d5179caa1f1f1ae761fbc3829b1d4908255834d9113b488",
+    "report.tsv": "ad759551dc61c81c16414b17640b1ade748713f166189ad1c112c05d1afa1bed",
+    "stdout": "3598050808216214af7627f350b9360912332f942babd11f5e290fcf1dc75379",
+}
+
+
 class TestGoldenBytes:
     """The output files are pinned byte for byte, not only run to run."""
 
@@ -294,6 +334,19 @@ class TestGoldenBytes:
         assert main(GOLDEN_ARGV[name] + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SHA256[name]
 
+    def test_verify_sha256(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            # the published coherence forms mismatch, so the status is 1
+            assert main(["verify", "--out", "report"]) == 1
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("report.txt", "report.tsv")
+        }
+        digests["stdout"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert digests == GOLDEN_VERIFY_SHA256
+
 
 def _run_cli(argv) -> str:
     buf = io.StringIO()
@@ -302,16 +355,21 @@ def _run_cli(argv) -> str:
     return buf.getvalue()
 
 
+def _load_tracer_module():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    )
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    return tracer_mod
+
+
 class TestTracerBindings:
     """The benchmark's trace harness wraps module bindings of the package;
     every binding it patches must exist and keep its call signature."""
 
     def test_traced_outputs_equal_untraced(self):
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_tracer", Path(__file__).parents[1] / "perfbench" / "tracer.py"
-        )
-        tracer_mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer_mod)
+        tracer_mod = _load_tracer_module()
         argvs = [
             ["sweep", "--noise", "depolarizing", "--steps", "11", "--states", "0.6,0+0.8i"],
             ["trace", "--noise", "bitflip", "--p", "0.3", *TRACE_STATE],
@@ -331,3 +389,31 @@ class TestTracerBindings:
         assert tracer.run_conjugations == {"depolarizing": 4, "bitflip": 4}
         assert teleport.run_stages_from_initial is original
         assert [_run_cli(argv) for argv in argvs] == untraced
+
+    def test_traced_exact_route_equals_untraced(self):
+        state = InputState(GaussianRational(Fraction(3, 5)), GaussianRational(0, Fraction(4, 5)))
+        kind = NoiseKind.PHASE_FLIP
+        alternate = teleport.ALTERNATE_ASSIGNMENTS[0]
+
+        def run():
+            rho = exact.run_pipeline_symbolic(state, kind)
+            return rho.entries, exact.extract_transfer_map(kind, alternate)
+
+        untraced = run()
+        exact.extract_transfer_map.cache_clear()
+        original = teleport.run_stages_from_initial
+        tracer = _load_tracer_module().Tracer()
+        tracer.install()
+        try:
+            traced = run()
+        finally:
+            tracer.uninstall()
+        for before, after in zip(untraced, traced):
+            assert before.shape == after.shape
+            assert all(x == y for x, y in zip(before.flat, after.flat))
+        # one symbolic run and four matrix-unit probes; only the symbolic
+        # run uses the default wiring and is attributed to its kind
+        assert tracer.calls["teleport.run_stages_from_initial"] == 5
+        assert dict(tracer.runs) == {"phaseflip": 1}
+        assert tracer.run_conjugations == {"phaseflip": 4}
+        assert teleport.run_stages_from_initial is original

@@ -12,7 +12,7 @@ from teleportsim.exact import (
     extract_transfer_map,
     run_pipeline_symbolic,
 )
-from teleportsim.teleport import InputState, TeleportConfig, run_stages
+from teleportsim.teleport import InputState, run_stages
 
 ONE = PolyP.ONE
 Q = ONE - P
@@ -89,11 +89,10 @@ class TestBackendAgreement:
             for probe in ALL_PROBES:
                 sym = run_pipeline_symbolic(probe, kind)
                 for pr in rationals:
-                    cfg = TeleportConfig(
+                    flo = run_stages(
                         InputState(complex(probe.alpha), complex(probe.beta)),
                         ChannelSpec(kind, float(pr)),
-                    )
-                    flo = run_stages(cfg).final
+                    )["rho10"]
                     for r in range(2):
                         for c in range(2):
                             want = complex(sym.entries[r, c].evaluate_at(pr))

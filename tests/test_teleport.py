@@ -14,17 +14,16 @@ from teleportsim.linalg import (
     DensityOperator,
     hermitian_eigenvalues,
     hermiticity_deviation,
-    max_entry_delta,
 )
 from teleportsim.teleport import (
     ALTERNATE_ASSIGNMENTS,
     STAGE_LABELS,
     CorrectionAssignment,
     InputState,
-    TeleportConfig,
     build_initial,
     measure_and_correct,
     run_stages,
+    run_stages_from_initial,
     teleport_fidelity,
 )
 
@@ -51,7 +50,7 @@ class TestInputState:
         st = InputState.normalized(3, 4j)
         assert complex(st.alpha) == pytest.approx(0.6)
         assert complex(st.beta) == pytest.approx(0.8j)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot normalize the zero vector"):
             InputState.normalized(0, 0)
 
     @pytest.mark.parametrize(
@@ -69,6 +68,32 @@ class TestInputState:
             InputState(alpha, beta)
         with pytest.raises(ValueError, match="is not finite"):
             InputState.normalized(alpha, beta)
+
+    def test_overflowing_amplitude_rejected_by_deviation(self):
+        # |1e200|^2 overflows; the deviation is reported as inf, not raised
+        with pytest.raises(ValueError, match="deviate from unit norm by inf"):
+            InputState(1e200, 0)
+
+    @pytest.mark.parametrize(
+        "alpha,beta",
+        [(1e155, 1e155), (1e154, 1e154), (1e-170, 1e-170), (1e-158, 1e-158), (1e-160, 0)],
+        ids=["overflow", "sum-overflow", "underflow", "subnormal", "subnormal-basis"],
+    )
+    def test_normalize_outside_double_range(self, alpha, beta):
+        with pytest.raises(ValueError) as err:
+            InputState.normalized(alpha, beta)
+        message = str(err.value)
+        assert "squared norm is outside the double range" in message
+        assert f"({complex(alpha)}, {complex(beta)})" in message
+
+    @pytest.mark.parametrize(
+        "alpha,beta", [(1e-155, 1e-155), (1e-155, 0), (1e153, 1e153), (3, 4j)]
+    )
+    def test_normalize_near_range_edges_keeps_arithmetic(self, alpha, beta):
+        a, b = complex(alpha), complex(beta)
+        norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
+        st = InputState.normalized(alpha, beta)
+        assert (st.alpha, st.beta) == (a / norm, b / norm)
 
     def test_exact_amplitudes_accepted(self):
         InputState(GaussianRational(Fraction(3, 5)), GaussianRational(0, Fraction(4, 5)))
@@ -107,40 +132,44 @@ class TestBuildInitial:
 class TestRunStages:
     def test_noiseless_pipeline_retrieves_input(self):
         for probe in PROBES:
-            trace = run_stages(TeleportConfig(probe, depolarizing(0.3), noise_enabled=False))
-            out = trace.final
+            out = run_stages_from_initial(build_initial(probe), depolarizing(0.3), False)["rho10"]
             a, b = complex(probe.alpha), complex(probe.beta)
             expected = np.array([[abs(a) ** 2, a * np.conj(b)], [b * np.conj(a), abs(b) ** 2]])
             assert np.max(np.abs(out.entries - expected)) <= 1e-15
 
     def test_p_zero_equals_noise_disabled(self):
-        cfg_on = TeleportConfig(PROBES[1], depolarizing(0.0))
-        cfg_off = TeleportConfig(PROBES[1], depolarizing(0.0), noise_enabled=False)
-        on, off = run_stages(cfg_on), run_stages(cfg_off)
-        for label in STAGE_LABELS:
-            assert max_entry_delta(on[label], off[label]) == 0.0
+        # a noiseless run is p = 0: the stages equal the noise-off ladder
+        # bit for bit, so the public API needs no noise switch
+        for kind in NoiseKind:
+            spec = ChannelSpec(kind, 0.0)
+            for state in PROBES + random_states(21, 20):
+                on = run_stages(state, spec)
+                off = run_stages_from_initial(build_initial(state), spec, False)
+                assert tuple(on) == tuple(off) == STAGE_LABELS
+                for label in STAGE_LABELS:
+                    assert on[label].entries.tobytes() == off[label].entries.tobytes()
 
     def test_disabled_noise_stages_collapse(self):
-        trace = run_stages(TeleportConfig(PROBES[1], depolarizing(0.7), noise_enabled=False))
+        stages = run_stages_from_initial(build_initial(PROBES[1]), depolarizing(0.7), False)
         for a, b in (("rho3", "rho2"), ("rho5", "rho4"), ("rho7", "rho6"), ("rho9", "rho8")):
-            assert trace[a] is trace[b]
+            assert stages[a] is stages[b]
 
     def test_stage_labels_and_shapes(self):
-        trace = run_stages(TeleportConfig(PROBES[0], depolarizing(0.2)))
-        assert tuple(label for label, _ in trace.items()) == STAGE_LABELS
-        for label, rho in trace.items():
+        stages = run_stages(PROBES[0], depolarizing(0.2))
+        assert tuple(label for label, _ in stages.items()) == STAGE_LABELS
+        for label, rho in stages.items():
             assert rho.num_qubits == (1 if label == "rho10" else 3)
             assert abs(rho.trace() - 1) <= 1e-12
 
     def test_full_depolarization_final_stages(self):
-        trace = run_stages(TeleportConfig(PROBES[2], depolarizing(1.0)))
-        assert np.max(np.abs(trace["rho9"].entries - np.eye(8) / 8)) <= 1e-14
-        assert np.max(np.abs(trace["rho10"].entries - np.eye(2) / 2)) <= 1e-14
+        stages = run_stages(PROBES[2], depolarizing(1.0))
+        assert np.max(np.abs(stages["rho9"].entries - np.eye(8) / 8)) <= 1e-14
+        assert np.max(np.abs(stages["rho10"].entries - np.eye(2) / 2)) <= 1e-14
 
     def test_stage_physicality_under_noise(self):
         for kind in NoiseKind:
-            trace = run_stages(TeleportConfig(PROBES[3], ChannelSpec(kind, 0.35)))
-            for _, rho in trace.items():
+            stages = run_stages(PROBES[3], ChannelSpec(kind, 0.35))
+            for _, rho in stages.items():
                 assert abs(rho.trace() - 1) <= 1e-12
                 assert hermiticity_deviation(rho) <= 1e-12
                 assert hermitian_eigenvalues(rho)[0] >= -1e-10
@@ -149,8 +178,8 @@ class TestRunStages:
 class TestMeasureAndCorrect:
     def test_ideal_branches_reproduce_input(self):
         for probe in PROBES:
-            trace = run_stages(TeleportConfig(probe, depolarizing(0.0)))
-            out = measure_and_correct(trace["rho9"])
+            stages = run_stages(probe, depolarizing(0.0))
+            out = measure_and_correct(stages["rho9"])
             a, b = complex(probe.alpha), complex(probe.beta)
             expected = np.array([[abs(a) ** 2, a * np.conj(b)], [b * np.conj(a), abs(b) ** 2]])
             assert np.max(np.abs(out.entries - expected)) <= 1e-15
@@ -164,8 +193,8 @@ class TestMeasureAndCorrect:
         # Pauli noise commutes with the Pauli frame fixups, so each corrected
         # outcome branch is the same operator and equals a quarter of the sum.
         for kind in NoiseKind:
-            trace = run_stages(TeleportConfig(PROBES[1], ChannelSpec(kind, 0.3)))
-            rho9 = trace["rho9"]
+            stages = run_stages(PROBES[1], ChannelSpec(kind, 0.3))
+            rho9 = stages["rho9"]
             out = measure_and_correct(rho9)
             block00 = rho9.entries[0:2, 0:2]
             assert np.max(np.abs(out.entries - 4 * block00)) <= 1e-14
@@ -173,8 +202,8 @@ class TestMeasureAndCorrect:
     def test_phaseflip_probe_output(self):
         p = 0.25
         probe = InputState(0.6, 0.8)
-        trace = run_stages(TeleportConfig(probe, ChannelSpec(NoiseKind.PHASE_FLIP, p)))
-        out = trace.final
+        stages = run_stages(probe, ChannelSpec(NoiseKind.PHASE_FLIP, p))
+        out = stages["rho10"]
         assert out.entries[0, 0] == pytest.approx(0.36, abs=1e-13)
         assert out.entries[1, 1] == pytest.approx(0.64, abs=1e-13)
         # coherence scaled by (1-2p)^8 at p=1/4
@@ -190,11 +219,11 @@ class TestMeasureAndCorrect:
         assert len(ALTERNATE_ASSIGNMENTS) == 3
 
     def test_alternate_assignments_break_ideal_teleportation(self):
-        trace = run_stages(TeleportConfig(PROBES[1], depolarizing(0.0)))
+        stages = run_stages(PROBES[1], depolarizing(0.0))
         a, b = 0.6, 0.8
         ideal = np.array([[a * a, a * b], [a * b, b * b]])
         for alt in ALTERNATE_ASSIGNMENTS:
-            out = measure_and_correct(trace["rho9"], alt)
+            out = measure_and_correct(stages["rho9"], alt)
             assert np.max(np.abs(out.entries - ideal)) > 0.1
 
 
@@ -202,25 +231,25 @@ class TestTeleportFidelity:
     def test_perfect_at_zero_noise(self):
         for kind in NoiseKind:
             for probe in PROBES:
-                f = teleport_fidelity(TeleportConfig(probe, ChannelSpec(kind, 0.0)))
+                f = teleport_fidelity(probe, ChannelSpec(kind, 0.0))
                 assert f == pytest.approx(1.0, abs=1e-14)
 
     def test_depolarizing_classical_limit(self):
         for probe in PROBES:
-            f = teleport_fidelity(TeleportConfig(probe, depolarizing(1.0)))
+            f = teleport_fidelity(probe, depolarizing(1.0))
             assert f == pytest.approx(0.5, abs=1e-13)
 
     def test_equal_superposition_closed_form(self):
         # independently derived: diagonal contraction and the real coherence
         # component both decay as (1-p)^9, so F = 1/2 + (1-p)^9 / 2
         for p in (0.05, 0.1, 0.4):
-            f = teleport_fidelity(TeleportConfig(PROBES[3], depolarizing(p)))
+            f = teleport_fidelity(PROBES[3], depolarizing(p))
             assert f == pytest.approx(0.5 + (1 - p) ** 9 / 2, abs=1e-12)
 
     def test_phaseflip_basis_state_immune(self):
         for p in np.linspace(0, 1, 11):
             f = teleport_fidelity(
-                TeleportConfig(PROBES[0], ChannelSpec(NoiseKind.PHASE_FLIP, float(p)))
+                PROBES[0], ChannelSpec(NoiseKind.PHASE_FLIP, float(p))
             )
             assert f == pytest.approx(1.0, abs=1e-13)
 
@@ -230,19 +259,19 @@ class TestTeleportFidelity:
         for kind in NoiseKind:
             ps = (0.0, 0.3, 0.5) if kind is NoiseKind.BIT_FLIP else (0.0, 0.3, 0.7, 1.0)
             for p in ps:
-                f = teleport_fidelity(TeleportConfig(PROBES[1], ChannelSpec(kind, p)))
+                f = teleport_fidelity(PROBES[1], ChannelSpec(kind, p))
                 assert 0.5 - 1e-12 <= f <= 1 + 1e-12
-        f = teleport_fidelity(TeleportConfig(PROBES[1], ChannelSpec(NoiseKind.BIT_FLIP, 1.0)))
+        f = teleport_fidelity(PROBES[1], ChannelSpec(NoiseKind.BIT_FLIP, 1.0))
         assert f == pytest.approx(0.0, abs=1e-13)
 
     def test_swap_and_global_phase_symmetry(self):
         phase = np.exp(0.7j)
         for kind in NoiseKind:
             s = ChannelSpec(kind, 0.3)
-            f1 = teleport_fidelity(TeleportConfig(InputState(0.6, 0.8j), s))
-            f2 = teleport_fidelity(TeleportConfig(InputState(0.8j, 0.6), s))
+            f1 = teleport_fidelity(InputState(0.6, 0.8j), s)
+            f2 = teleport_fidelity(InputState(0.8j, 0.6), s)
             f3 = teleport_fidelity(
-                TeleportConfig(InputState(0.6 * phase, 0.8j * phase), s)
+                InputState(0.6 * phase, 0.8j * phase), s
             )
             assert f1 == pytest.approx(f2, abs=1e-12)
             assert f1 == pytest.approx(f3, abs=1e-12)
@@ -263,24 +292,24 @@ class TestBatchedPipeline:
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_stages_and_fidelity_equal_per_point(self, kind):
         for state in random_states(11, 3) + [PROBES[2]]:
-            batched = TeleportConfig(state, ChannelSpec(kind, GRID_101))
-            trace = run_stages(batched)
-            fidelities = teleport_fidelity(batched)
+            batched = ChannelSpec(kind, GRID_101)
+            stages = run_stages(state, batched)
+            fidelities = teleport_fidelity(state, batched)
             assert fidelities.shape == (len(GRID_101),) and fidelities.dtype == np.float64
             for k, p in enumerate(GRID_101):
-                point = TeleportConfig(state, ChannelSpec(kind, p))
-                point_trace = run_stages(point)
+                point = ChannelSpec(kind, p)
+                point_stages = run_stages(state, point)
                 for label in STAGE_LABELS[2:]:
-                    assert trace[label].entries[k].tobytes() == point_trace[label].entries.tobytes()
-                assert fidelities[k] == teleport_fidelity(point)
+                    assert stages[label].entries[k].tobytes() == point_stages[label].entries.tobytes()
+                assert fidelities[k] == teleport_fidelity(state, point)
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_batched_stages_are_physical(self, kind):
         for state in random_states(12, 3):
-            trace = run_stages(TeleportConfig(state, ChannelSpec(kind, GRID_101)))
-            assert trace["rho2"].entries.shape == (8, 8)
+            stages = run_stages(state, ChannelSpec(kind, GRID_101))
+            assert stages["rho2"].entries.shape == (8, 8)
             for label in STAGE_LABELS[2:]:
-                rho = trace[label]
+                rho = stages[label]
                 assert rho.entries.shape[0] == len(GRID_101)
                 assert rho.num_qubits == (1 if label == "rho10" else 3)
                 assert np.max(np.abs(rho.trace() - 1)) <= 1e-12
@@ -297,7 +326,7 @@ class TestBatchedPipeline:
         assert len(rows) == 2500 > cli.BATCH_POINTS
         for row, p in zip(rows, config.grid()):
             f = float(row.split(",")[2])
-            assert f == teleport_fidelity(TeleportConfig(state, ChannelSpec(kind, p)))
+            assert f == teleport_fidelity(state, ChannelSpec(kind, p))
 
     def test_chunk_boundaries_do_not_change_bytes(self, monkeypatch):
         config = SweepConfig(NoiseKind.DEPOLARIZING, ((0.6, 0.8j),), steps=101)
@@ -305,8 +334,3 @@ class TestBatchedPipeline:
         # chunks of 10 leave a last batch of one point
         monkeypatch.setattr(cli, "BATCH_POINTS", 10)
         assert run_sweep(config) == whole
-
-    def test_noise_disabled_batch_returns_one_value_per_point(self):
-        off = TeleportConfig(PROBES[1], depolarizing((0.1, 0.9)), noise_enabled=False)
-        single = TeleportConfig(PROBES[1], depolarizing(0.5), noise_enabled=False)
-        assert teleport_fidelity(off).tolist() == [teleport_fidelity(single)] * 2

@@ -7,7 +7,8 @@ import pytest
 import teleportsim.verify as verify_mod
 from teleportsim.analytic import PUBLISHED
 from teleportsim.exact import PolyP
-from teleportsim.verify import TargetStatus, run_verification, verify_phaseflip
+from teleportsim.channels import NoiseKind
+from teleportsim.verify import TargetStatus, run_verification, verify_kind
 
 EXPECTED_STATUS = {
     "depolarizing diagonal contraction": TargetStatus.MATCH,
@@ -101,7 +102,7 @@ def test_injected_table_fault_is_detected(monkeypatch):
     coeffs[3] = coeffs[3] + 1
     bad_table = dataclasses.replace(PUBLISHED, u6=PolyP([c for c in coeffs]))
     monkeypatch.setattr(verify_mod, "PUBLISHED", bad_table)
-    targets = verify_phaseflip()
+    targets = verify_kind(NoiseKind.PHASE_FLIP)
     broken = [t for t in targets if t.name == "phaseflip coherence vs published u6"]
     assert broken[0].status is TargetStatus.MISMATCH
     assert [d for d, _, _ in broken[0].coefficient_diffs] == [3]

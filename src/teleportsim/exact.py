@@ -1,10 +1,11 @@
-"""Exact scalar backend: rationals, Gaussian rationals, polynomials in p.
+"""Exact scalars and the exact transfer maps, polynomials in p.
 
-Running the teleportation pipeline over these scalars instead of floats
-turns the final density matrix into exact polynomials in the noise
-probability, which can then be compared coefficient-by-coefficient against
-published closed forms.  Equality here is always exact, never tolerance
-based.
+The circuit's transfer map is derived by Pauli propagation with exact
+polynomial entries in the noise probability, which can then be compared
+coefficient-by-coefficient against published closed forms.  Equality here
+is always exact, never tolerance based.  The same scalars also run the
+dense pipeline (the ``EXACT`` backend), which the tests keep as the
+reference route.
 
 Rationals are :class:`fractions.Fraction` (arbitrary precision, always
 reduced, positive denominator).  ``GaussianRational`` is a complex number
@@ -403,18 +404,79 @@ EXACT = ScalarBackend(
 )
 
 
-def run_pipeline_symbolic(
-    input_state: "teleport.InputState", kind: "channels.NoiseKind"
-) -> DensityOperator:
-    """Run the full noisy pipeline with a symbolic noise probability.
+# Heisenberg-picture Pauli propagation (Gottesman, quant-ph/9807006;
+# Aaronson-Gottesman, quant-ph/0406196).  The circuit is Clifford gates plus
+# Pauli noise, so each output Pauli on qubit 3 pulls back to the initial
+# state as one signed Pauli string scaled by a product of noise factors.
+# A string is a pair of bit lists x, z indexed by qubit 1..3, where
+# (x, z) = (1, 0) is X, (1, 1) is Y and (0, 1) is Z.
 
-    The input amplitudes must be exactly representable and exactly
-    normalized, e.g. (3/5, 4/5) or (3/5, 4i/5).  The result is the 2x2
-    output state with :class:`PolyP` entries; its trace is the constant
-    polynomial 1 and every entry has degree at most 12.
+_LABELS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+_BITS = {label: bits for bits, label in _LABELS.items()}
+
+_I = GaussianRational(0, 1)
+_PAULI_MATRICES = {
+    "I": ((1, 0), (0, 1)),
+    "X": ((0, 1), (1, 0)),
+    "Y": ((0, -_I), (_I, 0)),
+    "Z": ((1, 0), (0, -1)),
+}
+
+
+def _pull_back_h(x: list, z: list, qubits: tuple) -> int:
+    """H P H on the string in place; returns 1 when the sign flips."""
+    (a,) = qubits
+    x[a], z[a] = z[a], x[a]
+    return x[a] & z[a]
+
+
+def _pull_back_cnot(x: list, z: list, qubits: tuple) -> int:
+    """CNOT P CNOT on the string in place; returns 1 when the sign flips."""
+    a, b = qubits
+    flip = x[a] & z[b] & (x[b] ^ z[a] ^ 1)
+    x[b] ^= x[a]
+    z[a] ^= z[b]
+    return flip
+
+
+_PULL_BACK = {"H": _pull_back_h, "CNOT": _pull_back_cnot}
+
+
+def _pull_back(
+    label: str, assignment: "teleport.CorrectionAssignment"
+) -> "tuple[int, dict[str, int], str] | None":
+    """Pull the Pauli ``label`` on the output qubit back to the initial state.
+
+    Returns the sign, how many noise layers met each single-qubit Pauli of
+    the string, and the string's Pauli on qubit 1; or None when the string
+    has X or Y on qubit 2 or 3, so it vanishes on the |00> ancillas.
     """
-    spec = channels.ChannelSpec(kind, P)
-    return teleport.run_stages(input_state, spec, EXACT)["rho10"]
+    x, z = [0] * 4, [0] * 4
+    x[3], z[3] = _BITS[label]
+    # an outcome-controlled correction negates the Pauli it anticommutes
+    # with, which sums over the outcomes to a Z on its source qubit
+    z[assignment.x_source] ^= z[3]
+    z[assignment.z_source] ^= x[3]
+    sign = 1
+    exponents = {"X": 0, "Y": 0, "Z": 0}
+    for gate, qubits in reversed(teleport.CIRCUIT):
+        for q in (1, 2, 3):
+            if x[q] or z[q]:
+                exponents[_LABELS[x[q], z[q]]] += 1
+        if _PULL_BACK[gate](x, z, qubits):
+            sign = -sign
+    if x[2] or x[3]:
+        return None
+    return sign, exponents, _LABELS[x[1], z[1]]
+
+
+def _noise_factors(kind: "channels.NoiseKind") -> dict[str, PolyP]:
+    """The factor by which the channel scales each single-qubit Pauli."""
+    weights = channels._pauli_weights(channels.ChannelSpec(kind, P), EXACT)
+    return {
+        label: sum((w if b in ("I", label) else -w for w, b in weights), PolyP.ZERO)
+        for label in "XYZ"
+    }
 
 
 _BASIS_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -427,26 +489,59 @@ def extract_transfer_map(
 ) -> np.ndarray:
     """Linear map from input single-qubit entries to output entries.
 
-    The pipeline is linear in the single-qubit factor of the initial state,
-    so probing it with the four matrix units |i><j| (tensored with the |00>
-    ancilla projector) recovers the complete process map.  Entry [r][c] of
-    the returned 4x4 object array is the polynomial sending input entry c to
-    output entry r, with entries flattened row-major as
-    (0,0), (0,1), (1,0), (1,1).
+    Entry [r][c] of the returned 4x4 object array is the polynomial sending
+    input entry c to output entry r, with entries flattened row-major as
+    (0,0), (0,1), (1,0), (1,1).  Built by Pauli propagation: the output is
+    ``1/2 sum_s c_s tr(P1_s rho_in) s`` over s = I, X, Y, Z on the output
+    qubit, where ``c_s P1_s`` is the pull-back of s with its sign and noise
+    factors.
 
     The result is cached and read-only; treat it as immutable.
     """
-    spec = channels.ChannelSpec(kind, P)
+    if assignment is None:
+        assignment = teleport.DEFAULT_ASSIGNMENT
+    factors = _noise_factors(kind)
+    terms = [(PolyP.ONE, "I", "I")]
+    for label in "XYZ":
+        pulled = _pull_back(label, assignment)
+        if pulled is not None:
+            sign, exponents, p1 = pulled
+            c = PolyP.ONE
+            for factor_label, e in exponents.items():
+                if e:
+                    c = c * factors[factor_label] ** e
+            terms.append((c if sign > 0 else -c, label, p1))
+    half = Fraction(1, 2)
     matrix = np.full((4, 4), PolyP.ZERO, dtype=object)
-    for col, (i, j) in enumerate(_BASIS_PAIRS):
-        ent = np.full((8, 8), PolyP.ZERO, dtype=object)
-        ent[4 * i, 4 * j] = PolyP.ONE
-        rho1 = DensityOperator(EXACT, ent)
-        stages = teleport.run_stages_from_initial(
-            rho1, spec, noise_enabled=True, assignment=assignment
-        )
-        out = stages["rho10"].entries
+    for c, label, p1 in terms:
+        s, p = _PAULI_MATRICES[label], _PAULI_MATRICES[p1]
         for row, (a, b) in enumerate(_BASIS_PAIRS):
-            matrix[row, col] = out[a, b]
+            for col, (i, j) in enumerate(_BASIS_PAIRS):
+                k = s[a][b] * p[j][i]
+                if k:
+                    matrix[row, col] = matrix[row, col] + c * (k * half)
     matrix.setflags(write=False)
     return matrix
+
+
+def run_pipeline_symbolic(
+    input_state: "teleport.InputState", kind: "channels.NoiseKind"
+) -> DensityOperator:
+    """The noisy pipeline's output state with a symbolic noise probability.
+
+    The input amplitudes must be exactly representable and exactly
+    normalized, e.g. (3/5, 4/5) or (3/5, 4i/5).  The result is the 2x2
+    output state with :class:`PolyP` entries, the cached transfer map
+    applied to the input's entries; its trace is the constant polynomial 1
+    and every entry has degree at most 12.
+    """
+    a = EXACT.coerce(input_state.alpha)
+    b = EXACT.coerce(input_state.beta)
+    vec = (a * a.conjugate(), a * b.conjugate(), b * a.conjugate(), b * b.conjugate())
+    matrix = extract_transfer_map(kind)
+    out = np.full((2, 2), PolyP.ZERO, dtype=object)
+    for row, (r, c) in enumerate(_BASIS_PAIRS):
+        for col, v in enumerate(vec):
+            if matrix[row, col] and v:
+                out[r, c] = out[r, c] + matrix[row, col] * v
+    return DensityOperator(EXACT, out)

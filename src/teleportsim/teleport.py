@@ -46,6 +46,12 @@ def _exact_norm_sq(alpha: Any, beta: Any):
     return a.conjugate() * a + b.conjugate() * b
 
 
+def _require_finite(alpha: Any, beta: Any) -> None:
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not cmath.isfinite(complex(value)):
+            raise ValueError(f"amplitude {name} = {value} is not finite")
+
+
 @dataclass(frozen=True)
 class InputState:
     """Single-qubit state alpha|0> + beta|1> to be teleported.
@@ -64,9 +70,7 @@ class InputState:
             if exact != 1:
                 raise ValueError(f"exact amplitudes have |a|^2+|b|^2 = {exact}, not 1")
             return
-        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if not cmath.isfinite(complex(value)):
-                raise ValueError(f"amplitude {name} = {value} is not finite")
+        _require_finite(self.alpha, self.beta)
         try:
             norm_sq = abs(complex(self.alpha)) ** 2 + abs(complex(self.beta)) ** 2
         except OverflowError:
@@ -80,14 +84,13 @@ class InputState:
     @classmethod
     def normalized(cls, alpha: Any, beta: Any) -> "InputState":
         a, b = complex(alpha), complex(beta)
+        _require_finite(a, b)
         if a == 0 and b == 0:
             raise ValueError("cannot normalize the zero vector")
         try:
             norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
             return cls(a / norm, b / norm)
         except (OverflowError, ZeroDivisionError, ValueError):
-            if not (cmath.isfinite(a) and cmath.isfinite(b)):
-                raise
             # finite amplitudes fail only when |a|^2 + |b|^2 overflows,
             # underflows to zero or loses precision in the subnormal range
             raise ValueError(
@@ -125,21 +128,28 @@ ALTERNATE_ASSIGNMENTS = (
 )
 
 
-_CIRCUIT_OPS: dict[str, tuple[Operator, Operator, Operator, Operator]] = {}
+#: The gate columns in circuit order, each followed by a noise layer: the
+#: gate's name in the gate set and the adjacent qubits it acts on, most
+#: significant first (a CNOT's control, then its target).
+CIRCUIT = (("H", (2,)), ("CNOT", (2, 3)), ("CNOT", (1, 2)), ("H", (1,)))
+
+_CIRCUIT_OPS: dict[str, tuple[Operator, ...]] = {}
 
 
-def _circuit_ops(backend: ScalarBackend):
-    """The four embedded circuit unitaries, cached per backend."""
+def _circuit_ops(backend: ScalarBackend) -> tuple[Operator, ...]:
+    """The :data:`CIRCUIT` gates embedded in three qubits, cached per backend."""
     cached = _CIRCUIT_OPS.get(backend.name)
     if cached is None:
         g = gate_set(backend)
-        i1 = identity(backend, 1)
-        cached = _CIRCUIT_OPS[backend.name] = (
-            tensor(tensor(i1, g.H), i1),  # H on qubit 2
-            tensor(i1, g.CNOT),           # CNOT, control 2 target 3
-            tensor(g.CNOT, i1),           # CNOT, control 1 target 2
-            tensor(g.H, identity(backend, 2)),  # H on qubit 1
-        )
+        ops = []
+        for name, qubits in CIRCUIT:
+            op = getattr(g, name)
+            if qubits[0] > 1:
+                op = tensor(identity(backend, qubits[0] - 1), op)
+            if qubits[-1] < 3:
+                op = tensor(op, identity(backend, 3 - qubits[-1]))
+            ops.append(op)
+        cached = _CIRCUIT_OPS[backend.name] = tuple(ops)
     return cached
 
 
@@ -205,30 +215,19 @@ def run_stages_from_initial(
 ) -> dict[str, DensityOperator]:
     """Run the gate/noise ladder from an arbitrary three-qubit initial state.
 
-    Returns the ten stages keyed in :data:`STAGE_LABELS` order.  Used
-    directly by the symbolic transfer-map extraction, which probes the
-    pipeline with matrix units that are not physical states.  With a
+    Returns the ten stages keyed in :data:`STAGE_LABELS` order.  With a
     batched ``noise`` spec the stages from rho3 on carry the batch axis.
     """
     if rho1.num_qubits != 3:
         raise ValueError(f"pipeline expects 3 qubits, got {rho1.num_qubits}")
-    backend = rho1.backend
-    h2, cnot23, cnot12, h1 = _circuit_ops(backend)
-
-    def noisy(rho: DensityOperator) -> DensityOperator:
-        return apply_layer(noise, rho) if noise_enabled else rho
-
-    stages: dict[str, DensityOperator] = {}
-    stages["rho1"] = rho1
-    stages["rho2"] = conjugate_by(stages["rho1"], h2)
-    stages["rho3"] = noisy(stages["rho2"])
-    stages["rho4"] = conjugate_by(stages["rho3"], cnot23)
-    stages["rho5"] = noisy(stages["rho4"])
-    stages["rho6"] = conjugate_by(stages["rho5"], cnot12)
-    stages["rho7"] = noisy(stages["rho6"])
-    stages["rho8"] = conjugate_by(stages["rho7"], h1)
-    stages["rho9"] = noisy(stages["rho8"])
-    stages["rho10"] = measure_and_correct(stages["rho9"], assignment)
+    rho = rho1
+    stages = {"rho1": rho}
+    for k, op in enumerate(_circuit_ops(rho1.backend)):
+        stages[f"rho{2 * k + 2}"] = rho = conjugate_by(rho, op)
+        if noise_enabled:
+            rho = apply_layer(noise, rho)
+        stages[f"rho{2 * k + 3}"] = rho
+    stages["rho10"] = measure_and_correct(rho, assignment)
     return stages
 
 

@@ -1,6 +1,6 @@
 """Cross-checks of derived pipeline polynomials against published forms.
 
-Every target compares a polynomial derived from the exact symbolic pipeline
+Every target compares a polynomial derived from the exact transfer maps
 against the corresponding published reference form, coefficient by
 coefficient in rational arithmetic.  Mismatches never abort: detecting
 typos in published polynomials is part of the job, so the report itself is

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from teleportsim.linalg import FLOAT, DensityOperator
+
+# Property tests draw the same examples on every run, so tier-1 stays
+# deterministic and its time bounded.
+settings.register_profile("deterministic", derandomize=True, max_examples=30, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

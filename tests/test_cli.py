@@ -162,6 +162,27 @@ class TestNonFiniteAmplitude:
         assert "amplitude alpha = (nan+0j) is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("token", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--noise", "bitflip"],
+            ["trace", "--noise", "bitflip", "--p", "0.1"],
+            ["curves", "--noise", "phaseflip"],
+        ],
+        ids=["sweep", "trace", "curves"],
+    )
+    def test_normalize_names_the_non_finite_amplitude(self, argv, token, tmp_path, capsys):
+        # the finiteness check runs before the division by the norm, which
+        # would turn an infinite amplitude into nan+nanj
+        out = tmp_path / "out"
+        code = main(argv + ["--normalize", f"--states={token},0", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"amplitude alpha = ({token}+0j) is not finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestAmplitudeRange:
     @pytest.mark.parametrize(
@@ -402,6 +423,7 @@ class TestTracerBindings:
         untraced = run()
         exact.extract_transfer_map.cache_clear()
         original = teleport.run_stages_from_initial
+        original_symbolic = exact.run_pipeline_symbolic
         tracer = _load_tracer_module().Tracer()
         tracer.install()
         try:
@@ -411,9 +433,9 @@ class TestTracerBindings:
         for before, after in zip(untraced, traced):
             assert before.shape == after.shape
             assert all(x == y for x, y in zip(before.flat, after.flat))
-        # one symbolic run and four matrix-unit probes; only the symbolic
-        # run uses the default wiring and is attributed to its kind
-        assert tracer.calls["teleport.run_stages_from_initial"] == 5
-        assert dict(tracer.runs) == {"phaseflip": 1}
-        assert tracer.run_conjugations == {"phaseflip": 4}
+        # the exact route propagates Paulis: it runs no dense pipeline
+        assert tracer.calls["teleport.run_stages_from_initial"] == 0
+        assert tracer.calls["linalg.conjugate_by"] == 0
+        assert dict(tracer.runs) == {}
         assert teleport.run_stages_from_initial is original
+        assert exact.run_pipeline_symbolic is original_symbolic

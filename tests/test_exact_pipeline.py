@@ -1,18 +1,37 @@
-"""Symbolic pipeline runs, transfer-map extraction, and float/exact agreement."""
+"""Symbolic runs, transfer maps, and agreement of the exact routes.
 
+The package derives its exact maps by Pauli propagation.  The dense route,
+the gate/noise ladder run over 8x8 :class:`PolyP` arrays, stays here as the
+reference they must equal exactly.
+"""
+
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from teleportsim.channels import ChannelSpec, NoiseKind
+from teleportsim import channels, exact, teleport
+from teleportsim.channels import ChannelSpec, NoiseKind, gate_set
 from teleportsim.exact import (
+    EXACT,
     GaussianRational,
     P,
     PolyP,
     extract_transfer_map,
     run_pipeline_symbolic,
 )
-from teleportsim.teleport import InputState, run_stages
+from teleportsim.linalg import DensityOperator, PureState, conjugate_by, fidelity_with, tensor
+from teleportsim.teleport import (
+    ALTERNATE_ASSIGNMENTS,
+    DEFAULT_ASSIGNMENT,
+    InputState,
+    build_initial,
+    run_stages,
+    run_stages_from_initial,
+)
+from teleportsim.verify import fidelity_polynomial
 
 ONE = PolyP.ONE
 Q = ONE - P
@@ -149,3 +168,126 @@ class TestTransferMap:
         matrix = extract_transfer_map(NoiseKind.PHASE_FLIP)
         with pytest.raises(ValueError):
             matrix[0, 0] = PolyP.ZERO
+
+
+_BASIS_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def dense_transfer_map(kind, assignment=None):
+    """The transfer map from the dense exact pipeline.
+
+    The pipeline is linear in the single-qubit factor of the initial state,
+    so probing it with the four matrix units |i><j| (tensored with the |00>
+    ancilla projector) recovers the complete process map.
+    """
+    spec = channels.ChannelSpec(kind, P)
+    matrix = np.full((4, 4), PolyP.ZERO, dtype=object)
+    for col, (i, j) in enumerate(_BASIS_PAIRS):
+        ent = np.full((8, 8), PolyP.ZERO, dtype=object)
+        ent[4 * i, 4 * j] = PolyP.ONE
+        rho1 = DensityOperator(EXACT, ent)
+        stages = teleport.run_stages_from_initial(
+            rho1, spec, noise_enabled=True, assignment=assignment
+        )
+        out = stages["rho10"].entries
+        for row, (a, b) in enumerate(_BASIS_PAIRS):
+            matrix[row, col] = out[a, b]
+    return matrix
+
+
+def _entries_equal(a, b):
+    return a.shape == b.shape and all(x == y for x, y in zip(a.flat, b.flat))
+
+
+def _apply_map(matrix, state):
+    a = GaussianRational.from_value(state.alpha)
+    b = GaussianRational.from_value(state.beta)
+    vec = (a * a.conjugate(), a * b.conjugate(), b * a.conjugate(), b * b.conjugate())
+    out = np.full((2, 2), PolyP.ZERO, dtype=object)
+    for row, (r, c) in enumerate(_BASIS_PAIRS):
+        for col in range(4):
+            out[r, c] = out[r, c] + matrix[row, col] * vec[col]
+    return out
+
+
+WIRINGS = (DEFAULT_ASSIGNMENT,) + ALTERNATE_ASSIGNMENTS
+
+# the primitive Pythagorean triples (m^2 - n^2, 2mn, m^2 + n^2) with m <= 8
+TRIPLES = (
+    (3, 4, 5), (5, 12, 13), (15, 8, 17), (7, 24, 25), (21, 20, 29),
+    (9, 40, 41), (35, 12, 37), (11, 60, 61), (45, 28, 53), (33, 56, 65),
+    (13, 84, 85), (63, 16, 65), (55, 48, 73), (39, 80, 89), (15, 112, 113),
+)
+PHASES = (
+    GaussianRational(1), GaussianRational(0, 1),
+    GaussianRational(-1), GaussianRational(0, -1),
+)
+
+
+@st.composite
+def exact_states(draw):
+    """alpha = a/c and beta = b/c of a Pythagorean triple, each times a phase."""
+    a, b, c = draw(st.sampled_from(TRIPLES))
+    if draw(st.booleans()):
+        a, b = b, a
+    alpha = draw(st.sampled_from(PHASES)) * Fraction(a, c)
+    beta = draw(st.sampled_from(PHASES)) * Fraction(b, c)
+    return InputState(alpha, beta)
+
+
+def _pauli_string(labels):
+    g = gate_set(EXACT)
+    op = None
+    for label in labels:
+        factor = getattr(g, label)
+        op = factor if op is None else tensor(op, factor)
+    return op
+
+
+class TestDenseRouteAgreement:
+    @pytest.mark.parametrize("name", sorted({gate for gate, _ in teleport.CIRCUIT}))
+    def test_gate_rules_equal_dense_conjugation(self, name):
+        # in this circuit the CNOT sign flips of the pulled-back strings come
+        # in pairs, so only a gate-level check sees a wrong CNOT phase rule
+        gate = getattr(gate_set(EXACT), name)
+        qubits = tuple(range(1, gate.num_qubits + 1))
+        for labels in itertools.product("IXYZ", repeat=len(qubits)):
+            x, z = [0] * 4, [0] * 4
+            for q, label in zip(qubits, labels):
+                x[q], z[q] = exact._BITS[label]
+            flip = exact._PULL_BACK[name](x, z, qubits)
+            pulled = _pauli_string(exact._LABELS[x[q], z[q]] for q in qubits).entries
+            dense = conjugate_by(_pauli_string(labels), gate).entries
+            assert _entries_equal(-pulled if flip else pulled, dense), labels
+
+    @pytest.mark.parametrize("assignment", WIRINGS, ids=lambda w: w.describe())
+    @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
+    def test_engine_map_equals_dense_map(self, kind, assignment):
+        engine = extract_transfer_map(kind, assignment)
+        assert _entries_equal(engine, dense_transfer_map(kind, assignment))
+        if assignment is DEFAULT_ASSIGNMENT:
+            assert _entries_equal(extract_transfer_map(kind), engine)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
+    def test_probe_states_equal_dense_runs(self, kind):
+        for probe in ALL_PROBES:
+            dense = run_stages(probe, ChannelSpec(kind, P), EXACT)["rho10"]
+            assert _entries_equal(run_pipeline_symbolic(probe, kind).entries, dense.entries)
+            psi = PureState(EXACT, [EXACT.coerce(probe.alpha), EXACT.coerce(probe.beta)])
+            assert fidelity_polynomial(kind, probe) == fidelity_with(psi, dense)
+
+    @given(
+        kind=st.sampled_from(list(NoiseKind)),
+        assignment=st.sampled_from(WIRINGS),
+        state=exact_states(),
+    )
+    def test_drawn_states_equal_dense_runs(self, kind, assignment, state):
+        spec = ChannelSpec(kind, P)
+        dense = run_stages_from_initial(
+            build_initial(state, EXACT), spec, assignment=assignment
+        )["rho10"]
+        assert _entries_equal(_apply_map(extract_transfer_map(kind, assignment), state), dense.entries)
+        if assignment is DEFAULT_ASSIGNMENT:
+            assert _entries_equal(run_pipeline_symbolic(state, kind).entries, dense.entries)
+            psi = PureState(EXACT, [EXACT.coerce(state.alpha), EXACT.coerce(state.beta)])
+            assert fidelity_polynomial(kind, state) == fidelity_with(psi, dense)

@@ -10,8 +10,12 @@ where they do not.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+
 from .channels import NoiseKind
 from .exact import GaussianRational, PolyP
 from .linalg import FLOAT, DensityOperator
@@ -77,66 +81,133 @@ PUBLISHED = PublishedPolynomialTable(
 )
 
 
-def _check_p(p: float) -> float:
-    if not 0 <= p <= 1:
-        raise ValueError(f"noise probability {p} outside [0, 1]")
-    return float(p)
+@functools.cache
+def _coefficient_table() -> np.ndarray:
+    """u1..u6 as rows of float64 coefficients, lowest degree first, zero-padded.
+
+    Built on first use, not at import, which every CLI command pays.
+    """
+    polys = [PUBLISHED.u1, PUBLISHED.u2, PUBLISHED.u3, PUBLISHED.u4, PUBLISHED.u5, PUBLISHED.u6]
+    table = np.zeros((len(polys), max(poly.degree for poly in polys) + 1))
+    for row, poly in enumerate(polys):
+        table[row, : poly.degree + 1] = [float(c.re) for c in poly.coefficients]
+    table.flags.writeable = False
+    return table
+
+
+def _probabilities(p) -> tuple[np.ndarray, bool]:
+    """``p`` as a 1-D float64 grid, and whether it was a scalar."""
+    grid = np.asarray(p, dtype=float)
+    scalar = grid.ndim == 0
+    if grid.ndim > 1:
+        raise ValueError(f"noise probabilities must be a scalar or 1-D, got shape {grid.shape}")
+    grid = grid.reshape(-1)
+    inside = (grid >= 0) & (grid <= 1)
+    if not inside.all():
+        bad = p if scalar else grid[np.argmin(inside)].item()
+        raise ValueError(f"noise probability {bad} outside [0, 1]")
+    return grid, scalar
 
 
 def _amplitudes(input_state: InputState) -> tuple[complex, complex]:
     return complex(input_state.alpha), complex(input_state.beta)
 
 
-def _u(name: str, p: float) -> float:
-    poly: PolyP = getattr(PUBLISHED, name)
-    return poly.evaluate_float(p).real
+def _u_values(grid: np.ndarray) -> np.ndarray:
+    """u1..u6 at every grid point, shape (6, N), by Horner in float64."""
+    table = _coefficient_table()
+    acc = np.zeros((len(table), grid.size))
+    for column in table.T[::-1]:
+        acc *= grid
+        acc += column[:, None]
+    return acc
 
 
-def rho10_closed(kind: NoiseKind, input_state: InputState, p: float) -> DensityOperator:
-    """The published single-qubit output state, evaluated at float p."""
-    p = _check_p(p)
-    a, b = _amplitudes(input_state)
+def _pow(base: np.ndarray, exponent: int) -> np.ndarray:
+    # Python's float ** per point: np.power may take a SIMD path that
+    # rounds differently
+    return np.array([x**exponent for x in base.tolist()])
+
+
+# Complex numbers below are (re, im) pairs of float64 arrays or floats, a
+# real x being (x, 0.0).  _mul is Python's complex product formula, so each
+# step rounds as the per-point scalar arithmetic does; numpy's complex array
+# multiply does not always.
+
+
+def _mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _pair(z: complex) -> tuple[float, float]:
+    return z.real, z.imag
+
+
+def _closed_entries(kind: NoiseKind, a: complex, b: complex, grid: np.ndarray) -> list:
+    """The entries 00, 01, 10, 11 of the published output state at every grid point."""
     aa, dd = abs(a) ** 2, abs(b) ** 2
     coh = a * b.conjugate()
+    coh_c = _pair(coh.conjugate())
+    coh = _pair(coh)
     if kind is NoiseKind.DEPOLARIZING:
-        q9 = (1 - p) ** 9
-        q12 = (1 - p) ** 12
+        q = 1 - grid
+        q9, q12 = _pow(q, 9), _pow(q, 12)
         mix = (1 - q9) / 2
-        ent = [
-            [q9 * aa + mix, q12 * coh],
-            [q12 * coh.conjugate(), q9 * dd + mix],
+        return [
+            (q9 * aa + mix, 0.0),
+            _mul((q12, 0.0), coh),
+            _mul((q12, 0.0), coh_c),
+            (q9 * dd + mix, 0.0),
         ]
-    elif kind is NoiseKind.BIT_FLIP:
-        u1, u2, u3 = _u("u1", p), _u("u2", p), _u("u3", p)
-        u4, u5 = _u("u4", p), _u("u5", p)
-        ent = [
-            [
-                4 * (u1 * aa + u2 * dd + u3),
-                4 * (u4 * coh + u5 * coh.conjugate()),
-            ],
-            [
-                4 * (u5 * coh + u4 * coh.conjugate()),
-                4 * (u2 * aa + u1 * dd + u3),
-            ],
+    if kind is NoiseKind.BIT_FLIP:
+        u1, u2, u3, u4, u5 = _u_values(grid)[:5]
+        four = (4.0, 0.0)
+        return [
+            (4 * (u1 * aa + u2 * dd + u3), 0.0),
+            _mul(four, _add(_mul((u4, 0.0), coh), _mul((u5, 0.0), coh_c))),
+            _mul(four, _add(_mul((u5, 0.0), coh), _mul((u4, 0.0), coh_c))),
+            (4 * (u2 * aa + u1 * dd + u3), 0.0),
         ]
-    else:
-        u6 = _u("u6", p)
-        ent = [[aa, u6 * coh], [u6 * coh.conjugate(), dd]]
-    return DensityOperator(FLOAT, ent)
+    u6 = (_u_values(grid)[5], 0.0)
+    return [(aa, 0.0), _mul(u6, coh), _mul(u6, coh_c), (dd, 0.0)]
 
 
-def fidelity_closed(kind: NoiseKind, input_state: InputState, p: float) -> float:
-    """<psi| rho10_closed |psi> expanded to a real number."""
+def rho10_closed(kind: NoiseKind, input_state: InputState, p) -> DensityOperator:
+    """The published single-qubit output state at float p.
+
+    A 1-D grid of p gives a batched operator, one 2x2 slice per point.
+    """
+    grid, scalar = _probabilities(p)
+    entries = _closed_entries(kind, *_amplitudes(input_state), grid)
+    out = np.empty((grid.size, 2, 2), dtype=complex)
+    for (i, j), (re, im) in zip(((0, 0), (0, 1), (1, 0), (1, 1)), entries):
+        out.real[:, i, j] = re
+        out.imag[:, i, j] = im
+    return DensityOperator(FLOAT, out[0] if scalar else out)
+
+
+def fidelity_closed(kind: NoiseKind, input_state: InputState, p):
+    """<psi| rho10_closed |psi> expanded to a real number.
+
+    A float for scalar p; an array over a 1-D grid of p, each value bit for
+    bit the scalar one.
+    """
+    grid, scalar = _probabilities(p)
     a, b = _amplitudes(input_state)
-    rho = rho10_closed(kind, input_state, p).entries
-    val = (
-        abs(a) ** 2 * rho[0, 0]
-        + a.conjugate() * b * rho[0, 1]
-        + b.conjugate() * a * rho[1, 0]
-        + abs(b) ** 2 * rho[1, 1]
+    r00, r01, r10, r11 = _closed_entries(kind, a, b, grid)
+    terms = (
+        _mul((abs(a) ** 2, 0.0), r00),
+        _mul(_pair(a.conjugate() * b), r01),
+        _mul(_pair(b.conjugate() * a), r10),
+        _mul((abs(b) ** 2, 0.0), r11),
     )
-    assert abs(val.imag) <= 1e-12
-    return float(val.real)
+    re, im = functools.reduce(_add, terms)
+    assert np.all(np.abs(im) <= 1e-12)
+    return float(re[0]) if scalar else re
 
 
 def linear_slope(kind: NoiseKind, input_state: InputState) -> float:
@@ -158,9 +229,11 @@ def linear_slope(kind: NoiseKind, input_state: InputState) -> float:
     return 32 * t
 
 
-def fidelity_linear(kind: NoiseKind, input_state: InputState, p: float) -> float:
-    """Published small-p approximation F ~ 1 - p * slope."""
-    return 1.0 - float(p) * linear_slope(kind, input_state)
+def fidelity_linear(kind: NoiseKind, input_state: InputState, p):
+    """Published small-p approximation F ~ 1 - p * slope, at p or over a 1-D grid."""
+    grid, scalar = _probabilities(p)
+    values = 1.0 - grid * linear_slope(kind, input_state)
+    return float(values[0]) if scalar else values
 
 
 def linear_slope_exact(

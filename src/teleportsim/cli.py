@@ -14,6 +14,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .analytic import fidelity_closed, fidelity_linear
 from .channels import ChannelSpec, NoiseKind
 from .charts import render_line_chart
@@ -92,6 +94,10 @@ class SweepConfig:
         for col in self.columns:
             if col not in ALL_COLUMNS:
                 raise ValueError(f"unknown column {col!r}")
+        if self.p_start < 0 or self.p_end > 1:
+            # name the grid point that a column's own check would name first
+            bad = next((p for p in self.grid() if not 0 <= p <= 1), self.p_end)
+            raise ValueError(f"noise probability {bad} outside [0, 1]")
 
     def grid(self) -> list[float]:
         span = self.p_end - self.p_start
@@ -126,25 +132,24 @@ def run_sweep(config: SweepConfig) -> str:
         header.append("abs_diff")
     lines = [",".join(header)]
     grid = config.grid()
+    p_grid = np.array(grid)
+    p_text = [_fmt(p) for p in grid]
     for alpha, beta in config.states:
         label = state_label(alpha, beta)
         state = InputState(alpha, beta)
+        columns = []
         if "numeric" in want:
             numeric = _grid_fidelities(config.kind, state, grid)
-        for i, p in enumerate(grid):
-            row = [_fmt(p), label]
-            f_num = f_ana = None
-            if "numeric" in want:
-                f_num = numeric[i]
-                row.append(_fmt(f_num))
-            if "analytic" in want:
-                f_ana = fidelity_closed(config.kind, state, p)
-                row.append(_fmt(f_ana))
-            if "linear" in want:
-                row.append(_fmt(fidelity_linear(config.kind, state, p)))
-            if with_diff:
-                row.append(_fmt(abs(f_num - f_ana)))
-            lines.append(",".join(row))
+            columns.append(numeric)
+        if "analytic" in want:
+            analytic = fidelity_closed(config.kind, state, p_grid).tolist()
+            columns.append(analytic)
+        if "linear" in want:
+            columns.append(fidelity_linear(config.kind, state, p_grid).tolist())
+        if with_diff:
+            columns.append([abs(f_num - f_ana) for f_num, f_ana in zip(numeric, analytic)])
+        for p, *values in zip(p_text, *columns):
+            lines.append(",".join([p, label, *map(_fmt, values)]))
     return "\n".join(lines) + "\n"
 
 

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from teleportsim import analytic
 from teleportsim.analytic import (
     PUBLISHED,
     fidelity_closed,
@@ -15,6 +17,7 @@ from teleportsim.analytic import (
 )
 from teleportsim.channels import NoiseKind
 from teleportsim.exact import GaussianRational, P, PolyP
+from teleportsim.linalg import FLOAT, DensityOperator
 from teleportsim.teleport import InputState
 
 STATES = [
@@ -167,3 +170,174 @@ class TestLinearApproximation:
                 exact = linear_slope_exact(kind, alpha, beta)
                 st = InputState(complex(alpha), complex(beta))
                 assert float(exact) == pytest.approx(linear_slope(kind, st), abs=1e-14)
+
+
+# The per-point closed forms, as the package computed them before it took a
+# whole p grid: Python scalar arithmetic, one DensityOperator per point.  The
+# grid forms must equal them bit for bit.
+
+
+def reference_rho10_closed(kind, input_state, p):
+    if not 0 <= p <= 1:
+        raise ValueError(f"noise probability {p} outside [0, 1]")
+    p = float(p)
+    a, b = complex(input_state.alpha), complex(input_state.beta)
+    aa, dd = abs(a) ** 2, abs(b) ** 2
+    coh = a * b.conjugate()
+
+    def u(name):
+        return getattr(PUBLISHED, name).evaluate_float(p).real
+
+    if kind is NoiseKind.DEPOLARIZING:
+        q9 = (1 - p) ** 9
+        q12 = (1 - p) ** 12
+        mix = (1 - q9) / 2
+        ent = [
+            [q9 * aa + mix, q12 * coh],
+            [q12 * coh.conjugate(), q9 * dd + mix],
+        ]
+    elif kind is NoiseKind.BIT_FLIP:
+        u1, u2, u3, u4, u5 = u("u1"), u("u2"), u("u3"), u("u4"), u("u5")
+        ent = [
+            [
+                4 * (u1 * aa + u2 * dd + u3),
+                4 * (u4 * coh + u5 * coh.conjugate()),
+            ],
+            [
+                4 * (u5 * coh + u4 * coh.conjugate()),
+                4 * (u2 * aa + u1 * dd + u3),
+            ],
+        ]
+    else:
+        u6 = u("u6")
+        ent = [[aa, u6 * coh], [u6 * coh.conjugate(), dd]]
+    return DensityOperator(FLOAT, ent)
+
+
+def reference_fidelity_closed(kind, input_state, p):
+    a, b = complex(input_state.alpha), complex(input_state.beta)
+    rho = reference_rho10_closed(kind, input_state, p).entries
+    val = (
+        abs(a) ** 2 * rho[0, 0]
+        + a.conjugate() * b * rho[0, 1]
+        + b.conjugate() * a * rho[1, 0]
+        + abs(b) ** 2 * rho[1, 1]
+    )
+    assert abs(val.imag) <= 1e-12
+    return float(val.real)
+
+
+def reference_fidelity_linear(kind, input_state, p):
+    return 1.0 - float(p) * linear_slope(kind, input_state)
+
+
+def haar_state(seed):
+    v = np.random.default_rng(seed).normal(size=4)
+    v /= np.linalg.norm(v)
+    return InputState(complex(v[0], v[1]), complex(v[2], v[3]))
+
+
+H = 2**-0.5
+NAMED_STATES = [
+    InputState(1, 0),
+    InputState(0, 1),
+    InputState(1j, 0),
+    InputState(0, -1j),
+    InputState(H, H),
+    InputState(H, -H),
+    InputState(H, 1j * H),
+    InputState(H, -1j * H),
+    InputState(0.6, 0.8j),
+    InputState(-0.8j, 0.6),
+]
+
+input_states = st.one_of(
+    st.sampled_from(NAMED_STATES), st.integers(0, 2**32 - 1).map(haar_state)
+)
+
+
+
+@st.composite
+def grids(draw):
+    """Unsorted points in [0, 1]: drawn ones, 0 and 1 often among them, mixed
+    with uniform ones, whose full mantissas make rounding differences show."""
+    points = draw(st.lists(st.sampled_from([0.0, 1.0, -0.0, 0.5]) | st.floats(0, 1), max_size=10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points += rng.random(draw(st.integers(0 if points else 1, 60))).tolist()
+    return rng.permutation(np.array(points))
+
+
+class TestGridForms:
+    """Over a p grid the closed forms keep every bit of the per-point ones."""
+
+    @given(kind=st.sampled_from(list(NoiseKind)), state=input_states, grid=grids())
+    def test_grid_equals_per_point_reference(self, kind, state, grid):
+        points = grid.tolist()
+        expected = np.array([reference_fidelity_closed(kind, state, p) for p in points])
+        assert fidelity_closed(kind, state, grid).tobytes() == expected.tobytes()
+        rho = rho10_closed(kind, state, grid).entries
+        expected_rho = np.array([reference_rho10_closed(kind, state, p).entries for p in points])
+        assert rho.tobytes() == expected_rho.tobytes()
+        expected_linear = np.array([reference_fidelity_linear(kind, state, p) for p in points])
+        assert fidelity_linear(kind, state, grid).tobytes() == expected_linear.tobytes()
+        # a scalar p is the one-point grid
+        for p, want in zip(points[:3], expected):
+            got = fidelity_closed(kind, state, p)
+            assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
+
+    def test_sweep_grid_on_named_and_random_states(self):
+        # the named states have real or imaginary coherences, whose products
+        # round the same under most formulas; the random ones do not
+        grid = np.linspace(0, 1, 101)
+        for kind in NoiseKind:
+            for state in NAMED_STATES + [haar_state(seed) for seed in range(20)]:
+                expected = [reference_fidelity_closed(kind, state, p) for p in grid.tolist()]
+                assert fidelity_closed(kind, state, grid).tobytes() == np.array(expected).tobytes()
+
+    def test_powers_equal_python_pow(self, rng):
+        # np.power takes a SIMD path on some hosts and rounds differently
+        # from Python's float ** on a few percent of these points
+        q = np.concatenate([rng.random(20000), np.linspace(0, 1, 1001)])
+        for exponent in (9, 12):
+            expected = np.array([x**exponent for x in q.tolist()])
+            assert analytic._pow(q, exponent).tobytes() == expected.tobytes()
+
+    def test_return_types(self):
+        state = NAMED_STATES[8]
+        for kind in NoiseKind:
+            assert type(fidelity_closed(kind, state, 0.25)) is float
+            assert type(fidelity_linear(kind, state, 0.25)) is float
+            assert rho10_closed(kind, state, 0.25).entries.shape == (2, 2)
+            grid = np.array([0.0, 0.25, 1.0])
+            assert fidelity_closed(kind, state, grid).shape == (3,)
+            assert fidelity_linear(kind, state, grid).shape == (3,)
+            assert rho10_closed(kind, state, grid).entries.shape == (3, 2, 2)
+
+    @pytest.mark.parametrize(
+        "fn", [fidelity_closed, fidelity_linear, rho10_closed], ids=lambda f: f.__name__
+    )
+    def test_first_bad_grid_value_is_named(self, fn):
+        state = NAMED_STATES[8]
+        for p, bad in (([0.5, 2.75, -1.0], "2.75"), ([-3.0, 0.5], "-3.0"), ([0.0, float("nan")], "nan")):
+            with pytest.raises(ValueError, match=rf"^noise probability {bad} outside \[0, 1\]$"):
+                fn(NoiseKind.BIT_FLIP, state, np.array(p))
+        with pytest.raises(ValueError, match=r"^noise probability 1.5 outside"):
+            fn(NoiseKind.BIT_FLIP, state, 1.5)
+        with pytest.raises(ValueError, match="1-D"):
+            fn(NoiseKind.BIT_FLIP, state, np.zeros((2, 2)))
+
+    def test_imaginary_part_checked_at_every_point(self, monkeypatch):
+        real_entries = analytic._closed_entries
+
+        def skewed(kind, a, b, grid):
+            # a typo-like imaginary residue at p = 1 only
+            entries = real_entries(kind, a, b, grid)
+            re, im = entries[0]
+            entries[0] = (re, np.where(grid == 1, 1e-9, im))
+            return entries
+
+        monkeypatch.setattr(analytic, "_closed_entries", skewed)
+        grid = np.linspace(0, 1, 11)
+        fidelity_closed(NoiseKind.BIT_FLIP, NAMED_STATES[8], grid[:-1])
+        with pytest.raises(AssertionError):
+            fidelity_closed(NoiseKind.BIT_FLIP, NAMED_STATES[8], grid)

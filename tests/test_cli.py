@@ -138,6 +138,35 @@ class TestSweep:
         assert f"{flag[2:].replace('-', '_')} {value} is not finite" in err
         assert "exceeds" not in err
 
+    @pytest.mark.parametrize(
+        "columns",
+        ["numeric", "analytic", "linear", "numeric,analytic", "numeric,linear",
+         "analytic,linear", "numeric,analytic,linear"],
+    )
+    @pytest.mark.parametrize(
+        "grid,bad",
+        [(["--p-start", "0.5", "--p-end", "5"], "2.75"), (["--p-start=-3", "--p-end=-1"], "-3.0")],
+        ids=["above", "below"],
+    )
+    def test_out_of_range_grid_exits_2(self, columns, grid, bad, tmp_path, capsys):
+        # the linear column has no range of its own, so the config rejects
+        # the grid before any column runs, naming its first bad point
+        out = tmp_path / "out.csv"
+        argv = ["sweep", "--noise", "bitflip", "--columns", columns, *grid, "--steps", "3"]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: noise probability {bad} outside [0, 1]\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_grid_range_edges(self):
+        SweepConfig(NoiseKind.BIT_FLIP, ((1, 0),), p_start=0.0, p_end=1.0)
+        SweepConfig(NoiseKind.BIT_FLIP, ((1, 0),), p_start=-0.0, p_end=0.0)
+        with pytest.raises(ValueError, match=r"^noise probability 1.0000000000000002 outside"):
+            SweepConfig(NoiseKind.BIT_FLIP, ((1, 0),), p_end=1 + 2**-52)
+        with pytest.raises(ValueError, match=r"^noise probability -5e-324 outside"):
+            SweepConfig(NoiseKind.BIT_FLIP, ((1, 0),), p_start=-5e-324)
+
     def test_unnormalized_rejected_without_flag(self, capsys):
         assert main(["sweep", "--noise", "bitflip", "--states", "1,1"]) == 2
         assert main(["sweep", "--noise", "bitflip", "--states", "1,1",
@@ -289,6 +318,17 @@ class TestCurves:
         assert "noise probability p" in data
         assert "fidelity" in data
 
+    @pytest.mark.parametrize(
+        "grid,bad",
+        [(["--p-start", "0.5", "--p-end", "5"], "2.75"), (["--p-start=-3", "--p-end=-1"], "-3.0")],
+        ids=["above", "below"],
+    )
+    def test_out_of_range_grid_exits_2(self, grid, bad, tmp_path, capsys):
+        out = tmp_path / "c.svg"
+        assert main(["curves", "--noise", "bitflip", *grid, "--steps", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: noise probability {bad} outside [0, 1]\n"
+        assert not out.exists()
+
     def test_custom_states_flow_into_legend(self, tmp_path):
         out = tmp_path / "c.svg"
         assert main(["curves", "--noise", "phaseflip", "--steps", "5",
@@ -408,6 +448,9 @@ class TestTracerBindings:
         assert tracer.calls["teleport.run_stages_from_initial"] == 2
         assert dict(tracer.runs) == {"depolarizing": 1, "bitflip": 1}
         assert tracer.run_conjugations == {"depolarizing": 4, "bitflip": 4}
+        # each published-form column is computed once over the 11-point grid
+        assert tracer.calls["analytic.fidelity_closed"] == 1
+        assert tracer.calls["analytic.fidelity_linear"] == 1
         assert teleport.run_stages_from_initial is original
         assert [_run_cli(argv) for argv in argvs] == untraced
 

@@ -150,8 +150,10 @@ class TestTransferMap:
                     assert not matrix[r, c]
 
     def test_linearity_reconstructs_symbolic_runs(self):
+        # the dense pipeline's map, applied to the probe by linearity, equals
+        # the symbolic run of the Pauli-propagation engine
         for kind in NoiseKind:
-            matrix = extract_transfer_map(kind)
+            matrix = dense_transfer_map(kind)
             for probe in (PROBE_REAL, PROBE_IMAG):
                 a = GaussianRational.from_value(probe.alpha)
                 b = GaussianRational.from_value(probe.beta)

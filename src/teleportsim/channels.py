@@ -1,24 +1,31 @@
 """Single- and multi-qubit Pauli noise channels, plus the fixed gate set.
 
-Every channel is a weighted sum of one-qubit Pauli conjugations.  They are
-applied by index flips and sign masks (:func:`linalg.pauli_conjugate`), with
-no matrix product; :func:`kraus_operators` gives the same branches as
-explicit 2x2 Kraus operators.  A "layer" applies the same single-qubit
-channel independently to every qubit, the way noise is inserted after each
-gate column of the teleportation circuit.  The explicit expanded forms
-(subset expansion for depolarizing, Pauli-string sums for the flip
-channels) are kept as independent oracles, built by dense tensor products
-and conjugations, to cross-check the per-qubit composition; they are not the
-production path.
+Every channel is a weighted sum of one-qubit Pauli conjugations, with no
+matrix product: :func:`apply_to_qubit` and :func:`apply_layer` share one
+per-qubit kernel.  Per qubit it multiplies the Z branch by a weight with
+the Z sign folded in, takes the X and Y branches by index flips of the
+entries and of the Z product, and sums the branches into buffers reused
+across the qubits, so a layer builds one new operator.  The sign-folded
+weights of the last spec applied are kept, so the layers of a run and the
+runs on one grid share them.  :func:`kraus_operators` gives the same
+branches as explicit 2x2 Kraus operators.  A "layer" applies the same
+single-qubit channel independently to every qubit, the way noise is
+inserted after each gate column of the teleportation circuit.  The
+explicit expanded forms (subset expansion for depolarizing, Pauli-string
+sums for the flip channels) are kept as independent oracles, built by
+dense tensor products and conjugations, to cross-check the per-qubit
+composition; they are not the production path.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -30,7 +37,6 @@ from .linalg import (
     FLOAT,
     conjugate_by,
     partial_trace,
-    pauli_conjugate,
     sort_qubits,
     tensor,
 )
@@ -176,6 +182,115 @@ def kraus_operators(
     return [(w, getattr(g, label)) for w, label in _pauli_weights(spec, backend)]
 
 
+# The last spec's branches, as (key, branches) with the branches as
+# :func:`_branches` returns them.  One entry, so the four layers of a run and
+# consecutive runs on one grid share them, and the module holds at most one
+# spec's sign-folded weights.
+_LAST_BRANCHES: tuple[Any, Any] = (None, None)
+
+
+@lru_cache(maxsize=None)
+def _qubit_tables(qubit: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For ``qubit`` of ``n``: the flattened X-flip permutation of a matrix's
+    entries, and the mask of entries whose row and column bits differ."""
+    bit = 1 << (n - qubit)
+    index = np.arange(1 << n)
+    flipped = index ^ bit
+    perm = (flipped[:, None] * (1 << n) + flipped).ravel()
+    set_bit = (index & bit) != 0
+    differ = set_bit[:, None] != set_bit[None, :]
+    perm.setflags(write=False)
+    differ.setflags(write=False)
+    return perm, differ
+
+
+def _zero_signs(p: Any) -> tuple[bool, ...]:
+    """Which zeros of ``p`` are -0.0: equal to 0.0, but not in the weights' bits."""
+    values = p if isinstance(p, tuple) else (p,)
+    return tuple(
+        math.copysign(1.0, x) < 0 for x in values if x == 0 and isinstance(x, numbers.Real)
+    )
+
+
+def _branches(spec: ChannelSpec, backend: ScalarBackend, n: int) -> tuple:
+    """The channel's branches on ``n`` qubits, built once per spec value.
+
+    Returns ``(lead, w_i, w_x, has_y, tables)``: the batch shape, () or
+    (B,); the I weight, a scalar or a (B, 1, 1) array; the X weight, or
+    None; whether there is a Y branch, weighted like the Z branch; and per
+    qubit 1..n the X-flip permutation with the Z weight, or None without a
+    Z branch.  The Z sign is folded into the Z weight as
+    ``np.where(differ, -w, w)``, a (dim, dim) or (B, dim, dim) array:
+    ``x * -w`` equals ``-x * w`` bit for bit, where ``-(x * w)`` can differ
+    in the sign of a zero.
+    """
+    global _LAST_BRANCHES
+    signs = () if backend.is_exact else _zero_signs(spec.p)
+    key = (spec, backend.name, n, signs)
+    if _LAST_BRANCHES[0] == key:
+        return _LAST_BRANCHES[1]
+    _LAST_BRANCHES = (None, None)  # release the old weights before building
+    weights = {label: w for w, label in _pauli_weights(spec, backend)}
+    w_z = weights.get("Z")
+    # depolarizing: Y and Z share the weight p/4
+    assert weights.get("Y", w_z) is w_z
+    tables = []
+    for qubit in range(1, n + 1):
+        perm, differ = _qubit_tables(qubit, n)
+        s_z = None
+        if w_z is not None:
+            s_z = np.where(differ, -w_z, w_z)
+            s_z.setflags(write=False)
+        tables.append((perm, s_z))
+    w_i = weights["I"]
+    branches = (np.shape(w_i)[:1], w_i, weights.get("X"), "Y" in weights, tables)
+    _LAST_BRANCHES = (key, branches)
+    return branches
+
+
+def _apply_pauli_channel(
+    spec: ChannelSpec, rho: DensityOperator, qubits: range
+) -> DensityOperator:
+    """Apply the channel to each of ``qubits`` in turn; one new operator.
+
+    Per qubit, the branches are summed in order, ``((I + X) + Y) + Z``, in
+    one accumulator updated in place, with the products in two more
+    buffers: the Z product, and the X-flipped entries scaled in place to the
+    X product.  The Y product is the X-flipped Z product, since the flip
+    leaves the sign-folded weight unchanged; taking it so keeps one buffer
+    fewer alive than scaling the flipped entries twice.  Works on complex
+    and object entries alike, and on a batch along the leading axis.
+    """
+    lead, w_i, w_x, has_y, tables = _branches(spec, rho.backend, rho.num_qubits)
+    src = rho.entries
+    if lead and lead != src.shape[:-2]:
+        # an unbatched input under a batched spec: one matrix per probability
+        src = np.broadcast_to(src, np.broadcast_shapes(src.shape, lead + (1, 1)))
+    shape, flat = src.shape, src.shape[:-2] + (-1,)
+    acc = np.empty(shape, src.dtype)
+    flip = None if w_x is None else np.empty(shape, src.dtype)
+    prod = None if tables[0][1] is None else np.empty(shape, src.dtype)
+    for qubit in qubits:
+        perm, s_z = tables[qubit - 1]
+        if prod is not None:
+            np.multiply(src, s_z, out=prod)
+        if flip is not None:
+            src.reshape(flat).take(perm, axis=-1, out=flip.reshape(flat), mode="clip")
+            np.multiply(flip, w_x, out=flip)
+        # in place from the second qubit on: src is acc, and read no more
+        np.multiply(src, w_i, out=acc)
+        if flip is not None:
+            np.add(acc, flip, out=acc)
+        if has_y:
+            prod.reshape(flat).take(perm, axis=-1, out=flip.reshape(flat), mode="clip")
+            np.add(acc, flip, out=acc)
+        if prod is not None:
+            np.add(acc, prod, out=acc)
+        src = acc
+    del flip, prod  # freed before the operator copies acc
+    return DensityOperator(rho.backend, acc)
+
+
 def apply_to_qubit(
     spec: ChannelSpec, rho: DensityOperator, qubit: int
 ) -> DensityOperator:
@@ -183,11 +298,7 @@ def apply_to_qubit(
     n = rho.num_qubits
     if not 1 <= qubit <= n:
         raise ValueError(f"qubit index {qubit} out of range 1..{n}")
-    acc = None
-    for w, label in _pauli_weights(spec, rho.backend):
-        branch = pauli_conjugate(rho.entries, label, qubit, n) * w
-        acc = branch if acc is None else acc + branch
-    return DensityOperator(rho.backend, acc)
+    return _apply_pauli_channel(spec, rho, range(qubit, qubit + 1))
 
 
 def apply_layer(spec: ChannelSpec, rho: DensityOperator) -> DensityOperator:
@@ -196,9 +307,7 @@ def apply_layer(spec: ChannelSpec, rho: DensityOperator) -> DensityOperator:
     Single-qubit channels on distinct qubits commute, so the sequential
     order is irrelevant.
     """
-    for q in range(1, rho.num_qubits + 1):
-        rho = apply_to_qubit(spec, rho, q)
-    return rho
+    return _apply_pauli_channel(spec, rho, range(1, rho.num_qubits + 1))
 
 
 def depolarizing_subset_expansion(rho: DensityOperator, p: Any) -> DensityOperator:

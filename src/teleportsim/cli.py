@@ -217,7 +217,8 @@ def cmd_trace(args) -> int:
     for label, rho in stages.items():
         lines.append("")
         lines.append(f"{label} ({rho.num_qubits} qubit{'s' if rho.num_qubits > 1 else ''})")
-        for row in rho.entries:
+        # Python complexes format to the same text as numpy's, and faster
+        for row in rho.entries.tolist():
             lines.append("  " + "  ".join(f"{_format_entry(z):>32}" for z in row))
         tr = rho.trace()
         min_eig = hermitian_eigenvalues(rho)[0]

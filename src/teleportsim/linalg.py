@@ -138,7 +138,8 @@ class Operator:
     __slots__ = ("backend", "num_qubits", "entries", "root2_shift")
 
     def __init__(self, backend: ScalarBackend, entries: Any, root2_shift: int = 0):
-        arr = np.array(entries, dtype=backend.dtype)
+        # C order: a batched matmul rounds according to the memory layout
+        arr = np.array(entries, dtype=backend.dtype, order="C")
         if arr.ndim not in (2, 3) or arr.shape[-2] != arr.shape[-1]:
             raise ValueError(
                 f"operator entries must be square, optionally batched, got shape {arr.shape}"

@@ -1,6 +1,8 @@
 """Kraus decompositions, per-qubit application, layers, and the expanded-form oracles."""
 
+import gc
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,10 +28,17 @@ from teleportsim.linalg import (
     hermitian_eigenvalues,
     max_entry_delta,
     partial_trace,
+    pauli_conjugate,
     sort_qubits,
     tensor,
 )
-from teleportsim.teleport import ALTERNATE_ASSIGNMENTS, DEFAULT_ASSIGNMENT, measure_and_correct
+from teleportsim.teleport import (
+    ALTERNATE_ASSIGNMENTS,
+    DEFAULT_ASSIGNMENT,
+    InputState,
+    measure_and_correct,
+    teleport_fidelity,
+)
 
 P_GRID = [k / 10 for k in range(11)]
 
@@ -252,6 +261,32 @@ class TestApplyLayer:
         assert max_entry_delta(twice, once) <= 1e-13
 
 
+class TestWeightRetention:
+    def test_module_keeps_one_specs_weights(self):
+        """After three 101-point runs on different specs the module holds at
+        most the last spec's sign-folded weights: three (101, 8, 8) complex
+        arrays, 3 x 101 x 64 x 16 B."""
+        state = InputState(0.6, 0.8j)
+        grid = [k / 100 for k in range(101)]
+        teleport_fidelity(state, ChannelSpec(NoiseKind.BIT_FLIP, 0.5))  # build the lazy tables
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for kind, p in (
+                (NoiseKind.DEPOLARIZING, grid),
+                (NoiseKind.PHASE_FLIP, grid),
+                (NoiseKind.DEPOLARIZING, grid[::-1]),
+            ):
+                teleport_fidelity(state, ChannelSpec(kind, p))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the slack covers the last spec's probabilities and its I and X weights
+        assert held <= 3 * 101 * 64 * 16 + 32_768
+
+
 class TestExpandedForms:
     def test_subset_expansion_limits(self, random_density):
         rho = random_density(3)
@@ -338,20 +373,63 @@ def random_exact_operator(rng, num_qubits):
     return DensityOperator(EXACT, ent)
 
 
+def random_operator(rng, num_qubits, batch=None, zeros=False):
+    """Random complex entries, optionally a batch of them.
+
+    With ``zeros``, each part of each entry is drawn from -0.0, 0.0, -0.5,
+    0.5 and 1.25, so that real parts, imaginary parts or both are signed zeros.
+    """
+    dim = 2**num_qubits
+    shape = (dim, dim) if batch is None else (batch, dim, dim)
+    if zeros:
+        re, im = rng.choice([-0.0, 0.0, -0.5, 0.5, 1.25], size=(2, *shape))
+    else:
+        re, im = rng.normal(size=(2, *shape))
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = re, im  # `re + 1j * im` would turn -0.0 into 0.0
+    return DensityOperator(FLOAT, out)
+
+
+def layer_reference(spec, rho, reference=embedded_kraus_reference):
+    """Dense form of apply_layer: a per-qubit reference, qubit by qubit."""
+    for qubit in range(1, rho.num_qubits + 1):
+        rho = DensityOperator(rho.backend, reference(spec, rho, qubit))
+    return rho.entries
+
+
+def branch_sum_reference(spec, rho, qubit):
+    """apply_to_qubit as one Pauli branch at a time: each conjugated by
+    linalg.pauli_conjugate, then weighted, then summed in order."""
+    g = gate_set(rho.backend)
+    acc = None
+    for w, op in kraus_operators(spec, rho.backend):
+        label = next(k for k in "IXYZ" if getattr(g, k) is op)
+        branch = pauli_conjugate(rho.entries, label, qubit, rho.num_qubits) * w
+        acc = branch if acc is None else acc + branch
+    return acc
+
+
 class TestAgainstDenseReference:
     """The index-flip and sign-mask path equals the embedded-Kraus matmul path
-    bit for bit: the arithmetic per entry is the same."""
+    bit for bit: the arithmetic per entry is the same.  On entries with a
+    signed-zero part it equals the per-branch sums instead."""
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     @pytest.mark.parametrize("num_qubits", [1, 2, 3])
     def test_apply_to_qubit_float_bytes_equal(self, kind, num_qubits, random_density, rng):
         for _ in range(20):
-            rho = random_density(num_qubits)
-            for p in (0.0, 1.0, float(rng.random())):
-                for qubit in range(1, num_qubits + 1):
-                    got = apply_to_qubit(spec(kind, p), rho, qubit).entries
-                    want = embedded_kraus_reference(spec(kind, p), rho, qubit)
-                    assert got.tobytes() == want.tobytes()
+            r = float(rng.random())
+            for rho in (random_density(num_qubits), random_operator(rng, num_qubits, 3)):
+                # one-point batches broadcast their weights apart
+                for p in (0.0, 1.0, r, (0.0, r, 1.0), (1.0, r, 0.0), (r,)):
+                    s = spec(kind, p)
+                    for qubit in range(1, num_qubits + 1):
+                        got = apply_to_qubit(s, rho, qubit).entries
+                        assert got.flags.c_contiguous
+                        assert got.tobytes() == embedded_kraus_reference(s, rho, qubit).tobytes()
+                    got = apply_layer(s, rho).entries
+                    assert got.flags.c_contiguous
+                    assert got.tobytes() == layer_reference(s, rho).tobytes()
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     @pytest.mark.parametrize("num_qubits", [1, 2, 3])
@@ -363,6 +441,48 @@ class TestAgainstDenseReference:
                     got = apply_to_qubit(ChannelSpec(kind, p), rho, qubit).entries
                     want = embedded_kraus_reference(ChannelSpec(kind, p), rho, qubit)
                     assert (got == want).all()
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_signed_zeros_equal_branch_sums(self, kind, num_qubits, rng):
+        # The matmul reference adds the zero products of a row into each
+        # entry, which can turn a -0.0 part into +0.0, so signed zeros are
+        # checked against the branch sums.  -0.0 right after 0.0: equal
+        # values whose weights differ in the sign of a zero.
+        for _ in range(4):
+            for rho in (
+                random_operator(rng, num_qubits, zeros=True),
+                random_operator(rng, num_qubits, 3, zeros=True),
+            ):
+                for p in (0.0, -0.0, 1.0, 0.3, (0.0, 0.3, 1.0), (-0.0, 1.0, 0.3), (0.0,)):
+                    s = spec(kind, p)
+                    for qubit in range(1, num_qubits + 1):
+                        got = apply_to_qubit(s, rho, qubit).entries
+                        assert got.flags.c_contiguous
+                        assert got.tobytes() == branch_sum_reference(s, rho, qubit).tobytes()
+                    got = apply_layer(s, rho).entries
+                    assert got.flags.c_contiguous
+                    assert got.tobytes() == layer_reference(s, rho, branch_sum_reference).tobytes()
+
+    def test_negative_zero_probability_keeps_its_own_weights(self):
+        # p = -0.0 equals 0.0, but its X weight is -0.0, and so is the real
+        # part of output entry (1, 0) here; weights kept for p = 0.0 would
+        # give +0.0
+        rho = DensityOperator(FLOAT, [[0.5 + 0.5j, 0.5 + 0.5j], [complex(-0.0, 0.5), -0.5 - 0.5j]])
+        for p in (0.0, -0.0, 0.0, (0.0, 0.5), (-0.0, 0.5)):
+            s = spec(NoiseKind.BIT_FLIP, p)
+            got = apply_layer(s, rho).entries
+            assert got.tobytes() == layer_reference(s, rho, branch_sum_reference).tobytes()
+            assert np.signbit(got[..., 1, 0].real).tolist() == np.signbit(p).tolist()
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_apply_layer_exact_equal(self, kind, num_qubits, rng):
+        for _ in range(2):
+            rho = random_exact_operator(rng, num_qubits)
+            for p in (0, 1, Fraction(int(rng.integers(1, 100)), 101), P):
+                s = ChannelSpec(kind, p)
+                assert (apply_layer(s, rho).entries == layer_reference(s, rho)).all()
 
     @pytest.mark.parametrize("assignment", [DEFAULT_ASSIGNMENT, *ALTERNATE_ASSIGNMENTS])
     def test_measure_and_correct_equals_dense_corrections(self, assignment, random_density, rng):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from teleportsim.channels import gate_set, identity
+from teleportsim.channels import ChannelSpec, NoiseKind, gate_set, identity
 from teleportsim.exact import EXACT, GaussianRational, PolyP
 from teleportsim.linalg import (
     FLOAT,
@@ -23,6 +23,7 @@ from teleportsim.linalg import (
     sort_qubits,
     tensor,
 )
+from teleportsim.teleport import InputState, run_stages
 
 
 def proj(amplitudes) -> DensityOperator:
@@ -337,3 +338,20 @@ class TestBatchAxis:
         bad[3, 0, 1] += 1
         with pytest.raises(ValueError, match="not Hermitian"):
             fidelity_with(psi, DensityOperator(FLOAT, bad))
+
+    def test_entries_are_c_contiguous_whatever_the_input_layout(self):
+        # A batched fidelity rounds according to the entries' memory layout,
+        # so operators store their entries C-contiguous: a bit-flip rho10
+        # copied into a (2, 2, B)-strided array of equal values gave 18 of
+        # 101 fidelities that differed in the last bit.
+        state = InputState(0.6 + 0.8j, 0)
+        grid = tuple(k / 100 for k in range(101))
+        rho10 = run_stages(state, ChannelSpec(NoiseKind.BIT_FLIP, grid))["rho10"]
+        strided = np.empty((2, 2, len(grid)), dtype=complex).transpose(2, 0, 1)
+        strided[...] = rho10.entries
+        assert not strided.flags.c_contiguous
+        copy = DensityOperator(FLOAT, strided)
+        assert copy.entries.flags.c_contiguous
+        assert copy.entries.tobytes() == rho10.entries.tobytes()
+        psi = PureState(FLOAT, [0.6 + 0.8j, 0])
+        assert fidelity_with(psi, copy).tobytes() == fidelity_with(psi, rho10).tobytes()

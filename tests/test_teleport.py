@@ -329,8 +329,14 @@ class TestBatchedPipeline:
             assert f == teleport_fidelity(state, ChannelSpec(kind, p))
 
     def test_chunk_boundaries_do_not_change_bytes(self, monkeypatch):
-        config = SweepConfig(NoiseKind.DEPOLARIZING, ((0.6, 0.8j),), steps=101)
-        whole = run_sweep(config)
-        # chunks of 10 leave a last batch of one point
-        monkeypatch.setattr(cli, "BATCH_POINTS", 10)
-        assert run_sweep(config) == whole
+        # the three complex states of the golden sweeps
+        states = ((0.6, 0.8j), (0.6 + 0.8j, 0), (0.5 + 0.5j, 0.5 - 0.5j))
+        for kind in NoiseKind:
+            config = SweepConfig(kind, states, steps=101)
+            monkeypatch.setattr(cli, "BATCH_POINTS", 1024)
+            whole = run_sweep(config)
+            # chunks of 10 leave a last batch of one point; chunks of 1 are
+            # all one-point batches, which broadcast their weights apart
+            for points in (1, 10):
+                monkeypatch.setattr(cli, "BATCH_POINTS", points)
+                assert run_sweep(config) == whole

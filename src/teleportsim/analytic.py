@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import NoiseKind
 from .exact import GaussianRational, PolyP
-from .linalg import FLOAT, DensityOperator
+from .linalg import DensityOperator
 from .teleport import InputState
 
 
@@ -187,7 +187,7 @@ def rho10_closed(kind: NoiseKind, input_state: InputState, p) -> DensityOperator
     for (i, j), (re, im) in zip(((0, 0), (0, 1), (1, 0), (1, 1)), entries):
         out.real[:, i, j] = re
         out.imag[:, i, j] = im
-    return DensityOperator(FLOAT, out[0] if scalar else out)
+    return DensityOperator(out[0] if scalar else out)
 
 
 def fidelity_closed(kind: NoiseKind, input_state: InputState, p):

@@ -8,7 +8,9 @@ entries and of the Z product, and sums the branches into buffers reused
 across the qubits, so a layer builds one new operator.  The sign-folded
 weights of the last spec applied are kept, so the layers of a run and the
 runs on one grid share them.  :func:`kraus_operators` gives the same
-branches as explicit 2x2 Kraus operators.  A "layer" applies the same
+branches as explicit 2x2 Kraus operators, and :mod:`teleportsim.exact`
+takes its noise factors from the same weights with a symbolic ``p``, so
+each channel is defined once.  A "layer" applies the same
 single-qubit channel independently to every qubit, the way noise is
 inserted after each gate column of the teleportation circuit.  The
 explicit expanded forms (subset expansion for depolarizing, Pauli-string
@@ -26,15 +28,13 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from .linalg import (
     DensityOperator,
     Operator,
-    ScalarBackend,
-    FLOAT,
     conjugate_by,
     partial_trace,
     sort_qubits,
@@ -52,11 +52,11 @@ class NoiseKind(enum.Enum):
 class ChannelSpec:
     """A Pauli noise channel choice with its strength.
 
-    ``p`` is a probability in [0, 1] for numeric runs, or an exact scalar
-    (rational or polynomial) for symbolic runs, where the range constraint
-    does not apply.  A 1-D sequence or array of probabilities makes a
-    batch: it is stored as a tuple of floats, and a float pipeline run on
-    the spec carries one matrix per probability along a leading axis.
+    ``p`` is a probability in [0, 1] of any real type, numpy scalars
+    included.  A 1-D sequence or array of probabilities makes a batch: it
+    is stored as a tuple of floats, and a pipeline run on the spec carries
+    one matrix per probability along a leading axis.  Anything else is
+    rejected here, by name.
     """
 
     kind: NoiseKind
@@ -65,10 +65,10 @@ class ChannelSpec:
     def __post_init__(self):
         if isinstance(self.p, (list, tuple, np.ndarray)):
             object.__setattr__(self, "p", _probability_batch(self.p))
-        elif isinstance(self.p, numbers.Complex) and not isinstance(self.p, numbers.Real):
+        # a bool is an int, but no probability: a bool batch is rejected too
+        elif isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
             raise ValueError(f"noise probability {self.p!r} is not real")
-        # any real type, numpy scalars included; nan fails the comparison
-        elif isinstance(self.p, numbers.Real) and not 0 <= self.p <= 1:
+        elif not 0 <= self.p <= 1:  # nan fails the comparison
             raise ValueError(f"noise probability {self.p} outside [0, 1]")
 
 
@@ -91,7 +91,7 @@ def _probability_batch(values: Any) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class GateSet:
-    """Named constant operators over one scalar backend.
+    """Named constant operators.
 
     All members are exactly unitary: entries are 0, +-1, +-i, with the
     Hadamard's 1/sqrt(2) carried as an explicit scale on the operator.
@@ -105,26 +105,19 @@ class GateSet:
     CNOT: Operator
 
 
-_GATES: dict[str, GateSet] = {}
-_IDENTITIES: dict[tuple[str, int], Operator] = {}
-
-
-def gate_set(backend: ScalarBackend = FLOAT) -> GateSet:
-    """The fixed gate set (I, X, Y, Z, H, CNOT) over the given backend."""
-    cached = _GATES.get(backend.name)
-    if cached is not None:
-        return cached
-    one = backend.one
-    zero = backend.zero
-    i = backend.imaginary
-    gates = GateSet(
-        I=Operator(backend, [[one, zero], [zero, one]]),
-        X=Operator(backend, [[zero, one], [one, zero]]),
-        Y=Operator(backend, [[zero, -i], [i, zero]]),
-        Z=Operator(backend, [[one, zero], [zero, -one]]),
-        H=Operator(backend, [[one, one], [one, -one]], root2_shift=1),
+@lru_cache(maxsize=None)
+def gate_set() -> GateSet:
+    """The fixed gate set (I, X, Y, Z, H, CNOT)."""
+    # complex constants: -one and -i carry a -0.0 part, and the bits of
+    # every conjugated state depend on it
+    one, zero, i = 1 + 0j, 0j, 1j
+    return GateSet(
+        I=Operator([[one, zero], [zero, one]]),
+        X=Operator([[zero, one], [one, zero]]),
+        Y=Operator([[zero, -i], [i, zero]]),
+        Z=Operator([[one, zero], [zero, -one]]),
+        H=Operator([[one, one], [one, -one]], root2_shift=1),
         CNOT=Operator(
-            backend,
             [
                 [one, zero, zero, zero],
                 [zero, one, zero, zero],
@@ -133,53 +126,50 @@ def gate_set(backend: ScalarBackend = FLOAT) -> GateSet:
             ],
         ),
     )
-    _GATES[backend.name] = gates
-    return gates
 
 
-def identity(backend: ScalarBackend, num_qubits: int) -> Operator:
+@lru_cache(maxsize=None)
+def identity(num_qubits: int) -> Operator:
     """Identity operator on ``num_qubits`` qubits."""
-    key = (backend.name, num_qubits)
-    cached = _IDENTITIES.get(key)
-    if cached is None:
-        dim = 2**num_qubits
-        ent = [
-            [backend.one if r == c else backend.zero for c in range(dim)]
-            for r in range(dim)
-        ]
-        cached = _IDENTITIES[key] = Operator(backend, ent)
-    return cached
+    return Operator(np.eye(2**num_qubits))
 
 
-def _pauli_weights(spec: ChannelSpec, backend: ScalarBackend) -> list[tuple[Any, str]]:
+def _complex_p(p: Any) -> complex | np.ndarray:
+    """A spec's ``p`` as a complex scalar, or a batch as a (B, 1, 1) array."""
+    if isinstance(p, tuple):
+        return np.array(p, dtype=np.complex128).reshape(-1, 1, 1)
+    return complex(p)
+
+
+def _pauli_weights(
+    kind: NoiseKind, p: Any, scalar: Callable[[Any], Any] = complex
+) -> list[tuple[Any, str]]:
     """The channel as weighted Pauli branches [(w, label)], identity first.
 
-    For a batched spec each weight is a (B, 1, 1) array, so a branch of an
-    unbatched state broadcasts to a (B, dim, dim) stack.
+    ``p`` is a complex scalar or a (B, 1, 1) array from :func:`_complex_p`,
+    so a branch of an unbatched state broadcasts to a (B, dim, dim) stack;
+    :mod:`teleportsim.exact` passes the symbolic ``p`` with ``scalar``
+    making its polynomial constants.
     """
-    p = backend.coerce(spec.p)
-    one = backend.one
-    if spec.kind is NoiseKind.BIT_FLIP:
+    one = scalar(1)
+    if kind is NoiseKind.BIT_FLIP:
         return [(one - p, "I"), (p, "X")]
-    if spec.kind is NoiseKind.PHASE_FLIP:
+    if kind is NoiseKind.PHASE_FLIP:
         return [(one - p, "I"), (p, "Z")]
-    quarter = backend.coerce(Fraction(1, 4))
-    w_pauli = p * quarter
-    w_keep = one - p * backend.coerce(Fraction(3, 4))
+    w_pauli = p * scalar(Fraction(1, 4))
+    w_keep = one - p * scalar(Fraction(3, 4))
     return [(w_keep, "I"), (w_pauli, "X"), (w_pauli, "Y"), (w_pauli, "Z")]
 
 
-def kraus_operators(
-    spec: ChannelSpec, backend: ScalarBackend = FLOAT
-) -> list[tuple[Any, Operator]]:
+def kraus_operators(spec: ChannelSpec) -> list[tuple[Any, Operator]]:
     """Weighted Kraus decomposition {(w_i, K_i)} with sum_i w_i K_i^dag K_i = I.
 
     Bit flip: {(1-p, I), (p, X)}.  Phase flip: {(1-p, I), (p, Z)}.
     Depolarizing: {(1-3p/4, I), (p/4, X), (p/4, Y), (p/4, Z)}, which equals
     the mix-with-I/2 form (1-p) rho + p I/2 on every input.
     """
-    g = gate_set(backend)
-    return [(w, getattr(g, label)) for w, label in _pauli_weights(spec, backend)]
+    g = gate_set()
+    return [(w, getattr(g, label)) for w, label in _pauli_weights(spec.kind, _complex_p(spec.p))]
 
 
 # The last spec's branches, as (key, branches) with the branches as
@@ -207,12 +197,10 @@ def _qubit_tables(qubit: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _zero_signs(p: Any) -> tuple[bool, ...]:
     """Which zeros of ``p`` are -0.0: equal to 0.0, but not in the weights' bits."""
     values = p if isinstance(p, tuple) else (p,)
-    return tuple(
-        math.copysign(1.0, x) < 0 for x in values if x == 0 and isinstance(x, numbers.Real)
-    )
+    return tuple(math.copysign(1.0, x) < 0 for x in values if x == 0)
 
 
-def _branches(spec: ChannelSpec, backend: ScalarBackend, n: int) -> tuple:
+def _branches(spec: ChannelSpec, n: int) -> tuple:
     """The channel's branches on ``n`` qubits, built once per spec value.
 
     Returns ``(lead, w_i, w_x, has_y, tables)``: the batch shape, () or
@@ -225,12 +213,11 @@ def _branches(spec: ChannelSpec, backend: ScalarBackend, n: int) -> tuple:
     in the sign of a zero.
     """
     global _LAST_BRANCHES
-    signs = () if backend.is_exact else _zero_signs(spec.p)
-    key = (spec, backend.name, n, signs)
+    key = (spec, n, _zero_signs(spec.p))
     if _LAST_BRANCHES[0] == key:
         return _LAST_BRANCHES[1]
     _LAST_BRANCHES = (None, None)  # release the old weights before building
-    weights = {label: w for w, label in _pauli_weights(spec, backend)}
+    weights = {label: w for w, label in _pauli_weights(spec.kind, _complex_p(spec.p))}
     w_z = weights.get("Z")
     # depolarizing: Y and Z share the weight p/4
     assert weights.get("Y", w_z) is w_z
@@ -258,10 +245,10 @@ def _apply_pauli_channel(
     buffers: the Z product, and the X-flipped entries scaled in place to the
     X product.  The Y product is the X-flipped Z product, since the flip
     leaves the sign-folded weight unchanged; taking it so keeps one buffer
-    fewer alive than scaling the flipped entries twice.  Works on complex
-    and object entries alike, and on a batch along the leading axis.
+    fewer alive than scaling the flipped entries twice.  Works on a batch
+    along the leading axis too.
     """
-    lead, w_i, w_x, has_y, tables = _branches(spec, rho.backend, rho.num_qubits)
+    lead, w_i, w_x, has_y, tables = _branches(spec, rho.num_qubits)
     src = rho.entries
     if lead and lead != src.shape[:-2]:
         # an unbatched input under a batched spec: one matrix per probability
@@ -288,7 +275,7 @@ def _apply_pauli_channel(
             np.add(acc, prod, out=acc)
         src = acc
     del flip, prod  # freed before the operator copies acc
-    return DensityOperator(rho.backend, acc)
+    return DensityOperator(acc)
 
 
 def apply_to_qubit(
@@ -320,16 +307,13 @@ def depolarizing_subset_expansion(rho: DensityOperator, p: Any) -> DensityOperat
     """
     if rho.num_qubits != 3:
         raise ValueError(f"subset expansion is defined for 3 qubits, got {rho.num_qubits}")
-    backend = rho.backend
-    pp = backend.coerce(p)
-    keep_w = backend.one - pp
-    half = backend.coerce(Fraction(1, 2))
-    quarter = backend.coerce(Fraction(1, 4))
-    eighth = backend.coerce(Fraction(1, 8))
+    pp = _complex_p(p)
+    keep_w = 1 + 0j - pp
+    half, quarter, eighth = 0.5 + 0j, 0.25 + 0j, 0.125 + 0j
 
     acc = (keep_w * keep_w * keep_w) * rho.entries
-    one_q = identity(backend, 1)
-    two_q = identity(backend, 2)
+    one_q = identity(1)
+    two_q = identity(2)
     for traced in (1, 2, 3):
         keep = [q for q in (1, 2, 3) if q != traced]
         marg = partial_trace(rho, keep)
@@ -341,8 +325,8 @@ def depolarizing_subset_expansion(rho: DensityOperator, p: Any) -> DensityOperat
         emb = sort_qubits(tensor(marg, two_q), [kept] + others)
         acc = acc + (pp * pp * keep_w * quarter) * emb.entries
     full_w = pp * pp * pp * eighth * rho.trace()
-    acc = acc + full_w * identity(backend, 3).entries
-    return DensityOperator(backend, acc)
+    acc = acc + full_w * identity(3).entries
+    return DensityOperator(acc)
 
 
 def flip_sum_expansion(spec: ChannelSpec, rho: DensityOperator) -> DensityOperator:
@@ -354,15 +338,14 @@ def flip_sum_expansion(spec: ChannelSpec, rho: DensityOperator) -> DensityOperat
     """
     if spec.kind is NoiseKind.DEPOLARIZING:
         raise ValueError("flip_sum_expansion covers the bit/phase flip channels only")
-    backend = rho.backend
-    g = gate_set(backend)
+    g = gate_set()
     flip = g.X if spec.kind is NoiseKind.BIT_FLIP else g.Z
-    p = backend.coerce(spec.p)
-    q = backend.one - p
+    p = _complex_p(spec.p)
+    q = 1 + 0j - p
     n = rho.num_qubits
     acc = None
     for bits in itertools.product((0, 1), repeat=n):
-        weight = backend.one
+        weight = 1 + 0j
         string = None
         for b in bits:
             weight = weight * (p if b else q)
@@ -370,4 +353,4 @@ def flip_sum_expansion(spec: ChannelSpec, rho: DensityOperator) -> DensityOperat
             string = factor if string is None else tensor(string, factor)
         branch = conjugate_by(rho, string).entries * weight
         acc = branch if acc is None else acc + branch
-    return DensityOperator(backend, acc)
+    return DensityOperator(acc)

@@ -3,9 +3,9 @@
 The circuit's transfer map is derived by Pauli propagation with exact
 polynomial entries in the noise probability, which can then be compared
 coefficient-by-coefficient against published closed forms.  Equality here
-is always exact, never tolerance based.  The same scalars also run the
-dense pipeline (the ``EXACT`` backend), which the tests keep as the
-reference route.
+is always exact, never tolerance based.  No dense matrix is built: the
+tests keep a dense pipeline over these scalars as the reference the maps
+must equal.
 
 Rationals are :class:`fractions.Fraction` (arbitrary precision, always
 reduced, positive denominator).  ``GaussianRational`` is a complex number
@@ -17,6 +17,7 @@ arithmetic stays in fast integer operations.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -25,7 +26,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from . import channels, teleport
-from .linalg import DensityOperator, ScalarBackend
+
 
 def _as_fraction(value: Any) -> Fraction:
     if isinstance(value, Fraction):
@@ -383,27 +384,6 @@ PolyP.ONE = PolyP([1])
 P = PolyP([0, 1])
 
 
-def _coerce_exact(value: Any) -> PolyP:
-    if isinstance(value, PolyP):
-        return value
-    if isinstance(value, (int, Fraction, GaussianRational)):
-        return PolyP([value])
-    raise TypeError(
-        f"exact backend cannot represent {type(value).__name__} values exactly"
-    )
-
-
-EXACT = ScalarBackend(
-    name="exact",
-    dtype=object,
-    zero=PolyP.ZERO,
-    one=PolyP.ONE,
-    imaginary=PolyP([GaussianRational(0, 1)]),
-    coerce=_coerce_exact,
-    is_exact=True,
-)
-
-
 # Heisenberg-picture Pauli propagation (Gottesman, quant-ph/9807006;
 # Aaronson-Gottesman, quant-ph/0406196).  The circuit is Clifford gates plus
 # Pauli noise, so each output Pauli on qubit 3 pulls back to the initial
@@ -472,7 +452,7 @@ def _pull_back(
 
 def _noise_factors(kind: "channels.NoiseKind") -> dict[str, PolyP]:
     """The factor by which the channel scales each single-qubit Pauli."""
-    weights = channels._pauli_weights(channels.ChannelSpec(kind, P), EXACT)
+    weights = channels._pauli_weights(kind, P, lambda c: PolyP([c]))
     return {
         label: sum((w if b in ("I", label) else -w for w, b in weights), PolyP.ZERO)
         for label in "XYZ"
@@ -524,19 +504,27 @@ def extract_transfer_map(
     return matrix
 
 
+@dataclass(frozen=True, eq=False)
+class ExactState:
+    """A one-qubit state whose ``entries`` is a read-only 2x2 array of
+    :class:`PolyP`, polynomials in the noise probability."""
+
+    entries: np.ndarray
+
+
 def run_pipeline_symbolic(
     input_state: "teleport.InputState", kind: "channels.NoiseKind"
-) -> DensityOperator:
+) -> ExactState:
     """The noisy pipeline's output state with a symbolic noise probability.
 
-    The input amplitudes must be exactly representable and exactly
-    normalized, e.g. (3/5, 4/5) or (3/5, 4i/5).  The result is the 2x2
-    output state with :class:`PolyP` entries, the cached transfer map
+    The input amplitudes must be exactly representable Gaussian rationals
+    and exactly normalized, e.g. (3/5, 4/5) or (3/5, 4i/5); float
+    amplitudes raise ``TypeError``.  The result is the cached transfer map
     applied to the input's entries; its trace is the constant polynomial 1
     and every entry has degree at most 12.
     """
-    a = EXACT.coerce(input_state.alpha)
-    b = EXACT.coerce(input_state.beta)
+    # constant polynomials: their integer arithmetic is faster than Fraction's
+    a, b = PolyP([input_state.alpha]), PolyP([input_state.beta])
     vec = (a * a.conjugate(), a * b.conjugate(), b * a.conjugate(), b * b.conjugate())
     matrix = extract_transfer_map(kind)
     out = np.full((2, 2), PolyP.ZERO, dtype=object)
@@ -544,4 +532,5 @@ def run_pipeline_symbolic(
         for col, v in enumerate(vec):
             if matrix[row, col] and v:
                 out[r, c] = out[r, c] + matrix[row, col] * v
-    return DensityOperator(EXACT, out)
+    out.setflags(write=False)
+    return ExactState(out)

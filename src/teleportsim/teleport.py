@@ -16,15 +16,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
+
+import numpy as np
 
 from .channels import ChannelSpec, apply_layer, gate_set, identity
 from .linalg import (
     DensityOperator,
-    FLOAT,
     Operator,
     PureState,
-    ScalarBackend,
     conjugate_by,
     fidelity_with,
     pauli_conjugate,
@@ -48,6 +49,8 @@ def _exact_norm_sq(alpha: Any, beta: Any):
 
 def _require_finite(alpha: Any, beta: Any) -> None:
     for name, value in (("alpha", alpha), ("beta", beta)):
+        if isinstance(value, str):  # complex() would parse it
+            raise ValueError(f"amplitude {name} = {value!r} is not a number")
         if not cmath.isfinite(complex(value)):
             raise ValueError(f"amplitude {name} = {value} is not finite")
 
@@ -133,46 +136,30 @@ ALTERNATE_ASSIGNMENTS = (
 #: significant first (a CNOT's control, then its target).
 CIRCUIT = (("H", (2,)), ("CNOT", (2, 3)), ("CNOT", (1, 2)), ("H", (1,)))
 
-_CIRCUIT_OPS: dict[str, tuple[Operator, ...]] = {}
+
+@lru_cache(maxsize=None)
+def _circuit_ops() -> tuple[Operator, ...]:
+    """The :data:`CIRCUIT` gates embedded in three qubits."""
+    g = gate_set()
+    ops = []
+    for name, qubits in CIRCUIT:
+        op = getattr(g, name)
+        if qubits[0] > 1:
+            op = tensor(identity(qubits[0] - 1), op)
+        if qubits[-1] < 3:
+            op = tensor(op, identity(3 - qubits[-1]))
+        ops.append(op)
+    return tuple(ops)
 
 
-def _circuit_ops(backend: ScalarBackend) -> tuple[Operator, ...]:
-    """The :data:`CIRCUIT` gates embedded in three qubits, cached per backend."""
-    cached = _CIRCUIT_OPS.get(backend.name)
-    if cached is None:
-        g = gate_set(backend)
-        ops = []
-        for name, qubits in CIRCUIT:
-            op = getattr(g, name)
-            if qubits[0] > 1:
-                op = tensor(identity(backend, qubits[0] - 1), op)
-            if qubits[-1] < 3:
-                op = tensor(op, identity(backend, 3 - qubits[-1]))
-            ops.append(op)
-        cached = _CIRCUIT_OPS[backend.name] = tuple(ops)
-    return cached
-
-
-def build_initial(input_state: InputState, backend: ScalarBackend = FLOAT) -> DensityOperator:
+def build_initial(input_state: InputState) -> DensityOperator:
     """|psi><psi| tensor |00><00| on three qubits.
 
     The only nonzero entries sit at index pairs (0,0), (0,4), (4,0), (4,4):
     |a|^2, a b*, b a*, |b|^2.
     """
-    a = backend.coerce(input_state.alpha)
-    b = backend.coerce(input_state.beta)
-    psi = PureState(backend, [a, b])
-    zero = backend.zero
-    one = backend.one
-    ancilla = DensityOperator(
-        backend,
-        [
-            [one, zero, zero, zero],
-            [zero, zero, zero, zero],
-            [zero, zero, zero, zero],
-            [zero, zero, zero, zero],
-        ],
-    )
+    psi = PureState([complex(input_state.alpha), complex(input_state.beta)])
+    ancilla = DensityOperator(np.diag([1, 0, 0, 0]))
     return tensor(psi.projector(), ancilla)
 
 
@@ -204,7 +191,7 @@ def measure_and_correct(
             label = _CORRECTION[outcome[assignment.x_source], outcome[assignment.z_source]]
             branch = pauli_conjugate(block, label, 1, 1)
             acc = branch if acc is None else acc + branch
-    return DensityOperator(rho9.backend, acc)
+    return DensityOperator(acc)
 
 
 def run_stages_from_initial(
@@ -222,7 +209,7 @@ def run_stages_from_initial(
         raise ValueError(f"pipeline expects 3 qubits, got {rho1.num_qubits}")
     rho = rho1
     stages = {"rho1": rho}
-    for k, op in enumerate(_circuit_ops(rho1.backend)):
+    for k, op in enumerate(_circuit_ops()):
         stages[f"rho{2 * k + 2}"] = rho = conjugate_by(rho, op)
         if noise_enabled:
             rho = apply_layer(noise, rho)
@@ -231,11 +218,9 @@ def run_stages_from_initial(
     return stages
 
 
-def run_stages(
-    input_state: InputState, noise: ChannelSpec, backend: ScalarBackend = FLOAT
-) -> dict[str, DensityOperator]:
+def run_stages(input_state: InputState, noise: ChannelSpec) -> dict[str, DensityOperator]:
     """Run the full protocol for one input state, returning every stage."""
-    return run_stages_from_initial(build_initial(input_state, backend), noise)
+    return run_stages_from_initial(build_initial(input_state), noise)
 
 
 def teleport_fidelity(input_state: InputState, noise: ChannelSpec) -> Any:
@@ -246,5 +231,5 @@ def teleport_fidelity(input_state: InputState, noise: ChannelSpec) -> Any:
     :func:`teleportsim.verify.fidelity_polynomial`.
     """
     rho10 = run_stages(input_state, noise)["rho10"]
-    psi = PureState(FLOAT, [FLOAT.coerce(input_state.alpha), FLOAT.coerce(input_state.beta)])
+    psi = PureState([complex(input_state.alpha), complex(input_state.beta)])
     return fidelity_with(psi, rho10)

@@ -22,12 +22,11 @@ import numpy as np
 
 from .analytic import PUBLISHED, linear_slope_exact
 from .channels import ChannelSpec, NoiseKind, apply_layer, identity
-from .exact import EXACT, GaussianRational, P, PolyP, extract_transfer_map, run_pipeline_symbolic
+from .exact import GaussianRational, P, PolyP, extract_transfer_map, run_pipeline_symbolic
 from .linalg import (
-    FLOAT,
     DensityOperator,
     PureState,
-    fidelity_with,
+    fidelity_with,  # unused here, but perfbench/tracer.py wraps this binding
     max_entry_delta,
     partial_trace,
     tensor,
@@ -191,12 +190,18 @@ _SLOPE_PROBES = (
 
 
 def fidelity_polynomial(kind: NoiseKind, input_state: InputState) -> PolyP:
-    """Exact fidelity of the pipeline output as a polynomial in p."""
-    rho = run_pipeline_symbolic(input_state, kind)
-    psi = PureState(
-        EXACT, [EXACT.coerce(input_state.alpha), EXACT.coerce(input_state.beta)]
+    """Exact fidelity <psi| rho10 |psi> of the pipeline output as a polynomial in p."""
+    rho = run_pipeline_symbolic(input_state, kind).entries
+    amps = [PolyP([input_state.alpha]), PolyP([input_state.beta])]
+    return sum(
+        (
+            ai.conjugate() * rho[i, j] * aj
+            for i, ai in enumerate(amps)
+            for j, aj in enumerate(amps)
+            if ai and aj
+        ),
+        PolyP.ZERO,
     )
-    return fidelity_with(psi, rho)
 
 
 def verify_linear_slopes() -> list[VerificationTarget]:
@@ -221,29 +226,26 @@ def _product_of_noisy_marginals(rho: DensityOperator, p: float) -> DensityOperat
     Drops all correlations of the input state, so it can only agree with
     the true product channel on product states.
     """
-    backend = rho.backend
     out = None
-    one_q = identity(backend, 1)
+    one_q = identity(1)
     for q in range(1, rho.num_qubits + 1):
         marginal = partial_trace(rho, [q])
-        noisy = DensityOperator(
-            backend, (1 - p) * marginal.entries + (p / 2) * one_q.entries
-        )
+        noisy = DensityOperator((1 - p) * marginal.entries + (p / 2) * one_q.entries)
         out = noisy if out is None else tensor(out, noisy)
     return out
 
 
 def _bell_pair_state() -> DensityOperator:
     amp = 2**-0.5
-    bell = PureState(FLOAT, [amp, 0, 0, amp]).projector()
-    qubit3 = PureState(FLOAT, [1, 0]).projector()
+    bell = PureState([amp, 0, 0, amp]).projector()
+    qubit3 = PureState([1, 0]).projector()
     return tensor(bell, qubit3)
 
 
 def _plus_product_state() -> DensityOperator:
-    plus = PureState(FLOAT, [2**-0.5, 2**-0.5]).projector()
-    mixed = DensityOperator(FLOAT, [[0.3, 0], [0, 0.7]])
-    zero = PureState(FLOAT, [1, 0]).projector()
+    plus = PureState([2**-0.5, 2**-0.5]).projector()
+    mixed = DensityOperator([[0.3, 0], [0, 0.7]])
+    zero = PureState([1, 0]).projector()
     return tensor(tensor(plus, mixed), zero)
 
 

@@ -38,7 +38,6 @@ from teleportsim.channels import (
 )
 from teleportsim.exact import GaussianRational, P, PolyP, extract_transfer_map
 from teleportsim.linalg import (
-    FLOAT,
     DensityOperator,
     hermitian_eigenvalues,
     hermiticity_deviation,
@@ -124,7 +123,7 @@ def random_states(count: int, rng) -> list[DensityOperator]:
     for _ in range(count):
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         m = a @ a.conj().T
-        out.append(DensityOperator(FLOAT, m / np.trace(m).real))
+        out.append(DensityOperator(m / np.trace(m).real))
     return out
 
 

@@ -17,7 +17,7 @@ from teleportsim.analytic import (
 )
 from teleportsim.channels import NoiseKind
 from teleportsim.exact import GaussianRational, P, PolyP
-from teleportsim.linalg import FLOAT, DensityOperator
+from teleportsim.linalg import DensityOperator
 from teleportsim.teleport import InputState
 
 STATES = [
@@ -211,7 +211,7 @@ def reference_rho10_closed(kind, input_state, p):
     else:
         u6 = u("u6")
         ent = [[aa, u6 * coh], [u6 * coh.conjugate(), dd]]
-    return DensityOperator(FLOAT, ent)
+    return DensityOperator(ent)
 
 
 def reference_fidelity_closed(kind, input_state, p):

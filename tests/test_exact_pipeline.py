@@ -1,8 +1,8 @@
 """Symbolic runs, transfer maps, and agreement of the exact routes.
 
 The package derives its exact maps by Pauli propagation.  The dense route,
-the gate/noise ladder run over 8x8 :class:`PolyP` arrays, stays here as the
-reference they must equal exactly.
+the gate/noise ladder run over 8x8 :class:`PolyP` arrays in
+``dense_reference``, is the reference they must equal exactly.
 """
 
 import itertools
@@ -12,17 +12,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from teleportsim import channels, exact, teleport
-from teleportsim.channels import ChannelSpec, NoiseKind, gate_set
+import dense_reference as ref
+from teleportsim import exact, teleport
+from teleportsim.channels import ChannelSpec, NoiseKind
 from teleportsim.exact import (
-    EXACT,
     GaussianRational,
     P,
     PolyP,
     extract_transfer_map,
     run_pipeline_symbolic,
 )
-from teleportsim.linalg import DensityOperator, PureState, conjugate_by, fidelity_with, tensor
 from teleportsim.teleport import (
     ALTERNATE_ASSIGNMENTS,
     DEFAULT_ASSIGNMENT,
@@ -182,16 +181,11 @@ def dense_transfer_map(kind, assignment=None):
     so probing it with the four matrix units |i><j| (tensored with the |00>
     ancilla projector) recovers the complete process map.
     """
-    spec = channels.ChannelSpec(kind, P)
     matrix = np.full((4, 4), PolyP.ZERO, dtype=object)
     for col, (i, j) in enumerate(_BASIS_PAIRS):
-        ent = np.full((8, 8), PolyP.ZERO, dtype=object)
-        ent[4 * i, 4 * j] = PolyP.ONE
-        rho1 = DensityOperator(EXACT, ent)
-        stages = teleport.run_stages_from_initial(
-            rho1, spec, noise_enabled=True, assignment=assignment
-        )
-        out = stages["rho10"].entries
+        rho1 = np.full((8, 8), PolyP.ZERO, dtype=object)
+        rho1[4 * i, 4 * j] = PolyP.ONE
+        out = ref.run(rho1, kind, assignment)
         for row, (a, b) in enumerate(_BASIS_PAIRS):
             matrix[row, col] = out[a, b]
     return matrix
@@ -238,12 +232,7 @@ def exact_states(draw):
 
 
 def _pauli_string(labels):
-    g = gate_set(EXACT)
-    op = None
-    for label in labels:
-        factor = getattr(g, label)
-        op = factor if op is None else tensor(op, factor)
-    return op
+    return ref.kron(*(ref.PAULIS[label] for label in labels))
 
 
 class TestDenseRouteAgreement:
@@ -251,15 +240,15 @@ class TestDenseRouteAgreement:
     def test_gate_rules_equal_dense_conjugation(self, name):
         # in this circuit the CNOT sign flips of the pulled-back strings come
         # in pairs, so only a gate-level check sees a wrong CNOT phase rule
-        gate = getattr(gate_set(EXACT), name)
-        qubits = tuple(range(1, gate.num_qubits + 1))
+        gate, scale = ref.GATES[name]
+        qubits = tuple(range(1, gate.shape[0].bit_length()))  # dim 2**n: qubits 1..n
         for labels in itertools.product("IXYZ", repeat=len(qubits)):
             x, z = [0] * 4, [0] * 4
             for q, label in zip(qubits, labels):
                 x[q], z[q] = exact._BITS[label]
             flip = exact._PULL_BACK[name](x, z, qubits)
-            pulled = _pauli_string(exact._LABELS[x[q], z[q]] for q in qubits).entries
-            dense = conjugate_by(_pauli_string(labels), gate).entries
+            pulled = _pauli_string(exact._LABELS[x[q], z[q]] for q in qubits)
+            dense = ref.conjugate(_pauli_string(labels), gate, scale)
             assert _entries_equal(-pulled if flip else pulled, dense), labels
 
     @pytest.mark.parametrize("assignment", WIRINGS, ids=lambda w: w.describe())
@@ -273,10 +262,9 @@ class TestDenseRouteAgreement:
     @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
     def test_probe_states_equal_dense_runs(self, kind):
         for probe in ALL_PROBES:
-            dense = run_stages(probe, ChannelSpec(kind, P), EXACT)["rho10"]
-            assert _entries_equal(run_pipeline_symbolic(probe, kind).entries, dense.entries)
-            psi = PureState(EXACT, [EXACT.coerce(probe.alpha), EXACT.coerce(probe.beta)])
-            assert fidelity_polynomial(kind, probe) == fidelity_with(psi, dense)
+            dense = ref.run(ref.initial_state(probe), kind)
+            assert _entries_equal(run_pipeline_symbolic(probe, kind).entries, dense)
+            assert fidelity_polynomial(kind, probe) == ref.overlap(probe, dense)
 
     @given(
         kind=st.sampled_from(list(NoiseKind)),
@@ -284,12 +272,23 @@ class TestDenseRouteAgreement:
         state=exact_states(),
     )
     def test_drawn_states_equal_dense_runs(self, kind, assignment, state):
-        spec = ChannelSpec(kind, P)
-        dense = run_stages_from_initial(
-            build_initial(state, EXACT), spec, assignment=assignment
-        )["rho10"]
-        assert _entries_equal(_apply_map(extract_transfer_map(kind, assignment), state), dense.entries)
+        dense = ref.run(ref.initial_state(state), kind, assignment)
+        assert _entries_equal(_apply_map(extract_transfer_map(kind, assignment), state), dense)
         if assignment is DEFAULT_ASSIGNMENT:
-            assert _entries_equal(run_pipeline_symbolic(state, kind).entries, dense.entries)
-            psi = PureState(EXACT, [EXACT.coerce(state.alpha), EXACT.coerce(state.beta)])
-            assert fidelity_polynomial(kind, state) == fidelity_with(psi, dense)
+            assert _entries_equal(run_pipeline_symbolic(state, kind).entries, dense)
+            assert fidelity_polynomial(kind, state) == ref.overlap(state, dense)
+
+
+class TestFloatRouteAgreement:
+    @given(
+        kind=st.sampled_from(list(NoiseKind)),
+        assignment=st.sampled_from(WIRINGS),
+        state=exact_states(),
+        p=st.floats(0, 1),
+    )
+    def test_float_pipeline_equals_exact_map_at_p(self, kind, assignment, state, p):
+        noise = ChannelSpec(kind, p)
+        rho10 = run_stages_from_initial(build_initial(state), noise, assignment=assignment)["rho10"]
+        want = _apply_map(extract_transfer_map(kind, assignment), state)
+        at_p = np.array([[complex(e.evaluate_at(Fraction(p))) for e in row] for row in want])
+        assert np.max(np.abs(rho10.entries - at_p)) <= 1e-14

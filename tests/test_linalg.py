@@ -1,15 +1,10 @@
 """Tensor products, partial trace (with brute-force oracle), conjugation, fidelity."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
 from teleportsim.channels import ChannelSpec, NoiseKind, gate_set, identity
-from teleportsim.exact import EXACT, GaussianRational, PolyP
 from teleportsim.linalg import (
-    FLOAT,
-    BackendMismatchError,
     DensityOperator,
     Operator,
     PureState,
@@ -27,7 +22,7 @@ from teleportsim.teleport import InputState, run_stages
 
 
 def proj(amplitudes) -> DensityOperator:
-    return PureState(FLOAT, amplitudes).projector()
+    return PureState(amplitudes).projector()
 
 
 BELL = proj([2**-0.5, 0, 0, 2**-0.5])
@@ -64,7 +59,7 @@ def brute_force_partial_trace(rho: DensityOperator, keep) -> np.ndarray:
 
 class TestTensor:
     def test_identity_case(self):
-        i2 = identity(FLOAT, 1)
+        i2 = identity(1)
         i4 = tensor(i2, i2)
         assert np.array_equal(i4.entries, np.eye(4))
 
@@ -81,21 +76,6 @@ class TestTensor:
         for r in range(8):
             for c in range(8):
                 assert rho.entries[r, c] == pytest.approx(nonzero.get((r, c), 0.0), abs=1e-15)
-
-    def test_exact_probe_entries(self):
-        a = EXACT.coerce(GaussianRational(Fraction(3, 5)))
-        b = EXACT.coerce(GaussianRational(Fraction(4, 5)))
-        zero, one = EXACT.zero, EXACT.one
-        psi = PureState(EXACT, [a, b])
-        anc = DensityOperator(EXACT, [[one, zero], [zero, zero]])
-        rho = tensor(psi.projector(), anc)
-        assert rho.entries[0, 0] == PolyP([Fraction(9, 25)])
-        assert rho.entries[0, 2] == PolyP([Fraction(12, 25)])
-        assert rho.entries[2, 2] == PolyP([Fraction(16, 25)])
-
-    def test_mixed_backends_rejected(self):
-        with pytest.raises(BackendMismatchError):
-            tensor(proj([1, 0]), DensityOperator(EXACT, [[EXACT.one, EXACT.zero], [EXACT.zero, EXACT.zero]]))
 
     def test_associativity(self, random_density):
         a, b, c = random_density(1), random_density(1), random_density(1)
@@ -149,18 +129,18 @@ class TestPartialTrace:
 class TestConjugateBy:
     def test_identity(self, random_density):
         rho = random_density(2)
-        out = conjugate_by(rho, identity(FLOAT, 2))
+        out = conjugate_by(rho, identity(2))
         assert max_entry_delta(out, rho) == 0.0
 
     def test_hadamard_on_zero(self):
-        g = gate_set(FLOAT)
+        g = gate_set()
         out = conjugate_by(proj([1, 0]), g.H)
         assert np.allclose(out.entries, np.full((2, 2), 0.5), atol=1e-16)
 
     def test_hand_expanded_second_qubit_hadamard(self):
         # (alpha, beta) = (1, 0): H on qubit 2 gives |0>|+><+|<0| x |0><0|
-        g = gate_set(FLOAT)
-        i1 = identity(FLOAT, 1)
+        g = gate_set()
+        i1 = identity(1)
         rho1 = tensor(proj([1, 0]), proj([1, 0, 0, 0]))
         out = conjugate_by(rho1, tensor(tensor(i1, g.H), i1))
         expected = np.zeros((8, 8))
@@ -170,7 +150,7 @@ class TestConjugateBy:
         assert np.max(np.abs(out.entries - expected)) <= 1e-15
 
     def test_trace_and_hermiticity_preserved_by_gate_set(self, random_density):
-        g = gate_set(FLOAT)
+        g = gate_set()
         for u in (g.I, g.X, g.Y, g.Z, g.H):
             rho = random_density(1)
             out = conjugate_by(rho, u)
@@ -183,77 +163,68 @@ class TestConjugateBy:
 
     def test_dimension_mismatch(self, random_density):
         with pytest.raises(ValueError):
-            conjugate_by(random_density(2), gate_set(FLOAT).H)
+            conjugate_by(random_density(2), gate_set().H)
 
 
 class TestFidelity:
     def test_self_fidelity_is_one(self):
-        psi = PureState(FLOAT, [0.6, 0.8j])
+        psi = PureState([0.6, 0.8j])
         assert fidelity_with(psi, psi.projector()) == pytest.approx(1.0, abs=1e-15)
 
     def test_maximally_mixed_gives_half(self):
-        psi = PureState(FLOAT, [2**-0.5, -(2**-0.5)])
-        assert fidelity_with(psi, DensityOperator.maximally_mixed(FLOAT, 1)) == pytest.approx(0.5)
+        psi = PureState([2**-0.5, -(2**-0.5)])
+        assert fidelity_with(psi, DensityOperator.maximally_mixed(1)) == pytest.approx(0.5)
 
     def test_dimension_mismatch(self):
-        psi = PureState(FLOAT, [1, 0])
+        psi = PureState([1, 0])
         with pytest.raises(ValueError):
             fidelity_with(psi, BELL)
 
     def test_non_hermitian_rejected(self):
-        psi = PureState(FLOAT, [1, 0])
-        bad = DensityOperator(FLOAT, [[1, 1], [0, 0]])
+        psi = PureState([1, 0])
+        bad = DensityOperator([[1, 1], [0, 0]])
         with pytest.raises(ValueError):
             fidelity_with(psi, bad)
+        # a nan entry makes a nan deviation, which must fail the check too
+        for entry in ((1, 1), (0, 1)):
+            ent = np.array([[1, 0], [0, 0]], dtype=complex)
+            ent[entry] = np.nan
+            with pytest.raises(ValueError, match=r"not Hermitian \(deviation nan\)"):
+                fidelity_with(psi, DensityOperator(ent))
 
     def test_range_on_random_states(self, random_density, rng):
         for _ in range(10):
             rho = random_density(1)
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             v /= np.linalg.norm(v)
-            f = fidelity_with(PureState(FLOAT, v), rho)
+            f = fidelity_with(PureState(v), rho)
             assert -1e-12 <= f <= 1 + 1e-12
 
 
 class TestOperatorScaling:
     def test_hadamard_square_is_identity_exactly(self):
-        g = gate_set(FLOAT)
+        g = gate_set()
         hh = g.H @ g.H
         assert hh.root2_shift == 2
         assert np.array_equal(hh.dense(), np.eye(2))
 
-    def test_exact_dense_requires_even_shift(self):
-        g = gate_set(EXACT)
-        with pytest.raises(ValueError):
-            g.H.dense()
-        dense = (g.H @ g.H).dense()
-        assert dense[0, 0] == PolyP.ONE and not dense[0, 1]
-
-    def test_exact_entrywise_equality(self):
-        g = gate_set(EXACT)
-        xx = g.X @ g.X
-        assert xx.root2_shift == 0
-        assert np.array_equal(xx.entries, identity(EXACT, 1).entries)
-        assert not np.array_equal(g.X.entries, g.Z.entries)
-        assert g.H.root2_shift == 1 and identity(EXACT, 1).root2_shift == 0
-
     def test_trace_linearity(self, random_density, rng):
         a, b = random_density(2), random_density(2)
         x, y = complex(rng.normal()), complex(rng.normal())
-        combo = DensityOperator(FLOAT, x * a.entries + y * b.entries)
+        combo = DensityOperator(x * a.entries + y * b.entries)
         assert combo.trace() == pytest.approx(x * a.trace() + y * b.trace(), abs=1e-13)
 
     def test_qubit_cap_enforced(self):
         with pytest.raises(ValueError):
-            Operator(FLOAT, np.zeros((2**11, 2**11)))
+            Operator(np.zeros((2**11, 2**11)))
 
     def test_non_square_and_bad_dims_rejected(self):
         with pytest.raises(ValueError):
-            Operator(FLOAT, np.zeros((2, 4)))
+            Operator(np.zeros((2, 4)))
         with pytest.raises(ValueError):
-            Operator(FLOAT, np.zeros((3, 3)))
+            Operator(np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            Operator(FLOAT, np.zeros((1, 1)))
+            Operator(np.zeros((1, 1)))
 
 
 class TestSortQubits:
@@ -270,11 +241,13 @@ class TestSortQubits:
 
 def test_pure_state_validation():
     with pytest.raises(ValueError):
-        PureState(FLOAT, [1, 1])
+        PureState([1, 1])
     with pytest.raises(ValueError):
-        PureState(EXACT, [EXACT.one, EXACT.one])
-    with pytest.raises(ValueError):
-        PureState(FLOAT, [[1, 0], [0, 1]])
+        PureState([[1, 0], [0, 1]])
+    # a nan amplitude makes a nan norm, which must fail the check too
+    for amps in ([float("nan"), 0], [1, complex(0, float("nan"))]):
+        with pytest.raises(ValueError, match="deviates from 1 by nan"):
+            PureState(amps)
 
 
 def test_min_eigenvalue_helper(random_density):
@@ -289,28 +262,26 @@ class TestBatchAxis:
     behaves exactly as the matrix on its own."""
 
     def stack(self, random_density, num_qubits, size=5):
-        return DensityOperator(FLOAT, np.stack([random_density(num_qubits).entries for _ in range(size)]))
+        return DensityOperator(np.stack([random_density(num_qubits).entries for _ in range(size)]))
 
     def test_shape_rules(self):
-        op = Operator(FLOAT, np.zeros((4, 8, 8)))
+        op = Operator(np.zeros((4, 8, 8)))
         assert op.num_qubits == 3 and op.dim == 8
         with pytest.raises(ValueError, match="optionally batched"):
-            Operator(FLOAT, np.zeros((2, 2, 4)))
+            Operator(np.zeros((2, 2, 4)))
         with pytest.raises(ValueError, match="optionally batched"):
-            Operator(FLOAT, np.zeros((2, 2, 2, 2)))
-        with pytest.raises(ValueError, match="exact operators carry no batch axis"):
-            Operator(EXACT, np.full((2, 2, 2), PolyP.ZERO, dtype=object))
+            Operator(np.zeros((2, 2, 2, 2)))
 
     def test_trace_dagger_and_hermiticity_per_slice(self, random_density, rng):
         rho = self.stack(random_density, 2)
-        skew = DensityOperator(FLOAT, rho.entries + 1j * rng.normal(size=rho.entries.shape))
+        skew = DensityOperator(rho.entries + 1j * rng.normal(size=rho.entries.shape))
         assert rho.trace().shape == (5,)
         for k in range(5):
-            single = DensityOperator(FLOAT, skew.entries[k])
+            single = DensityOperator(skew.entries[k])
             assert skew.trace()[k] == single.trace()
             assert skew.dagger().entries[k].tobytes() == single.dagger().entries.tobytes()
         assert hermiticity_deviation(skew) == max(
-            hermiticity_deviation(DensityOperator(FLOAT, e)) for e in skew.entries
+            hermiticity_deviation(DensityOperator(e)) for e in skew.entries
         )
 
     @pytest.mark.parametrize("label", ["I", "X", "Y", "Z"])
@@ -330,14 +301,14 @@ class TestBatchAxis:
     def test_fidelity_per_slice(self, random_density, rng):
         rho = self.stack(random_density, 1, size=7)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        psi = PureState(FLOAT, v / np.linalg.norm(v))
+        psi = PureState(v / np.linalg.norm(v))
         got = fidelity_with(psi, rho)
         assert got.shape == (7,)
-        assert got.tolist() == [fidelity_with(psi, DensityOperator(FLOAT, e)) for e in rho.entries]
+        assert got.tolist() == [fidelity_with(psi, DensityOperator(e)) for e in rho.entries]
         bad = rho.entries.copy()
         bad[3, 0, 1] += 1
         with pytest.raises(ValueError, match="not Hermitian"):
-            fidelity_with(psi, DensityOperator(FLOAT, bad))
+            fidelity_with(psi, DensityOperator(bad))
 
     def test_entries_are_c_contiguous_whatever_the_input_layout(self):
         # A batched fidelity rounds according to the entries' memory layout,
@@ -350,8 +321,8 @@ class TestBatchAxis:
         strided = np.empty((2, 2, len(grid)), dtype=complex).transpose(2, 0, 1)
         strided[...] = rho10.entries
         assert not strided.flags.c_contiguous
-        copy = DensityOperator(FLOAT, strided)
+        copy = DensityOperator(strided)
         assert copy.entries.flags.c_contiguous
         assert copy.entries.tobytes() == rho10.entries.tobytes()
-        psi = PureState(FLOAT, [0.6 + 0.8j, 0])
+        psi = PureState([0.6 + 0.8j, 0])
         assert fidelity_with(psi, copy).tobytes() == fidelity_with(psi, rho10).tobytes()

@@ -1,12 +1,11 @@
-"""Ring/field axioms for both scalar backends and the rational types."""
+"""Ring/field axioms for complex floats, the exact polynomials and the rational types."""
 
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from teleportsim.exact import EXACT, GaussianRational, P, PolyP
-from teleportsim.linalg import FLOAT
+from teleportsim.exact import GaussianRational, P, PolyP
 
 
 def _float_samples(rng, n=12):
@@ -14,9 +13,13 @@ def _float_samples(rng, n=12):
     return [complex(v) for v in vals]
 
 
-def _close(backend, a, b, tol):
-    """Equality on the exact backend, |a - b| <= tol on the float backend."""
-    return a == b if backend.is_exact else abs(a - b) <= tol
+# (zero, one) of each scalar ring
+UNITS = {"float": (0j, 1 + 0j), "exact": (PolyP.ZERO, PolyP.ONE)}
+
+
+def _close(exact, a, b, tol):
+    """Equality for exact scalars, |a - b| <= tol for floats."""
+    return a == b if exact else abs(a - b) <= tol
 
 
 def _exact_samples():
@@ -32,32 +35,33 @@ def _exact_samples():
     ]
 
 
-@pytest.mark.parametrize("backend_name", ["float", "exact"])
-def test_ring_axioms(backend_name, rng):
-    backend = FLOAT if backend_name == "float" else EXACT
-    xs = _float_samples(rng) if backend_name == "float" else _exact_samples()
+@pytest.mark.parametrize("ring", ["float", "exact"])
+def test_ring_axioms(ring, rng):
+    exact = ring == "exact"
+    zero, one = UNITS[ring]
+    xs = _float_samples(rng) if ring == "float" else _exact_samples()
     tol = 1e-12
     for i, a in enumerate(xs):
         for b in xs[i:]:
             for c in xs[:3]:
-                assert _close(backend, (a + b) + c, a + (b + c), tol)
-                assert _close(backend, (a * b) * c, a * (b * c), tol)
-                assert _close(backend, a * (b + c), a * b + a * c, tol)
-            assert _close(backend, a + b, b + a, tol)
-            assert _close(backend, a * b, b * a, tol)
-        assert _close(backend, a + backend.zero, a, tol)
-        assert _close(backend, a * backend.one, a, tol)
-        assert _close(backend, a + (-a), backend.zero, tol)
+                assert _close(exact, (a + b) + c, a + (b + c), tol)
+                assert _close(exact, (a * b) * c, a * (b * c), tol)
+                assert _close(exact, a * (b + c), a * b + a * c, tol)
+            assert _close(exact, a + b, b + a, tol)
+            assert _close(exact, a * b, b * a, tol)
+        assert _close(exact, a + zero, a, tol)
+        assert _close(exact, a * one, a, tol)
+        assert _close(exact, a + (-a), zero, tol)
 
 
-@pytest.mark.parametrize("backend_name", ["float", "exact"])
-def test_conjugation_involution_and_multiplicativity(backend_name, rng):
-    backend = FLOAT if backend_name == "float" else EXACT
-    xs = _float_samples(rng) if backend_name == "float" else _exact_samples()
+@pytest.mark.parametrize("ring", ["float", "exact"])
+def test_conjugation_involution_and_multiplicativity(ring, rng):
+    exact = ring == "exact"
+    xs = _float_samples(rng) if ring == "float" else _exact_samples()
     for a in xs:
-        assert _close(backend, a.conjugate().conjugate(), a, 1e-15)
+        assert _close(exact, a.conjugate().conjugate(), a, 1e-15)
         for b in xs:
-            assert _close(backend, (a * b).conjugate(), a.conjugate() * b.conjugate(), 1e-12)
+            assert _close(exact, (a * b).conjugate(), a.conjugate() * b.conjugate(), 1e-12)
 
 
 def test_backend_equality_semantics():
@@ -65,16 +69,6 @@ def test_backend_equality_semantics():
     eps = PolyP([GaussianRational(Fraction(1, 10**30))])
     assert PolyP.ONE != PolyP.ONE + eps
     assert PolyP.ONE == PolyP([1])
-
-
-def test_backend_coercion():
-    assert FLOAT.coerce(Fraction(1, 2)) == 0.5 + 0j
-    assert FLOAT.coerce(GaussianRational(Fraction(3, 5), Fraction(4, 5))) == 0.6 + 0.8j
-    assert EXACT.coerce(Fraction(1, 2)) == PolyP([Fraction(1, 2)])
-    with pytest.raises(TypeError):
-        EXACT.coerce(0.5)
-    with pytest.raises(TypeError):
-        FLOAT.coerce("nope")
 
 
 def test_gaussian_rational_field_ops():

@@ -1,16 +1,18 @@
 """The staged pipeline: initial state, gate/noise ladder, measurement, fidelity."""
 
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from teleportsim import cli
 from teleportsim.channels import ChannelSpec, NoiseKind
 from teleportsim.cli import SweepConfig, run_sweep
-from teleportsim.exact import EXACT, GaussianRational
+from teleportsim.exact import GaussianRational
 from teleportsim.linalg import (
-    FLOAT,
     DensityOperator,
     hermitian_eigenvalues,
     hermiticity_deviation,
@@ -69,6 +71,13 @@ class TestInputState:
         with pytest.raises(ValueError, match="is not finite"):
             InputState.normalized(alpha, beta)
 
+    def test_rejects_text_amplitudes(self):
+        # complex("0.6") parses, so text would pass the norm check
+        with pytest.raises(ValueError, match="amplitude alpha = '0.6' is not a number"):
+            InputState("0.6", "0.8")
+        with pytest.raises(ValueError, match="amplitude beta = '0.8' is not a number"):
+            InputState(0.6, "0.8")
+
     def test_overflowing_amplitude_rejected_by_deviation(self):
         # |1e200|^2 overflows; the deviation is reported as inf, not raised
         with pytest.raises(ValueError, match="deviate from unit norm by inf"):
@@ -106,6 +115,13 @@ class TestBuildInitial:
         expected[0, 0] = 1
         assert np.array_equal(rho.entries, expected)
 
+    def test_exact_probe(self):
+        # exact amplitudes enter the pipeline as their nearest complex values
+        rho = build_initial(
+            InputState(GaussianRational(Fraction(3, 5)), GaussianRational(0, Fraction(4, 5)))
+        )
+        assert rho.entries.tobytes() == build_initial(InputState(0.6, 0.8j)).entries.tobytes()
+
     def test_general_entries(self):
         a, b = 0.6, 0.8j
         rho = build_initial(InputState(a, b))
@@ -118,15 +134,6 @@ class TestBuildInitial:
             for c in range(8):
                 if (r, c) not in nz:
                     assert rho.entries[r, c] == 0
-
-    def test_exact_probe(self):
-        rho = build_initial(
-            InputState(GaussianRational(Fraction(3, 5)), GaussianRational(Fraction(4, 5))),
-            backend=EXACT,
-        )
-        assert rho.entries[0, 0].evaluate_at(0).re == Fraction(9, 25)
-        assert rho.entries[0, 4].evaluate_at(0).re == Fraction(12, 25)
-        assert rho.entries[4, 4].evaluate_at(0).re == Fraction(16, 25)
 
 
 class TestRunStages:
@@ -174,6 +181,23 @@ class TestRunStages:
                 assert hermiticity_deviation(rho) <= 1e-12
                 assert hermitian_eigenvalues(rho)[0] >= -1e-10
 
+    @given(
+        kind=st.sampled_from(list(NoiseKind)),
+        p=st.floats(0, 1),
+        theta=st.floats(0, math.pi),
+        phi=st.floats(0, 2 * math.pi),
+    )
+    def test_every_stage_is_a_state(self, kind, p, theta, phi):
+        # the state at Bloch angles (theta, phi); every stage of a CPTP
+        # pipeline is a density matrix
+        state = InputState(math.cos(theta / 2), cmath.exp(1j * phi) * math.sin(theta / 2))
+        for label, rho in run_stages(state, ChannelSpec(kind, p)).items():
+            ent = rho.entries
+            assert abs(np.trace(ent) - 1) <= 1e-12, label
+            assert np.max(np.abs(ent - ent.conj().T)) <= 1e-12, label
+            assert np.linalg.eigvalsh(ent)[0] >= -1e-12, label
+            assert np.sum(np.abs(ent) ** 2) <= 1 + 1e-12, label  # purity tr(rho^2)
+
 
 class TestMeasureAndCorrect:
     def test_ideal_branches_reproduce_input(self):
@@ -185,7 +209,7 @@ class TestMeasureAndCorrect:
             assert np.max(np.abs(out.entries - expected)) <= 1e-15
 
     def test_maximally_mixed_input(self):
-        rho9 = DensityOperator.maximally_mixed(FLOAT, 3)
+        rho9 = DensityOperator.maximally_mixed(3)
         out = measure_and_correct(rho9)
         assert np.max(np.abs(out.entries - np.eye(2) / 2)) <= 1e-15
 
@@ -211,7 +235,7 @@ class TestMeasureAndCorrect:
 
     def test_wrong_qubit_count(self):
         with pytest.raises(ValueError):
-            measure_and_correct(DensityOperator.maximally_mixed(FLOAT, 2))
+            measure_and_correct(DensityOperator.maximally_mixed(2))
 
     def test_assignment_validation(self):
         with pytest.raises(ValueError):

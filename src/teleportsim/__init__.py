@@ -1,7 +1,7 @@
 """Density-matrix simulation and exact verification of noisy teleportation."""
 
 from .analytic import PUBLISHED, fidelity_closed, fidelity_linear, linear_slope, rho10_closed
-from .channels import ChannelSpec, GateSet, NoiseKind, apply_layer, apply_to_qubit, gate_set, kraus_operators
+from .channels import ChannelSpec, GateSet, NoiseKind, apply_layer, apply_to_qubit, gate_set
 from .exact import GaussianRational, P, PolyP, extract_transfer_map, run_pipeline_symbolic
 from .linalg import (
     DensityOperator,

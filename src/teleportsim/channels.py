@@ -7,22 +7,17 @@ the Z sign folded in, takes the X and Y branches by index flips of the
 entries and of the Z product, and sums the branches into buffers reused
 across the qubits, so a layer builds one new operator.  The sign-folded
 weights of the last spec applied are kept, so the layers of a run and the
-runs on one grid share them.  :func:`kraus_operators` gives the same
-branches as explicit 2x2 Kraus operators, and :mod:`teleportsim.exact`
-takes its noise factors from the same weights with a symbolic ``p``, so
-each channel is defined once.  A "layer" applies the same
-single-qubit channel independently to every qubit, the way noise is
-inserted after each gate column of the teleportation circuit.  The
-explicit expanded forms (subset expansion for depolarizing, Pauli-string
-sums for the flip channels) are kept as independent oracles, built by
-dense tensor products and conjugations, to cross-check the per-qubit
-composition; they are not the production path.
+runs on one grid share them.  :mod:`teleportsim.exact` takes its noise
+factors from the same weights with a symbolic ``p``, so each channel is
+defined once.  A "layer" applies the same single-qubit channel
+independently to every qubit, the way noise is inserted after each gate
+column of the teleportation circuit.  The package has no Kraus form and
+no expanded form of a layer; those live with the tests, as oracles.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -32,14 +27,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .linalg import (
-    DensityOperator,
-    Operator,
-    conjugate_by,
-    partial_trace,
-    sort_qubits,
-    tensor,
-)
+from .linalg import DensityOperator, Operator, _qubit_tables
+
+# unused here, but perfbench/tracer.py wraps these bindings
+from .linalg import conjugate_by, tensor  # noqa: F401
 
 
 class NoiseKind(enum.Enum):
@@ -161,37 +152,11 @@ def _pauli_weights(
     return [(w_keep, "I"), (w_pauli, "X"), (w_pauli, "Y"), (w_pauli, "Z")]
 
 
-def kraus_operators(spec: ChannelSpec) -> list[tuple[Any, Operator]]:
-    """Weighted Kraus decomposition {(w_i, K_i)} with sum_i w_i K_i^dag K_i = I.
-
-    Bit flip: {(1-p, I), (p, X)}.  Phase flip: {(1-p, I), (p, Z)}.
-    Depolarizing: {(1-3p/4, I), (p/4, X), (p/4, Y), (p/4, Z)}, which equals
-    the mix-with-I/2 form (1-p) rho + p I/2 on every input.
-    """
-    g = gate_set()
-    return [(w, getattr(g, label)) for w, label in _pauli_weights(spec.kind, _complex_p(spec.p))]
-
-
 # The last spec's branches, as (key, branches) with the branches as
 # :func:`_branches` returns them.  One entry, so the four layers of a run and
 # consecutive runs on one grid share them, and the module holds at most one
 # spec's sign-folded weights.
 _LAST_BRANCHES: tuple[Any, Any] = (None, None)
-
-
-@lru_cache(maxsize=None)
-def _qubit_tables(qubit: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For ``qubit`` of ``n``: the flattened X-flip permutation of a matrix's
-    entries, and the mask of entries whose row and column bits differ."""
-    bit = 1 << (n - qubit)
-    index = np.arange(1 << n)
-    flipped = index ^ bit
-    perm = (flipped[:, None] * (1 << n) + flipped).ravel()
-    set_bit = (index & bit) != 0
-    differ = set_bit[:, None] != set_bit[None, :]
-    perm.setflags(write=False)
-    differ.setflags(write=False)
-    return perm, differ
 
 
 def _zero_signs(p: Any) -> tuple[bool, ...]:
@@ -296,61 +261,3 @@ def apply_layer(spec: ChannelSpec, rho: DensityOperator) -> DensityOperator:
     """
     return _apply_pauli_channel(spec, rho, range(1, rho.num_qubits + 1))
 
-
-def depolarizing_subset_expansion(rho: DensityOperator, p: Any) -> DensityOperator:
-    """Expanded form of the three-qubit depolarizing layer (oracle only).
-
-    Sums over the subsets of qubits that get replaced by I/2: the surviving
-    qubits keep their joint reduced state.  Equals :func:`apply_layer` with
-    the depolarizing channel on every input; kept as an independent
-    cross-check of the Kraus composition.
-    """
-    if rho.num_qubits != 3:
-        raise ValueError(f"subset expansion is defined for 3 qubits, got {rho.num_qubits}")
-    pp = _complex_p(p)
-    keep_w = 1 + 0j - pp
-    half, quarter, eighth = 0.5 + 0j, 0.25 + 0j, 0.125 + 0j
-
-    acc = (keep_w * keep_w * keep_w) * rho.entries
-    one_q = identity(1)
-    two_q = identity(2)
-    for traced in (1, 2, 3):
-        keep = [q for q in (1, 2, 3) if q != traced]
-        marg = partial_trace(rho, keep)
-        emb = sort_qubits(tensor(marg, one_q), keep + [traced])
-        acc = acc + (pp * keep_w * keep_w * half) * emb.entries
-    for kept in (1, 2, 3):
-        others = [q for q in (1, 2, 3) if q != kept]
-        marg = partial_trace(rho, [kept])
-        emb = sort_qubits(tensor(marg, two_q), [kept] + others)
-        acc = acc + (pp * pp * keep_w * quarter) * emb.entries
-    full_w = pp * pp * pp * eighth * rho.trace()
-    acc = acc + full_w * identity(3).entries
-    return DensityOperator(acc)
-
-
-def flip_sum_expansion(spec: ChannelSpec, rho: DensityOperator) -> DensityOperator:
-    """Explicit Pauli-string sum form of a flip-channel layer (oracle only).
-
-    Sums over every combination of per-qubit flips with weight
-    p^(flips) (1-p)^(n-flips); equals :func:`apply_layer` for the bit-flip
-    and phase-flip channels.
-    """
-    if spec.kind is NoiseKind.DEPOLARIZING:
-        raise ValueError("flip_sum_expansion covers the bit/phase flip channels only")
-    g = gate_set()
-    flip = g.X if spec.kind is NoiseKind.BIT_FLIP else g.Z
-    p = _complex_p(spec.p)
-    q = 1 + 0j - p
-    n = rho.num_qubits
-    acc = None
-    for bits in itertools.product((0, 1), repeat=n):
-        weight = 1 + 0j
-        string = None
-        for b in bits:
-            weight = weight * (p if b else q)
-            factor = flip if b else g.I
-            string = factor if string is None else tensor(string, factor)
-        branch = conjugate_by(rho, string).entries * weight
-        acc = branch if acc is None else acc + branch
-    return DensityOperator(acc)

@@ -164,7 +164,9 @@ def _write_or_fail(path: str, text: str) -> int:
 
 
 def _states_from_args(args) -> list[tuple[complex, complex]]:
-    if args.states:
+    if args.states is not None:
+        if args.alpha is not None or args.beta is not None:
+            raise ValueError("--states cannot be combined with --alpha or --beta")
         states = parse_states(args.states)
     elif args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:

@@ -324,19 +324,6 @@ class PolyP:
             acc = acc * x + coeff
         return acc
 
-    def evaluate_float(self, p: float) -> complex:
-        """Horner evaluation converting each exact coefficient to float.
-
-        ``int / int`` rounds the exact quotient correctly, as
-        ``float(Fraction(...))`` does, without building the Fraction.
-        """
-        acc = 0j
-        den = self._den
-        for k in range(len(self._re) - 1, -1, -1):
-            c = complex(self._re[k] / den, self._im[k] / den)
-            acc = acc * p + c
-        return acc
-
     def to_text(self) -> str:
         """Canonical serialization: "c0 + c1*p + c2*p^2 + ...".
 

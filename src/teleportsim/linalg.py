@@ -14,6 +14,7 @@ batch runs the same code as a single matrix.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Sequence
 
 import numpy as np
@@ -61,9 +62,6 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[-1]
 
-    def dagger(self) -> "Operator":
-        return Operator(np.conjugate(self.entries).swapaxes(-1, -2), self.root2_shift)
-
     def dense(self) -> np.ndarray:
         """Entries with the 1/sqrt(2) scaling resolved."""
         if self.root2_shift == 0:
@@ -77,11 +75,6 @@ class Operator:
             return t
         return self.dense().trace(axis1=-2, axis2=-1)
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return Operator(self.entries @ other.entries, self.root2_shift + other.root2_shift)
-
     def __repr__(self) -> str:
         shift = f", root2_shift={self.root2_shift}" if self.root2_shift else ""
         return f"<{type(self).__name__} {self.num_qubits} qubit(s){shift}>"
@@ -92,11 +85,6 @@ class DensityOperator(Operator):
 
     def __init__(self, entries: Any):
         super().__init__(entries, root2_shift=0)
-
-    @classmethod
-    def maximally_mixed(cls, num_qubits: int) -> "DensityOperator":
-        dim = 2**num_qubits
-        return cls(np.eye(dim) / dim)
 
 
 class PureState:
@@ -156,25 +144,6 @@ def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
     return DensityOperator(np.trace(block, axis1=1, axis2=3))
 
 
-def sort_qubits(op: Operator, labels: Sequence[int]) -> DensityOperator:
-    """Reorder qubit axes so the given logical labels come out ascending.
-
-    ``labels[k]`` is the logical index carried by the operator's k-th qubit;
-    the result carries logical qubits in sorted order.  Inverse companion to
-    the reordering that :func:`partial_trace` applies via ``keep``.
-    """
-    labels = list(labels)
-    n = op.num_qubits
-    if op.root2_shift:
-        raise ValueError("sort_qubits expects an unscaled operator")
-    if len(labels) != n or len(set(labels)) != n:
-        raise ValueError(f"labels {labels} must be {n} distinct qubit indices")
-    order = sorted(range(n), key=lambda k: labels[k])
-    axes = order + [n + ax for ax in order]
-    ent = op.entries.reshape((2,) * (2 * n)).transpose(axes).reshape(op.dim, op.dim)
-    return DensityOperator(ent)
-
-
 def conjugate_by(rho: DensityOperator, u: Operator) -> DensityOperator:
     """Return u rho u^dagger, resolving any 1/sqrt(2) scaling as a power of 1/2."""
     if rho.dim != u.dim:
@@ -183,6 +152,21 @@ def conjugate_by(rho: DensityOperator, u: Operator) -> DensityOperator:
     if u.root2_shift:
         raw = raw * complex(0.5**u.root2_shift)
     return DensityOperator(raw)
+
+
+@lru_cache(maxsize=None)
+def _qubit_tables(qubit: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For ``qubit`` of ``n``: the flattened X-flip permutation of a matrix's
+    entries, and the mask of entries whose row and column bits differ."""
+    bit = 1 << (n - qubit)
+    index = np.arange(1 << n)
+    flipped = index ^ bit
+    perm = (flipped[:, None] * (1 << n) + flipped).ravel()
+    set_bit = (index & bit) != 0
+    differ = set_bit[:, None] != set_bit[None, :]
+    perm.setflags(write=False)
+    differ.setflags(write=False)
+    return perm, differ
 
 
 def pauli_conjugate(entries: np.ndarray, label: str, qubit: int, n: int) -> np.ndarray:
@@ -194,14 +178,11 @@ def pauli_conjugate(entries: np.ndarray, label: str, qubit: int, n: int) -> np.n
     and Y does both.  Works on a batch of matrices along the leading axis
     too.
     """
-    bit = 1 << (n - qubit)
-    index = np.arange(1 << n)
+    perm, differ = _qubit_tables(qubit, n)
     if label in ("X", "Y"):
-        flipped = index ^ bit
-        entries = entries[..., flipped[:, None], flipped]
+        lead = entries.shape[:-2]
+        entries = entries.reshape(lead + (-1,)).take(perm, axis=-1).reshape(entries.shape)
     if label in ("Y", "Z"):
-        set_bit = (index & bit) != 0
-        differ = set_bit[:, None] != set_bit[None, :]
         entries = np.where(differ, -entries, entries)
     return entries
 

@@ -29,13 +29,8 @@ from teleportsim.analytic import (
     linear_slope,
     linear_slope_exact,
 )
-from teleportsim.channels import (
-    ChannelSpec,
-    NoiseKind,
-    apply_layer,
-    depolarizing_subset_expansion,
-    flip_sum_expansion,
-)
+from expanded_forms import depolarizing_subset_expansion, flip_sum_expansion
+from teleportsim.channels import ChannelSpec, NoiseKind, apply_layer
 from teleportsim.exact import GaussianRational, P, PolyP, extract_transfer_map
 from teleportsim.linalg import (
     DensityOperator,

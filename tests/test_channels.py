@@ -1,4 +1,7 @@
-"""Kraus decompositions, per-qubit application, layers, and the expanded-form oracles."""
+"""Kraus decompositions, per-qubit application, layers, and the expanded-form oracles.
+
+The Kraus form and the expanded forms are test oracles, in ``expanded_forms``.
+"""
 
 import gc
 import re
@@ -7,30 +10,34 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import dense_reference as ref
+from expanded_forms import (
+    depolarizing_subset_expansion,
+    flip_sum_expansion,
+    kraus_operators,
+    sort_qubits,
+)
 from teleportsim.channels import (
     ChannelSpec,
     NoiseKind,
     _pauli_weights,
     apply_layer,
     apply_to_qubit,
-    depolarizing_subset_expansion,
-    flip_sum_expansion,
     gate_set,
     identity,
-    kraus_operators,
 )
 from teleportsim.exact import GaussianRational, P, PolyP
 from teleportsim.linalg import (
     DensityOperator,
+    Operator,
     PureState,
     conjugate_by,
     hermitian_eigenvalues,
     max_entry_delta,
     partial_trace,
     pauli_conjugate,
-    sort_qubits,
     tensor,
 )
 from teleportsim.teleport import (
@@ -43,6 +50,9 @@ from teleportsim.teleport import (
 
 P_GRID = [k / 10 for k in range(11)]
 
+# drawn noise probabilities, with the endpoints drawn on their own
+PROBABILITIES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1))
+
 
 def spec(kind, p):
     return ChannelSpec(kind, p)
@@ -52,14 +62,15 @@ class TestGateSet:
     def test_unitarity_is_exact(self):
         g = gate_set()
         for u in (g.I, g.X, g.Y, g.Z, g.H, g.CNOT):
-            prod = u @ u.dagger()
-            assert np.array_equal(prod.dense(), np.eye(u.dim))
+            # the 1/sqrt(2) scalings of u and u^dagger make 1/2 per unit of shift
+            prod = u.entries @ np.conjugate(u.entries).T * 0.5**u.root2_shift
+            assert np.array_equal(prod, np.eye(u.dim))
 
     def test_involutions(self):
         g = gate_set()
         for u in (g.X, g.Y, g.Z, g.H):
-            assert np.array_equal((u @ u).dense(), np.eye(2))
-        assert np.array_equal((g.CNOT @ g.CNOT).dense(), np.eye(4))
+            assert np.array_equal(u.entries @ u.entries * 0.5**u.root2_shift, np.eye(2))
+        assert np.array_equal(g.CNOT.entries @ g.CNOT.entries, np.eye(4))
 
 
 class TestKrausOperators:
@@ -68,7 +79,7 @@ class TestKrausOperators:
     def test_completeness(self, kind, p):
         acc = np.zeros((2, 2), dtype=complex)
         for w, op in kraus_operators(spec(kind, p)):
-            acc += w * (op.dagger() @ op).dense()
+            acc += w * (np.conjugate(op.entries).T @ op.entries)
         assert np.allclose(acc, np.eye(2), atol=1e-15)
 
     def test_completeness_symbolic(self):
@@ -313,6 +324,25 @@ class TestExpandedForms:
         with pytest.raises(ValueError):
             flip_sum_expansion(spec(NoiseKind.DEPOLARIZING, 0.1), random_density(3))
 
+    @given(
+        kind=st.sampled_from(list(NoiseKind)),
+        p=st.one_of(PROBABILITIES, st.lists(PROBABILITIES, min_size=1, max_size=5).map(tuple)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_oracles_equal_layer_on_drawn_inputs(self, kind, p, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        m = a @ a.conj().T
+        rho = DensityOperator(m / np.trace(m).real)
+        s = spec(kind, p)
+        if kind is NoiseKind.DEPOLARIZING:
+            oracle = depolarizing_subset_expansion(rho, s.p)
+        else:
+            oracle = flip_sum_expansion(s, rho)
+        layer = apply_layer(s, rho)
+        assert layer.entries.shape == oracle.entries.shape
+        assert max_entry_delta(layer, oracle) <= 1e-14
+
 
 def embedded_kraus_reference(spec, rho, qubit):
     """Dense form of apply_to_qubit: each weighted Kraus Pauli tensored up to
@@ -341,7 +371,7 @@ def dense_correction_reference(rho9, assignment):
             x_pow = outcome[assignment.x_source]
             z_pow = outcome[assignment.z_source]
             if x_pow and z_pow:
-                branch = conjugate_by(branch, g.Z @ g.X)
+                branch = conjugate_by(branch, Operator(g.Z.entries @ g.X.entries))
             elif x_pow:
                 branch = conjugate_by(branch, g.X)
             elif z_pow:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from teleportsim import exact, teleport
 from teleportsim.cli import (
@@ -51,6 +52,16 @@ class TestAmplitudeGrammar:
         for s in ["1", "0.6+0.8i", "0.70710678118654752", "-1", "0-0.5i"]:
             canonical = format_amplitude(parse_amplitude(s))
             assert format_amplitude(parse_amplitude(canonical)) == canonical
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_format_parse_roundtrip_property(self, re, im):
+        z = complex(re, im)
+        text = format_amplitude(z)
+        assert parse_amplitude(text) == z
+        assert format_amplitude(parse_amplitude(text)) == text
 
     def test_state_parsing(self):
         pairs = parse_states("1,0;0.6,0.8")
@@ -237,6 +248,39 @@ class TestAmplitudeRange:
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "squared norm is outside the double range" in err
+        assert not out.exists()
+
+
+STATE_FLAG_COMMANDS = pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--noise", "bitflip", "--steps", "2"],
+        ["trace", "--noise", "bitflip", "--p", "0.1"],
+        ["curves", "--noise", "phaseflip", "--steps", "2"],
+    ],
+    ids=["sweep", "trace", "curves"],
+)
+
+
+class TestStateFlags:
+    @STATE_FLAG_COMMANDS
+    def test_empty_states_exits_2(self, argv, tmp_path, capsys):
+        # an empty list is a bad list, not a request for the default states
+        out = tmp_path / "out"
+        assert main(argv + ["--states", "", "--out", str(out)]) == 2
+        assert "state '' is not an `alpha,beta` pair" in capsys.readouterr().err
+        assert not out.exists()
+
+    @STATE_FLAG_COMMANDS
+    @pytest.mark.parametrize(
+        "single", [["--alpha", "1", "--beta", "0"], ["--alpha", "1"], ["--beta", "0"]]
+    )
+    def test_states_with_alpha_or_beta_exits_2(self, argv, single, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--states", "1,0", *single, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--states cannot be combined with --alpha or --beta" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 

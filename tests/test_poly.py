@@ -1,6 +1,5 @@
 """Polynomial arithmetic, evaluation, and canonical serialization."""
 
-import struct
 from fractions import Fraction
 
 import pytest
@@ -96,47 +95,6 @@ def test_serialization_canonical_text():
     assert PolyP([Fraction(-1, 4), 0, 1]).to_text() == "-1/4 + 1*p^2"
     assert PolyP([GaussianRational(0, 1)]).to_text() == "(0,1)"
     assert (P * GaussianRational(Fraction(1, 2), Fraction(-1, 3))).to_text() == "(1/2,-1/3)*p"
-
-
-def test_float_evaluation_tracks_exact():
-    f = PUBLISHED.u4
-    for p in (0.0, 0.1, 0.37, 1.0):
-        exact = f.evaluate_at(Fraction(p).limit_denominator(10**6))
-        approx = f.evaluate_float(float(Fraction(p).limit_denominator(10**6)))
-        assert abs(approx.real - float(exact.re)) < 1e-9
-        assert approx.imag == 0
-
-
-def _evaluate_float_via_fractions(poly, p):
-    """Horner evaluation with each coefficient rounded through float(Fraction)."""
-    acc = 0j
-    for c in reversed(poly.coefficients):
-        acc = acc * p + complex(float(c.re), float(c.im))
-    return acc
-
-
-def _bits(z):
-    return struct.pack("<dd", z.real, z.imag)
-
-
-def test_float_evaluation_bitwise_equals_fraction_rounding(rng):
-    grid = [k / 100 for k in range(101)] + [float(x) for x in rng.random(50)]
-    published = [getattr(PUBLISHED, f"u{k}") for k in range(1, 7)]
-    random_polys = [
-        PolyP(
-            GaussianRational(
-                Fraction(int(rng.integers(-(10**12), 10**12)), int(rng.integers(1, 10**9))),
-                Fraction(int(rng.integers(-(10**6), 10**6)), int(rng.integers(1, 10**4))),
-            )
-            for _ in range(int(rng.integers(1, 14)))
-        )
-        for _ in range(40)
-    ]
-    # a common denominator above 2**53 exercises big-integer division
-    random_polys.append(PolyP([Fraction(1, 3**40), Fraction(-(7**30), 11**25), Fraction(5, 3)]))
-    for poly in published + random_polys:
-        for p in grid:
-            assert _bits(poly.evaluate_float(p)) == _bits(_evaluate_float_via_fractions(poly, p))
 
 
 def test_coefficient_accessors():

@@ -27,6 +27,9 @@ DEFAULT_STATES = ((1.0, 0.0), (2**-0.5, 2**-0.5), (0.6, 0.8))
 ALL_COLUMNS = ("numeric", "analytic", "linear")
 # grid points per batched pipeline run; bounds the memory of a long sweep
 BATCH_POINTS = 1024
+# largest grid a sweep or chart accepts: the grid, its text and the CSV are
+# built whole in memory
+MAX_STEPS = 100_000
 
 
 def parse_amplitude(token: str) -> complex:
@@ -91,6 +94,8 @@ class SweepConfig:
             raise ValueError(f"p_start {self.p_start} exceeds p_end {self.p_end}")
         if self.steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.steps}")
+        if self.steps > MAX_STEPS:
+            raise ValueError(f"steps must be at most {MAX_STEPS}, got {self.steps}")
         for col in self.columns:
             if col not in ALL_COLUMNS:
                 raise ValueError(f"unknown column {col!r}")

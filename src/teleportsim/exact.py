@@ -7,12 +7,12 @@ is always exact, never tolerance based.  No dense matrix is built: the
 tests keep a dense pipeline over these scalars as the reference the maps
 must equal.
 
-Rationals are :class:`fractions.Fraction` (arbitrary precision, always
-reduced, positive denominator).  ``GaussianRational`` is a complex number
-with rational parts.  ``PolyP`` is a dense univariate polynomial in the
-noise probability with Gaussian-rational coefficients; internally it keeps
-integer coefficient arrays over a common denominator so that pipeline
-arithmetic stays in fast integer operations.
+``GaussianRational`` is a complex number with rational parts.  ``PolyP`` is
+a dense univariate polynomial in the noise probability with
+Gaussian-rational coefficients.  Both store integer numerators over one
+positive common denominator, reduced, so that the arithmetic stays in fast
+integer operations; :class:`fractions.Fraction` appears only where a value
+is built from one, or a part is read out (``re``, ``im``, ``norm_sq``).
 """
 
 from __future__ import annotations
@@ -36,23 +36,59 @@ def _as_fraction(value: Any) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
 
 
-class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+def _ratio_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for a positive ``den``, reduced with one gcd."""
+    g = gcd(num, den)
+    if g != den:
+        return f"{num // g}/{den // g}"
+    return str(num // g)
 
-    __slots__ = ("re", "im")
+
+class GaussianRational:
+    """Complex number with exact rational real and imaginary parts.
+
+    Stored as integers ``(re + i im) / den`` with ``den > 0`` and
+    ``gcd(re, im, den) == 1``, so equality and hashing are structural and
+    arithmetic never builds a :class:`~fractions.Fraction`.  The ``re`` and
+    ``im`` properties give the parts as fractions.
+    """
+
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, re: Any = 0, im: Any = 0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        if type(re) is int and type(im) is int:
+            self._re, self._im, self._den = re, im, 1
+            return
+        a, b = _as_fraction(re), _as_fraction(im)
+        den = lcm(a.denominator, b.denominator)
+        # parts in lowest terms over their lcm leave no common factor
+        self._re = a.numerator * (den // a.denominator)
+        self._im = b.numerator * (den // b.denominator)
+        self._den = den
 
-    def __setattr__(self, name: str, value: Any):
-        raise AttributeError("GaussianRational is immutable")
+    @classmethod
+    def _raw(cls, re: int, im: int, den: int) -> "GaussianRational":
+        """``(re + i im) / den`` for ``den > 0``, reduced."""
+        obj = object.__new__(cls)
+        g = gcd(re, im, den)
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
+        obj._re, obj._im, obj._den = re, im, den
+        return obj
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._re, self._den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._im, self._den)
 
     @classmethod
     def from_value(cls, value: Any) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        return cls(_as_fraction(value))
+        return cls(value)
 
     @staticmethod
     def _coerce(value: Any) -> "GaussianRational | None":
@@ -63,16 +99,21 @@ class GaussianRational:
         return None
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return GaussianRational._raw(self._re, -self._im, self._den)
 
     def norm_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._re * self._re + self._im * self._im, self._den * self._den)
 
     def __add__(self, other: Any):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        d1, d2 = self._den, o._den
+        if d1 == d2:
+            return GaussianRational._raw(self._re + o._re, self._im + o._im, d1)
+        return GaussianRational._raw(
+            self._re * d2 + o._re * d1, self._im * d2 + o._im * d1, d1 * d2
+        )
 
     __radd__ = __add__
 
@@ -80,47 +121,46 @@ class GaussianRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        return self + (-o)
 
     def __rsub__(self, other: Any):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o + (-self)
 
     def __mul__(self, other: Any):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, c, d = self._re, self._im, o._re, o._im
+        return GaussianRational._raw(a * c - b * d, a * d + b * c, self._den * o._den)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._raw(-self._re, -self._im, self._den)
 
     def __eq__(self, other: Any):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._re == o._re and self._im == o._im and self._den == o._den
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._re, self._im, self._den))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._re) or bool(self._im)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(self._re / self._den, self._im / self._den)
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        return f"({self.re},{self.im})"
+        if not self._im:
+            return _ratio_text(self._re, self._den)
+        return f"({_ratio_text(self._re, self._den)},{_ratio_text(self._im, self._den)})"
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -136,18 +176,7 @@ def _normalized(
         return (), (), 1
     del re[n:], im[n:]
     if den != 1:
-        g = den
-        for v in re:
-            if v:
-                g = gcd(g, v)
-                if g == 1:
-                    break
-        if g != 1:
-            for v in im:
-                if v:
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
+        g = gcd(den, *re, *im)
         if g > 1:
             re = [v // g for v in re]
             im = [v // g for v in im]
@@ -167,11 +196,9 @@ class PolyP:
 
     def __init__(self, coefficients: Iterable[Any] = ()):
         values = [GaussianRational.from_value(c) for c in coefficients]
-        den = 1
-        for g in values:
-            den = lcm(den, g.re.denominator, g.im.denominator)
-        re = [int(g.re * den) for g in values]
-        im = [int(g.im * den) for g in values]
+        den = lcm(*(g._den for g in values))
+        re = [g._re * (den // g._den) for g in values]
+        im = [g._im * (den // g._den) for g in values]
         self._re, self._im, self._den = _normalized(re, im, den)
 
     @classmethod
@@ -185,7 +212,8 @@ class PolyP:
         if isinstance(value, PolyP):
             return value
         if isinstance(value, (int, Fraction, GaussianRational)):
-            return PolyP([value])
+            g = GaussianRational.from_value(value)
+            return PolyP._raw([g._re], [g._im], g._den)
         return None
 
     @property
@@ -196,18 +224,12 @@ class PolyP:
     @property
     def coefficients(self) -> tuple[GaussianRational, ...]:
         den = self._den
-        return tuple(
-            GaussianRational(Fraction(r, den), Fraction(i, den))
-            for r, i in zip(self._re, self._im)
-        )
+        return tuple(GaussianRational._raw(r, i, den) for r, i in zip(self._re, self._im))
 
     def coefficient(self, degree: int) -> GaussianRational:
         if degree < 0 or degree >= len(self._re):
             return GaussianRational()
-        return GaussianRational(
-            Fraction(self._re[degree], self._den),
-            Fraction(self._im[degree], self._den),
-        )
+        return GaussianRational._raw(self._re[degree], self._im[degree], self._den)
 
     def __bool__(self):
         return bool(self._re)
@@ -297,8 +319,9 @@ class PolyP:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def conjugate(self) -> "PolyP":
@@ -315,14 +338,27 @@ class PolyP:
         return hash((self._re, self._im, self._den))
 
     def evaluate_at(self, p: Any) -> GaussianRational:
-        """Exact evaluation at a rational (or Gaussian-rational) point."""
+        """Exact evaluation at a rational (or Gaussian-rational) point.
+
+        Horner's rule on integer numerators: with ``p = (u + i v) / d``,
+        ``sum_k c_k p^k = (sum_k (a_k + i b_k) (u + i v)^k d^(n-k)) / (D d^n)``
+        for coefficients ``(a_k + i b_k) / D`` up to degree ``n``.
+        """
         x = GaussianRational.from_value(p)
-        acc = GaussianRational()
-        den = self._den
-        for k in range(len(self._re) - 1, -1, -1):
-            coeff = GaussianRational(Fraction(self._re[k], den), Fraction(self._im[k], den))
-            acc = acc * x + coeff
-        return acc
+        u, v, d = x._re, x._im, x._den
+        re, im = self._re, self._im
+        if not re:
+            return GaussianRational()
+        if not u and not v:
+            return GaussianRational._raw(re[0], im[0], self._den)
+        acc_re, acc_im, scale = re[-1], im[-1], 1
+        for k in range(len(re) - 2, -1, -1):
+            scale *= d
+            acc_re, acc_im = (
+                acc_re * u - acc_im * v + re[k] * scale,
+                acc_re * v + acc_im * u + im[k] * scale,
+            )
+        return GaussianRational._raw(acc_re, acc_im, self._den * scale)
 
     def to_text(self) -> str:
         """Canonical serialization: "c0 + c1*p + c2*p^2 + ...".
@@ -340,12 +376,11 @@ class PolyP:
             if not r and not i:
                 continue
             if i:
-                coeff = f"({Fraction(r, den)},{Fraction(i, den)})"
+                coeff = f"({_ratio_text(r, den)},{_ratio_text(i, den)})"
                 sign = "+"
             else:
-                frac = Fraction(r, den)
-                sign = "-" if frac < 0 else "+"
-                coeff = str(abs(frac))
+                sign = "-" if r < 0 else "+"
+                coeff = _ratio_text(abs(r), den)
             if k == 0:
                 term = coeff
             elif k == 1:
@@ -381,12 +416,12 @@ P = PolyP([0, 1])
 _LABELS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _BITS = {label: bits for bits, label in _LABELS.items()}
 
-_I = GaussianRational(0, 1)
-_PAULI_MATRICES = {
-    "I": ((1, 0), (0, 1)),
-    "X": ((0, 1), (1, 0)),
-    "Y": ((0, -_I), (_I, 0)),
-    "Z": ((1, 0), (0, -1)),
+# Each Pauli matrix entry is 0 (None) or the unit i^e, held as e.
+_PAULI_PHASES = {
+    "I": ((0, None), (None, 0)),
+    "X": ((None, 0), (0, None)),
+    "Y": ((None, 3), (1, None)),
+    "Z": ((0, None), (None, 2)),
 }
 
 
@@ -449,6 +484,14 @@ def _noise_factors(kind: "channels.NoiseKind") -> dict[str, PolyP]:
 _BASIS_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def _half_unit_multiple(c: PolyP, e: int) -> PolyP:
+    """``c * i**e / 2``: each quarter turn swaps the parts and negates one."""
+    re, im = list(c._re), list(c._im)
+    for _ in range(e % 4):
+        re, im = [-v for v in im], re
+    return PolyP._raw(re, im, 2 * c._den)
+
+
 @lru_cache(maxsize=None)
 def extract_transfer_map(
     kind: "channels.NoiseKind",
@@ -478,15 +521,14 @@ def extract_transfer_map(
                 if e:
                     c = c * factors[factor_label] ** e
             terms.append((c if sign > 0 else -c, label, p1))
-    half = Fraction(1, 2)
     matrix = np.full((4, 4), PolyP.ZERO, dtype=object)
     for c, label, p1 in terms:
-        s, p = _PAULI_MATRICES[label], _PAULI_MATRICES[p1]
+        s, p = _PAULI_PHASES[label], _PAULI_PHASES[p1]
         for row, (a, b) in enumerate(_BASIS_PAIRS):
             for col, (i, j) in enumerate(_BASIS_PAIRS):
-                k = s[a][b] * p[j][i]
-                if k:
-                    matrix[row, col] = matrix[row, col] + c * (k * half)
+                if s[a][b] is not None and p[j][i] is not None:
+                    entry = _half_unit_multiple(c, s[a][b] + p[j][i])
+                    matrix[row, col] = matrix[row, col] + entry
     matrix.setflags(write=False)
     return matrix
 

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from teleportsim import exact, teleport
 from teleportsim.cli import (
+    MAX_STEPS,
     SweepConfig,
     format_amplitude,
     main,
@@ -169,6 +170,28 @@ class TestSweep:
         assert captured.err == f"error: noise probability {bad} outside [0, 1]\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "curves"])
+    @pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**20])
+    def test_too_many_steps_exits_2_before_any_grid(
+        self, command, steps, monkeypatch, tmp_path, capsys
+    ):
+        def no_grid(self):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(SweepConfig, "grid", no_grid)
+        out = tmp_path / "out"
+        # an out-of-range grid would be built to name its first bad point
+        argv = [command, "--noise", "bitflip", "--p-end", "2", "--steps", str(steps)]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: steps must be at most {MAX_STEPS}, got {steps}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_max_steps_is_accepted(self):
+        config = SweepConfig(NoiseKind.BIT_FLIP, ((1, 0),), steps=MAX_STEPS)
+        assert len(config.grid()) == MAX_STEPS
 
     def test_grid_range_edges(self):
         SweepConfig(NoiseKind.BIT_FLIP, ((1, 0),), p_start=0.0, p_end=1.0)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from teleportsim.analytic import PUBLISHED
 from teleportsim.exact import GaussianRational, P, PolyP
@@ -109,3 +110,117 @@ def test_hash_consistency():
     a = PolyP([Fraction(1, 2), 1])
     b = PolyP([Fraction(2, 4), 1])
     assert a == b and hash(a) == hash(b)
+
+
+# --- PolyP against a Fraction-pair reference ---------------------------------
+
+ZERO_PAIR = (Fraction(0), Fraction(0))
+
+
+def _ref_trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == ZERO_PAIR:
+        coeffs.pop()
+    return coeffs
+
+
+def _ref_add(f, g):
+    n = max(len(f), len(g))
+    f, g = f + [ZERO_PAIR] * (n - len(f)), g + [ZERO_PAIR] * (n - len(g))
+    return _ref_trim((a + c, b + d) for (a, b), (c, d) in zip(f, g))
+
+
+def _ref_neg(f):
+    return [(-a, -b) for a, b in f]
+
+
+def _ref_mul(f, g):
+    out = [ZERO_PAIR] * max(len(f) + len(g) - 1, 0)
+    for i, (a, b) in enumerate(f):
+        for j, (c, d) in enumerate(g):
+            re, im = out[i + j]
+            out[i + j] = (re + a * c - b * d, im + a * d + b * c)
+    return _ref_trim(out)
+
+
+def _ref_evaluate(f, x):
+    u, v = x
+    re, im = Fraction(0), Fraction(0)
+    for a, b in reversed(f):
+        re, im = re * u - im * v + a, re * v + im * u + b
+    return re, im
+
+
+def _ref_text(f):
+    """The canonical text as `PolyP.to_text` documents it, from Fractions."""
+    parts = []
+    for k, (a, b) in enumerate(f):
+        if not a and not b:
+            continue
+        if b:
+            coeff, sign = f"({a},{b})", "+"
+        else:
+            coeff, sign = str(abs(a)), "-" if a < 0 else "+"
+        term = coeff if k == 0 else f"{coeff}*p" if k == 1 else f"{coeff}*p^{k}"
+        if not parts:
+            parts.append(term if sign == "+" else f"-{term}")
+        else:
+            parts.append(f" {sign} {term}")
+    return "".join(parts) or "0"
+
+
+def _poly(f):
+    return PolyP([GaussianRational(a, b) for a, b in f])
+
+
+def _pairs(poly):
+    return [(c.re, c.im) for c in poly.coefficients]
+
+
+rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+gaussian_pairs = st.one_of(
+    st.tuples(rationals, st.just(Fraction(0))),  # real coefficients print unparenthesized
+    st.tuples(rationals, rationals),
+)
+coefficient_lists = st.lists(st.one_of(st.just(ZERO_PAIR), gaussian_pairs), max_size=6)
+points = st.one_of(st.just(ZERO_PAIR), gaussian_pairs)
+
+
+class TestAgainstFractionPairs:
+    @given(f=coefficient_lists, g=coefficient_lists, e=st.integers(0, 4))
+    @example(f=[], g=[ZERO_PAIR, ZERO_PAIR], e=0)
+    def test_ring_ops(self, f, g, e):
+        pf, pg = _poly(f), _poly(g)
+        f, g = _ref_trim(f), _ref_trim(g)
+        assert _pairs(pf) == f
+        assert _pairs(pf + pg) == _ref_add(f, g)
+        assert _pairs(pf - pg) == _ref_add(f, _ref_neg(g))
+        assert _pairs(pf * pg) == _ref_mul(f, g)
+        power = [(Fraction(1), Fraction(0))]
+        for _ in range(e):
+            power = _ref_mul(power, f)
+        assert _pairs(pf**e) == power
+        assert _pairs(pf.conjugate()) == [(a, -b) for a, b in f]
+
+    @given(f=coefficient_lists)
+    @example(f=[])
+    def test_coefficient_and_text(self, f):
+        poly = _poly(f)
+        f = _ref_trim(f)
+        assert poly.degree == len(f) - 1
+        for k in range(-1, len(f) + 2):
+            c = poly.coefficient(k)
+            assert (c.re, c.im) == (f[k] if 0 <= k < len(f) else ZERO_PAIR)
+        assert poly.to_text() == _ref_text(f)
+
+    @given(f=coefficient_lists, g=coefficient_lists, x=points)
+    @example(f=[], g=[], x=ZERO_PAIR)
+    @example(f=[(Fraction(1, 3), Fraction(2))] * 4, g=[], x=ZERO_PAIR)
+    def test_evaluation_at_gaussian_points(self, f, g, x):
+        point = GaussianRational(*x) if x[1] else x[0]
+        for ref, poly in (
+            (_ref_trim(f), _poly(f)),
+            (_ref_mul(_ref_trim(f), _ref_trim(g)), _poly(f) * _poly(g)),
+        ):
+            value = poly.evaluate_at(point)
+            assert (value.re, value.im) == _ref_evaluate(ref, x)

@@ -4,8 +4,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from teleportsim.exact import GaussianRational, P, PolyP
+from teleportsim.teleport import InputState, _exact_norm_sq
 
 
 def _float_samples(rng, n=12):
@@ -93,3 +95,76 @@ def test_big_rational_always_reduced():
     for f in samples:
         assert gcd(f.numerator, f.denominator) == 1
         assert f.denominator > 0
+
+
+# --- GaussianRational against Fraction-pair definitions -----------------------
+
+big_rationals = st.builds(
+    Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**20)
+)
+scalars = st.one_of(st.integers(-(10**6), 10**6), big_rationals)
+pairs = st.tuples(scalars, scalars)
+
+
+def _parts(g):
+    return g.re, g.im
+
+
+@given(x=pairs, y=pairs)
+@example(x=(0, 0), y=(Fraction(1, 3), -1))
+def test_gaussian_rational_matches_fraction_pairs(x, y):
+    a, b = map(Fraction, x)
+    c, d = map(Fraction, y)
+    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    assert _parts(gx) == (a, b)
+    assert _parts(gx * gy) == (a * c - b * d, a * d + b * c)
+    assert _parts(gx + gy) == (a + c, b + d)
+    assert _parts(gx - gy) == (a - c, b - d)
+    assert _parts(-gx) == (-a, -b)
+    assert _parts(gx.conjugate()) == (a, -b)
+    assert gx.norm_sq() == a * a + b * b
+    assert _parts(GaussianRational.from_value(x[0])) == (a, 0)
+    assert GaussianRational.from_value(gx) is gx
+    assert (gx == gy) == ((a, b) == (c, d))
+    assert (gx == x[0]) == ((a, b) == (x[0], 0))
+    assert str(gx) == (str(a) if not b else f"({a},{b})")
+    assert complex(gx) == complex(float(a), float(b))
+    assert bool(gx) == bool(a or b)
+
+
+@given(x=pairs, y=pairs)
+def test_gaussian_rational_equal_values_hash_equal(x, y):
+    """Values reached by different routes compare and hash alike."""
+    g = GaussianRational(*x)
+    h = GaussianRational(*y)
+    for same in (g + h - h, (g * h + g) - g * h, -(-g), g.conjugate().conjugate()):
+        assert same == g and hash(same) == hash(g)
+
+
+def test_gaussian_rational_hash_ignores_construction():
+    two = GaussianRational(Fraction(4, 2), 0)
+    assert two == GaussianRational(2) and hash(two) == hash(GaussianRational(2))
+    half, one_one = GaussianRational(Fraction(1, 2), Fraction(1, 2)), GaussianRational(1, 1)
+    for same in (half * 2, half + half, 2 * half):
+        assert same == one_one and hash(same) == hash(one_one)
+
+
+PYTHAGOREAN_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29))
+UNIT_PHASES = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+@pytest.mark.parametrize("a,b,c", PYTHAGOREAN_TRIPLES)
+def test_exact_norm_sq_on_pythagorean_states(a, b, c):
+    for ua, va in UNIT_PHASES:
+        for ub, vb in UNIT_PHASES:
+            alpha = GaussianRational(Fraction(a * ua, c), Fraction(a * va, c))
+            beta = GaussianRational(Fraction(b * ub, c), Fraction(b * vb, c))
+            norm = _exact_norm_sq(alpha, beta)
+            assert norm == 1 and _parts(norm) == (1, 0)
+            InputState(alpha, beta)
+    # |a/c|^2 + |a/c|^2 from the Fraction-pair definition
+    off = _exact_norm_sq(Fraction(a, c), GaussianRational(0, Fraction(a, c)))
+    assert _parts(off) == (Fraction(2 * a * a, c * c), 0)
+    with pytest.raises(ValueError, match=f"= {Fraction(2 * a * a, c * c)}, not 1"):
+        InputState(Fraction(a, c), GaussianRational(0, Fraction(a, c)))
+    assert _exact_norm_sq(a / c, b / c) is None

@@ -1,4 +1,4 @@
-"""Single- and multi-qubit Pauli noise channels, plus the fixed gate set.
+"""Single- and multi-qubit Pauli noise channels.
 
 Every channel is a weighted sum of one-qubit Pauli conjugations, with no
 matrix product: :func:`apply_to_qubit` and :func:`apply_layer` share one
@@ -22,12 +22,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
 
-from .linalg import DensityOperator, Operator, _qubit_tables
+from .linalg import DensityOperator, _qubit_tables
 
 # unused here, but perfbench/tracer.py wraps these bindings
 from .linalg import conjugate_by, tensor  # noqa: F401
@@ -78,51 +77,6 @@ def _probability_batch(values: Any) -> tuple[float, ...]:
         # the scalar check's message, naming the first bad value
         raise ValueError(f"noise probability {arr[bad[0]].item()} outside [0, 1]")
     return tuple(arr.tolist())
-
-
-@dataclass(frozen=True)
-class GateSet:
-    """Named constant operators.
-
-    All members are exactly unitary: entries are 0, +-1, +-i, with the
-    Hadamard's 1/sqrt(2) carried as an explicit scale on the operator.
-    """
-
-    I: Operator
-    X: Operator
-    Y: Operator
-    Z: Operator
-    H: Operator
-    CNOT: Operator
-
-
-@lru_cache(maxsize=None)
-def gate_set() -> GateSet:
-    """The fixed gate set (I, X, Y, Z, H, CNOT)."""
-    # complex constants: -one and -i carry a -0.0 part, and the bits of
-    # every conjugated state depend on it
-    one, zero, i = 1 + 0j, 0j, 1j
-    return GateSet(
-        I=Operator([[one, zero], [zero, one]]),
-        X=Operator([[zero, one], [one, zero]]),
-        Y=Operator([[zero, -i], [i, zero]]),
-        Z=Operator([[one, zero], [zero, -one]]),
-        H=Operator([[one, one], [one, -one]], root2_shift=1),
-        CNOT=Operator(
-            [
-                [one, zero, zero, zero],
-                [zero, one, zero, zero],
-                [zero, zero, zero, one],
-                [zero, zero, one, zero],
-            ],
-        ),
-    )
-
-
-@lru_cache(maxsize=None)
-def identity(num_qubits: int) -> Operator:
-    """Identity operator on ``num_qubits`` qubits."""
-    return Operator(np.eye(2**num_qubits))
 
 
 def _complex_p(p: Any) -> complex | np.ndarray:

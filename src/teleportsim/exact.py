@@ -48,9 +48,10 @@ class GaussianRational:
     """Complex number with exact rational real and imaginary parts.
 
     Stored as integers ``(re + i im) / den`` with ``den > 0`` and
-    ``gcd(re, im, den) == 1``, so equality and hashing are structural and
-    arithmetic never builds a :class:`~fractions.Fraction`.  The ``re`` and
-    ``im`` properties give the parts as fractions.
+    ``gcd(re, im, den) == 1``, so equality is structural and arithmetic
+    never builds a :class:`~fractions.Fraction`.  A real value hashes like
+    the equal ``int`` or ``Fraction``.  The ``re`` and ``im`` properties give
+    the parts as fractions.
     """
 
     __slots__ = ("_re", "_im", "_den")
@@ -148,6 +149,8 @@ class GaussianRational:
         return self._re == o._re and self._im == o._im and self._den == o._den
 
     def __hash__(self):
+        if not self._im:  # equal to an int or a Fraction, so hash like one
+            return hash(Fraction(self._re, self._den))
         return hash((self._re, self._im, self._den))
 
     def __bool__(self):
@@ -189,7 +192,8 @@ class PolyP:
 
     Coefficients are exposed as :class:`GaussianRational`; storage is a pair
     of integer coefficient tuples over one positive denominator, trimmed of
-    trailing zeros and reduced, so equality and hashing are structural.
+    trailing zeros and reduced, so equality is structural.  A constant
+    hashes like its coefficient, which it equals.
     """
 
     __slots__ = ("_re", "_im", "_den")
@@ -335,6 +339,8 @@ class PolyP:
         return self._re == o._re and self._im == o._im and self._den == o._den
 
     def __hash__(self):
+        if len(self._re) <= 1:  # equal to its constant coefficient
+            return hash(self.coefficient(0))
         return hash((self._re, self._im, self._den))
 
     def evaluate_at(self, p: Any) -> GaussianRational:

@@ -30,16 +30,12 @@ def _freeze(entries: np.ndarray) -> np.ndarray:
 class Operator:
     """Square complex matrix on ``num_qubits`` qubits.
 
-    ``entries`` has shape (dim, dim), or (B, dim, dim) for a batch.  The
-    represented matrix is ``entries * (1/sqrt(2)) ** root2_shift``.  Keeping
-    the power of 1/sqrt(2) explicit lets the Hadamard be stored with entries
-    +-1: conjugation applies the factor as a power of 1/2 after both matrix
-    products, and every conjugated state's bits depend on that order.
+    ``entries`` has shape (dim, dim), or (B, dim, dim) for a batch.
     """
 
-    __slots__ = ("num_qubits", "entries", "root2_shift")
+    __slots__ = ("num_qubits", "entries")
 
-    def __init__(self, entries: Any, root2_shift: int = 0):
+    def __init__(self, entries: Any):
         # C order: a batched matmul rounds according to the memory layout
         arr = np.array(entries, dtype=np.complex128, order="C")
         if arr.ndim not in (2, 3) or arr.shape[-2] != arr.shape[-1]:
@@ -56,35 +52,21 @@ class Operator:
             )
         self.num_qubits = n
         self.entries = _freeze(arr)
-        self.root2_shift = root2_shift
 
     @property
     def dim(self) -> int:
         return self.entries.shape[-1]
 
-    def dense(self) -> np.ndarray:
-        """Entries with the 1/sqrt(2) scaling resolved."""
-        if self.root2_shift == 0:
-            return self.entries.copy()
-        return self.entries * complex(2.0 ** (-self.root2_shift / 2))
-
     def trace(self) -> complex | np.ndarray:
         """The trace; a (B,) array for a batch."""
-        t = self.entries.trace(axis1=-2, axis2=-1)
-        if self.root2_shift == 0:
-            return t
-        return self.dense().trace(axis1=-2, axis2=-1)
+        return self.entries.trace(axis1=-2, axis2=-1)
 
     def __repr__(self) -> str:
-        shift = f", root2_shift={self.root2_shift}" if self.root2_shift else ""
-        return f"<{type(self).__name__} {self.num_qubits} qubit(s){shift}>"
+        return f"<{type(self).__name__} {self.num_qubits} qubit(s)>"
 
 
 class DensityOperator(Operator):
-    """Operator used in state position: no scaling."""
-
-    def __init__(self, entries: Any):
-        super().__init__(entries, root2_shift=0)
+    """Operator used in state position."""
 
 
 class PureState:
@@ -116,7 +98,7 @@ def tensor(a: Operator, b: Operator) -> Operator:
     ent = np.kron(a.entries, b.entries)
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
         return DensityOperator(ent)
-    return Operator(ent, a.root2_shift + b.root2_shift)
+    return Operator(ent)
 
 
 def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
@@ -144,14 +126,62 @@ def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
     return DensityOperator(np.trace(block, axis1=1, axis2=3))
 
 
-def conjugate_by(rho: DensityOperator, u: Operator) -> DensityOperator:
-    """Return u rho u^dagger, resolving any 1/sqrt(2) scaling as a power of 1/2."""
-    if rho.dim != u.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim} vs operator {u.dim}")
-    raw = (u.entries @ rho.entries) @ np.conjugate(u.entries).T
-    if u.root2_shift:
-        raw = raw * complex(0.5**u.root2_shift)
-    return DensityOperator(raw)
+@lru_cache(maxsize=None)
+def _cnot_permutation(control: int, target: int, n: int) -> np.ndarray:
+    """The flattened index map of a CNOT conjugation on ``n`` qubits: the
+    target bit of the row and of the column index flips where the control
+    bit is set."""
+    index = np.arange(1 << n)
+    mapped = np.where(index & (1 << (n - control)), index ^ (1 << (n - target)), index)
+    perm = (mapped[:, None] * (1 << n) + mapped).ravel()
+    perm.setflags(write=False)
+    return perm
+
+
+def _hadamard_conjugate(entries: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """H rho H on ``qubit``: the butterfly (a + b, a - b) on the qubit's row
+    bit, then on its column bit, then the factor 1/2.
+
+    The reshapes split the row (then the column) index into the bits above
+    the qubit, the qubit's bit and the bits below it, so the halves are
+    basic slices of views.
+    """
+    lead, dim = entries.shape[:-2], 1 << n
+    high, low = 1 << (qubit - 1), 1 << (n - qubit)
+    rows = entries.reshape(lead + (high, 2, low, dim))
+    mid = np.empty_like(rows)
+    np.add(rows[..., 0, :, :], rows[..., 1, :, :], out=mid[..., 0, :, :])
+    np.subtract(rows[..., 0, :, :], rows[..., 1, :, :], out=mid[..., 1, :, :])
+    cols = mid.reshape(lead + (dim, high, 2, low))
+    out = np.empty_like(cols)
+    np.add(cols[..., 0, :], cols[..., 1, :], out=out[..., 0, :])
+    np.subtract(cols[..., 0, :], cols[..., 1, :], out=out[..., 1, :])
+    out = out.reshape(lead + (dim, dim))
+    np.add(out, 0j, out=out)
+    return np.multiply(out, complex(0.5), out=out)
+
+
+def conjugate_by(rho: DensityOperator, gate: tuple[str, tuple[int, ...]]) -> DensityOperator:
+    """Return U rho U^dagger for a Clifford ``gate``: ``("H", (qubit,))`` or
+    ``("CNOT", (control, target))``, as in :data:`teleportsim.teleport.CIRCUIT`.
+
+    No matrix product: a CNOT permutes the rows and the columns, and H is a
+    butterfly on its qubit's row and column bits.  The ``+ 0j`` turns a
+    -0.0 part into +0.0, as the zero products of a dense U rho U^dagger do,
+    so the bits equal that product's.
+    """
+    name, qubits = gate
+    n = rho.num_qubits
+    if not all(1 <= q <= n for q in qubits):
+        raise ValueError(f"gate {gate} acts outside qubits 1..{n}")
+    if name == "H" and len(qubits) == 1:
+        return DensityOperator(_hadamard_conjugate(rho.entries, qubits[0], n))
+    if name == "CNOT" and len(qubits) == 2 and qubits[0] != qubits[1]:
+        entries = rho.entries
+        flat = entries.reshape(entries.shape[:-2] + (-1,))
+        permuted = flat.take(_cnot_permutation(*qubits, n), axis=-1).reshape(entries.shape)
+        return DensityOperator(permuted + 0j)
+    raise ValueError(f"unknown gate {gate}; expected ('H', (q,)) or ('CNOT', (c, t))")
 
 
 @lru_cache(maxsize=None)
@@ -212,9 +242,9 @@ def hermiticity_deviation(op: Operator) -> float:
 
 def hermitian_eigenvalues(op: Operator) -> np.ndarray:
     """Ascending eigenvalues of a (near-)Hermitian operator."""
-    return np.linalg.eigvalsh(op.dense())
+    return np.linalg.eigvalsh(op.entries)
 
 
 def max_entry_delta(a: Operator, b: Operator) -> float:
     """Max entrywise |a - b| between two operators."""
-    return float(np.max(np.abs(a.dense() - b.dense())))
+    return float(np.max(np.abs(a.entries - b.entries)))

@@ -16,15 +16,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
-from .channels import ChannelSpec, apply_layer, gate_set, identity
+from .channels import ChannelSpec, apply_layer
 from .linalg import (
     DensityOperator,
-    Operator,
     PureState,
     conjugate_by,
     fidelity_with,
@@ -132,24 +130,9 @@ ALTERNATE_ASSIGNMENTS = (
 
 
 #: The gate columns in circuit order, each followed by a noise layer: the
-#: gate's name in the gate set and the adjacent qubits it acts on, most
-#: significant first (a CNOT's control, then its target).
+#: gate's name and the adjacent qubits it acts on, most significant first
+#: (a CNOT's control, then its target).
 CIRCUIT = (("H", (2,)), ("CNOT", (2, 3)), ("CNOT", (1, 2)), ("H", (1,)))
-
-
-@lru_cache(maxsize=None)
-def _circuit_ops() -> tuple[Operator, ...]:
-    """The :data:`CIRCUIT` gates embedded in three qubits."""
-    g = gate_set()
-    ops = []
-    for name, qubits in CIRCUIT:
-        op = getattr(g, name)
-        if qubits[0] > 1:
-            op = tensor(identity(qubits[0] - 1), op)
-        if qubits[-1] < 3:
-            op = tensor(op, identity(3 - qubits[-1]))
-        ops.append(op)
-    return tuple(ops)
 
 
 def build_initial(input_state: InputState) -> DensityOperator:
@@ -209,8 +192,8 @@ def run_stages_from_initial(
         raise ValueError(f"pipeline expects 3 qubits, got {rho1.num_qubits}")
     rho = rho1
     stages = {"rho1": rho}
-    for k, op in enumerate(_circuit_ops()):
-        stages[f"rho{2 * k + 2}"] = rho = conjugate_by(rho, op)
+    for k, gate in enumerate(CIRCUIT):
+        stages[f"rho{2 * k + 2}"] = rho = conjugate_by(rho, gate)
         if noise_enabled:
             rho = apply_layer(noise, rho)
         stages[f"rho{2 * k + 3}"] = rho

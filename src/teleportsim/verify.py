@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analytic import PUBLISHED, linear_slope_exact
-from .channels import ChannelSpec, NoiseKind, apply_layer, identity
+from .channels import ChannelSpec, NoiseKind, apply_layer
 from .exact import GaussianRational, P, PolyP, extract_transfer_map, run_pipeline_symbolic
 from .linalg import (
     DensityOperator,
@@ -227,10 +227,10 @@ def _product_of_noisy_marginals(rho: DensityOperator, p: float) -> DensityOperat
     the true product channel on product states.
     """
     out = None
-    one_q = identity(1)
+    one_q = np.eye(2, dtype=np.complex128)
     for q in range(1, rho.num_qubits + 1):
         marginal = partial_trace(rho, [q])
-        noisy = DensityOperator((1 - p) * marginal.entries + (p / 2) * one_q.entries)
+        noisy = DensityOperator((1 - p) * marginal.entries + (p / 2) * one_q)
         out = noisy if out is None else tensor(out, noisy)
     return out
 

@@ -3,37 +3,104 @@
 The package applies a channel to every qubit with one per-qubit kernel
 (``channels.apply_layer``).  The forms below re-derive the same layer by a
 different route, with dense tensor products, partial traces and matrix
-conjugations:
+conjugations, on gates written out here with numpy:
 
 - :func:`depolarizing_subset_expansion` sums over the subsets of qubits
   replaced by I/2;
 - :func:`flip_sum_expansion` sums every Pauli flip string with its binomial
   weight;
 - :func:`kraus_operators` writes each channel as weighted 2x2 Kraus
-  operators, for the embedded-Kraus references in ``test_channels``.
+  operators, for the embedded-Kraus references in ``test_channels``;
+- :func:`dense_conjugate` with :func:`gate_matrix` is the dense form of
+  ``linalg.conjugate_by``, which applies the circuit's gates by index maps.
 """
 
 import itertools
+from functools import reduce
 from typing import Any
 
-from teleportsim.channels import (
-    ChannelSpec,
-    NoiseKind,
-    _complex_p,
-    _pauli_weights,
-    gate_set,
-    identity,
+import numpy as np
+
+from teleportsim.channels import ChannelSpec, NoiseKind, _complex_p, _pauli_weights
+from teleportsim.linalg import DensityOperator, Operator, partial_trace, tensor
+
+# complex constants: -one and -i carry a -0.0 part, and the bits of every
+# conjugated state depend on it
+_ONE, _ZERO, _I = 1 + 0j, 0j, 1j
+I = np.array([[_ONE, _ZERO], [_ZERO, _ONE]])
+X = np.array([[_ZERO, _ONE], [_ONE, _ZERO]])
+Y = np.array([[_ZERO, -_I], [_I, _ZERO]])
+Z = np.array([[_ONE, _ZERO], [_ZERO, -_ONE]])
+#: the Hadamard times sqrt(2): entries +-1, so a conjugation by it applies
+#: the factor 1/2 after both matrix products (``dense_conjugate``'s ``scale``)
+H = np.array([[_ONE, _ONE], [_ONE, -_ONE]])
+CNOT = np.array(
+    [
+        [_ONE, _ZERO, _ZERO, _ZERO],
+        [_ZERO, _ONE, _ZERO, _ZERO],
+        [_ZERO, _ZERO, _ZERO, _ONE],
+        [_ZERO, _ZERO, _ONE, _ZERO],
+    ]
 )
-from teleportsim.linalg import (
-    DensityOperator,
-    Operator,
-    conjugate_by,
-    partial_trace,
-    tensor,
-)
+PAULIS = {"I": I, "X": X, "Y": Y, "Z": Z}
+for _gate in (I, X, Y, Z, H, CNOT):
+    _gate.setflags(write=False)
 
 
-def kraus_operators(spec: ChannelSpec) -> list[tuple[Any, Operator]]:
+#: every ``conjugate_by`` gate on three qubits: H on each qubit, and CNOT on
+#: each ordered (control, target) pair
+GATES = [("H", (q,)) for q in (1, 2, 3)] + [
+    ("CNOT", pair) for pair in itertools.permutations((1, 2, 3), 2)
+]
+
+
+def eye(num_qubits: int) -> np.ndarray:
+    """Complex identity matrix on ``num_qubits`` qubits."""
+    return np.eye(2**num_qubits, dtype=np.complex128)
+
+
+def embed(u: np.ndarray, first: int, n: int) -> np.ndarray:
+    """``u`` on qubits ``first``, ``first + 1``, ... of ``n``, identity on
+    the rest: one Kronecker product on each side that has qubits."""
+    last = first + u.shape[0].bit_length() - 2
+    if first > 1:
+        u = np.kron(eye(first - 1), u)
+    if last < n:
+        u = np.kron(u, eye(n - last))
+    return u
+
+
+def gate_matrix(gate: tuple[str, tuple[int, ...]], n: int) -> tuple[np.ndarray, Any]:
+    """Dense matrix of a ``teleport.CIRCUIT``-style gate on ``n`` qubits, and
+    the ``scale`` that :func:`dense_conjugate` applies with it.
+
+    H, and a CNOT whose target follows its control, are embedded like a
+    Kraus Pauli.  A CNOT on any other ordered pair is P0 (x) I + P1 (x) X,
+    with P0 and P1 the projectors onto the control's 0 and 1.
+    """
+    name, qubits = gate
+    if name == "H":
+        return embed(H, qubits[0], n), 0.5
+    control, target = qubits
+    if target == control + 1:
+        return embed(CNOT, control, n), None
+    factors = [[I] * n, [I] * n]
+    factors[0][control - 1] = np.diag([_ONE, _ZERO])
+    factors[1][control - 1] = np.diag([_ZERO, _ONE])
+    factors[1][target - 1] = X
+    return reduce(np.kron, factors[0]) + reduce(np.kron, factors[1]), None
+
+
+def dense_conjugate(rho: Operator, u: np.ndarray, scale: Any = None) -> np.ndarray:
+    """Entries of u rho u^dagger by two dense matrix products, then
+    ``* complex(scale)`` when a scale is given (0.5 for :data:`H`)."""
+    raw = (u @ rho.entries) @ np.conjugate(u).T
+    if scale is not None:
+        raw = raw * complex(scale)
+    return raw
+
+
+def kraus_operators(spec: ChannelSpec) -> list[tuple[Any, np.ndarray]]:
     """Weighted Kraus decomposition {(w_i, K_i)} with sum_i w_i K_i^dag K_i = I.
 
     Bit flip: {(1-p, I), (p, X)}.  Phase flip: {(1-p, I), (p, Z)}.
@@ -41,8 +108,7 @@ def kraus_operators(spec: ChannelSpec) -> list[tuple[Any, Operator]]:
     the mix-with-I/2 form (1-p) rho + p I/2 on every input.  The weights are
     the kernel's own, bit for bit.
     """
-    g = gate_set()
-    return [(w, getattr(g, label)) for w, label in _pauli_weights(spec.kind, _complex_p(spec.p))]
+    return [(w, PAULIS[label]) for w, label in _pauli_weights(spec.kind, _complex_p(spec.p))]
 
 
 def sort_qubits(op: Operator, labels: list[int]) -> DensityOperator:
@@ -54,8 +120,6 @@ def sort_qubits(op: Operator, labels: list[int]) -> DensityOperator:
     """
     labels = list(labels)
     n = op.num_qubits
-    if op.root2_shift:
-        raise ValueError("sort_qubits expects an unscaled operator")
     if len(labels) != n or len(set(labels)) != n:
         raise ValueError(f"labels {labels} must be {n} distinct qubit indices")
     order = sorted(range(n), key=lambda k: labels[k])
@@ -78,8 +142,8 @@ def depolarizing_subset_expansion(rho: DensityOperator, p: Any) -> DensityOperat
     half, quarter, eighth = 0.5 + 0j, 0.25 + 0j, 0.125 + 0j
 
     acc = (keep_w * keep_w * keep_w) * rho.entries
-    one_q = identity(1)
-    two_q = identity(2)
+    one_q = Operator(eye(1))
+    two_q = Operator(eye(2))
     for traced in (1, 2, 3):
         keep = [q for q in (1, 2, 3) if q != traced]
         marg = partial_trace(rho, keep)
@@ -91,7 +155,7 @@ def depolarizing_subset_expansion(rho: DensityOperator, p: Any) -> DensityOperat
         emb = sort_qubits(tensor(marg, two_q), [kept] + others)
         acc = acc + (pp * pp * keep_w * quarter) * emb.entries
     full_w = pp * pp * pp * eighth * rho.trace()
-    acc = acc + full_w * identity(3).entries
+    acc = acc + full_w * eye(3)
     return DensityOperator(acc)
 
 
@@ -103,8 +167,7 @@ def flip_sum_expansion(spec: ChannelSpec, rho: DensityOperator) -> DensityOperat
     """
     if spec.kind is NoiseKind.DEPOLARIZING:
         raise ValueError("flip_sum_expansion covers the bit/phase flip channels only")
-    g = gate_set()
-    flip = g.X if spec.kind is NoiseKind.BIT_FLIP else g.Z
+    flip = X if spec.kind is NoiseKind.BIT_FLIP else Z
     p = _complex_p(spec.p)
     q = 1 + 0j - p
     n = rho.num_qubits
@@ -114,8 +177,8 @@ def flip_sum_expansion(spec: ChannelSpec, rho: DensityOperator) -> DensityOperat
         string = None
         for b in bits:
             weight = weight * (p if b else q)
-            factor = flip if b else g.I
-            string = factor if string is None else tensor(string, factor)
-        branch = conjugate_by(rho, string).entries * weight
+            factor = flip if b else I
+            string = factor if string is None else np.kron(string, factor)
+        branch = dense_conjugate(rho, string) * weight
         acc = branch if acc is None else acc + branch
     return DensityOperator(acc)

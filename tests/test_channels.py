@@ -14,19 +14,25 @@ from hypothesis import given, strategies as st
 
 import dense_reference as ref
 from expanded_forms import (
+    GATES,
+    X,
+    Z,
+    dense_conjugate,
     depolarizing_subset_expansion,
+    embed,
+    eye,
     flip_sum_expansion,
+    gate_matrix,
     kraus_operators,
     sort_qubits,
 )
 from teleportsim.channels import (
     ChannelSpec,
     NoiseKind,
+    _complex_p,
     _pauli_weights,
     apply_layer,
     apply_to_qubit,
-    gate_set,
-    identity,
 )
 from teleportsim.exact import GaussianRational, P, PolyP
 from teleportsim.linalg import (
@@ -58,28 +64,13 @@ def spec(kind, p):
     return ChannelSpec(kind, p)
 
 
-class TestGateSet:
-    def test_unitarity_is_exact(self):
-        g = gate_set()
-        for u in (g.I, g.X, g.Y, g.Z, g.H, g.CNOT):
-            # the 1/sqrt(2) scalings of u and u^dagger make 1/2 per unit of shift
-            prod = u.entries @ np.conjugate(u.entries).T * 0.5**u.root2_shift
-            assert np.array_equal(prod, np.eye(u.dim))
-
-    def test_involutions(self):
-        g = gate_set()
-        for u in (g.X, g.Y, g.Z, g.H):
-            assert np.array_equal(u.entries @ u.entries * 0.5**u.root2_shift, np.eye(2))
-        assert np.array_equal(g.CNOT.entries @ g.CNOT.entries, np.eye(4))
-
-
 class TestKrausOperators:
     @pytest.mark.parametrize("kind", list(NoiseKind))
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
     def test_completeness(self, kind, p):
         acc = np.zeros((2, 2), dtype=complex)
         for w, op in kraus_operators(spec(kind, p)):
-            acc += w * (np.conjugate(op.entries).T @ op.entries)
+            acc += w * (np.conjugate(op).T @ op)
         assert np.allclose(acc, np.eye(2), atol=1e-15)
 
     def test_completeness_symbolic(self):
@@ -200,7 +191,7 @@ class TestApplyToQubit:
         rho = random_density(3)
         out = apply_to_qubit(spec(NoiseKind.DEPOLARIZING, 1.0), rho, 2)
         marg = partial_trace(rho, keep=[1, 3])
-        rebuilt = sort_qubits(tensor(marg, identity(1)), [1, 3, 2])
+        rebuilt = sort_qubits(tensor(marg, Operator(eye(1))), [1, 3, 2])
         assert max_entry_delta(out, DensityOperator(rebuilt.entries / 2)) <= 1e-14
 
     def test_index_out_of_range(self, random_density):
@@ -243,15 +234,14 @@ class TestApplyLayer:
                 assert hermitian_eigenvalues(out)[0] >= -1e-10
 
     def test_flip_layers_relate_p_and_complement(self, random_density):
-        g = gate_set()
-        xxx = tensor(tensor(g.X, g.X), g.X)
-        zzz = tensor(tensor(g.Z, g.Z), g.Z)
+        xxx = np.kron(np.kron(X, X), X)
+        zzz = np.kron(np.kron(Z, Z), Z)
         rho = random_density(3)
         p = 0.23
         for kind, u in ((NoiseKind.BIT_FLIP, xxx), (NoiseKind.PHASE_FLIP, zzz)):
             direct = apply_layer(spec(kind, 1 - p), rho)
-            related = conjugate_by(apply_layer(spec(kind, p), rho), u)
-            assert max_entry_delta(direct, related) <= 1e-14
+            related = dense_conjugate(apply_layer(spec(kind, p), rho), u)
+            assert np.max(np.abs(direct.entries - related)) <= 1e-14
 
     def test_phaseflip_fixes_diagonal_states(self, rng):
         diag = np.diag(rng.random(8))
@@ -350,33 +340,24 @@ def embedded_kraus_reference(spec, rho, qubit):
     n = rho.num_qubits
     acc = None
     for w, op in kraus_operators(spec):
-        if qubit > 1:
-            op = tensor(identity(qubit - 1), op)
-        if qubit < n:
-            op = tensor(op, identity(n - qubit))
-        branch = conjugate_by(rho, op).entries * w
+        branch = dense_conjugate(rho, embed(op, qubit, n)) * w
         acc = branch if acc is None else acc + branch
     return acc
 
 
 def dense_correction_reference(rho9, assignment):
     """Dense form of measure_and_correct: Z @ X, X or Z by matrix products."""
-    g = gate_set()
     acc = None
     for m1 in (0, 1):
         for m2 in (0, 1):
             base = 4 * m1 + 2 * m2
-            branch = DensityOperator(rho9.entries[base : base + 2, base : base + 2])
+            block = DensityOperator(rho9.entries[base : base + 2, base : base + 2])
             outcome = {1: m1, 2: m2}
             x_pow = outcome[assignment.x_source]
             z_pow = outcome[assignment.z_source]
-            if x_pow and z_pow:
-                branch = conjugate_by(branch, Operator(g.Z.entries @ g.X.entries))
-            elif x_pow:
-                branch = conjugate_by(branch, g.X)
-            elif z_pow:
-                branch = conjugate_by(branch, g.Z)
-            acc = branch.entries if acc is None else acc + branch.entries
+            u = {(1, 1): Z @ X, (1, 0): X, (0, 1): Z}.get((x_pow, z_pow))
+            branch = block.entries if u is None else dense_conjugate(block, u)
+            acc = branch if acc is None else acc + branch
     return acc
 
 
@@ -421,10 +402,8 @@ def layer_reference(spec, rho, reference=embedded_kraus_reference):
 def branch_sum_reference(spec, rho, qubit):
     """apply_to_qubit as one Pauli branch at a time: each conjugated by
     linalg.pauli_conjugate, then weighted, then summed in order."""
-    g = gate_set()
     acc = None
-    for w, op in kraus_operators(spec):
-        label = next(k for k in "IXYZ" if getattr(g, k) is op)
+    for w, label in _pauli_weights(spec.kind, _complex_p(spec.p)):
         branch = pauli_conjugate(rho.entries, label, qubit, rho.num_qubits) * w
         acc = branch if acc is None else acc + branch
     return acc
@@ -505,6 +484,19 @@ class TestAgainstDenseReference:
                     got = apply_layer(s, rho).entries
                     assert got.flags.c_contiguous
                     assert got.tobytes() == layer_reference(s, rho, branch_sum_reference).tobytes()
+
+    @pytest.mark.parametrize("gate", GATES, ids=str)
+    def test_conjugate_by_equals_dense_conjugate(self, gate, random_density, rng):
+        # the index maps against U rho U^dagger by two matrix products, with
+        # H's factor 1/2 after both; most inputs have signed-zero parts
+        u, scale = gate_matrix(gate, 3)
+        inputs = [random_density(3)]
+        for batch in (None, 6, 101):
+            inputs += [random_operator(rng, 3, batch, zeros=True) for _ in range(4)]
+        for rho in inputs:
+            got = conjugate_by(rho, gate).entries
+            assert got.flags.c_contiguous
+            assert got.tobytes() == dense_conjugate(rho, u, scale).tobytes()
 
     def test_negative_zero_probability_keeps_its_own_weights(self):
         # p = -0.0 equals 0.0, but its X weight is -0.0, and so is the real

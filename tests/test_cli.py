@@ -307,6 +307,38 @@ class TestStateFlags:
         assert not out.exists()
 
 
+TRACE_P = ["trace", "--noise", "bitflip", "--alpha", "1", "--beta", "0"]
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (TRACE_P + ["--p", "nan"], "noise probability nan outside [0, 1]"),
+            (TRACE_P + ["--p", "inf"], "noise probability inf outside [0, 1]"),
+            (TRACE_P + ["--p=-0.5"], "noise probability -0.5 outside [0, 1]"),
+            (TRACE_P + ["--p", "1e400"], "noise probability inf outside [0, 1]"),
+            (["sweep", "--noise", "bitflip", "--steps", "1"], "steps must be at least 2, got 1"),
+            (["sweep", "--noise", "bitflip", "--steps", "0"], "steps must be at least 2, got 0"),
+            (["curves", "--noise", "bitflip", "--steps", "1"], "steps must be at least 2, got 1"),
+            (["curves", "--noise", "bitflip", "--steps", "0"], "steps must be at least 2, got 0"),
+            (["sweep", "--noise", "bitflip", "--columns="], "unknown column ''"),
+        ],
+        ids=[
+            "trace-p-nan", "trace-p-inf", "trace-p-negative", "trace-p-overflow",
+            "sweep-steps-1", "sweep-steps-0", "curves-steps-1", "curves-steps-0",
+            "sweep-empty-columns",
+        ],
+    )
+    def test_exits_2_with_message(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestTrace:
     def test_noiseless_layers_repeat_stages(self, capsys):
         assert main(["trace", "--noise", "depolarizing", "--p", "0",

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from expanded_forms import sort_qubits
-from teleportsim.channels import ChannelSpec, NoiseKind, gate_set, identity
+from expanded_forms import GATES, sort_qubits
+from teleportsim.channels import ChannelSpec, NoiseKind
 from teleportsim.linalg import (
     DensityOperator,
     Operator,
@@ -59,7 +59,7 @@ def brute_force_partial_trace(rho: DensityOperator, keep) -> np.ndarray:
 
 class TestTensor:
     def test_identity_case(self):
-        i2 = identity(1)
+        i2 = Operator(np.eye(2))
         i4 = tensor(i2, i2)
         assert np.array_equal(i4.entries, np.eye(4))
 
@@ -127,43 +127,58 @@ class TestPartialTrace:
 
 
 class TestConjugateBy:
-    def test_identity(self, random_density):
-        rho = random_density(2)
-        out = conjugate_by(rho, identity(2))
+    @pytest.mark.parametrize("gate", [g for g in GATES if g[0] == "CNOT"], ids=str)
+    def test_cnot_twice_is_the_identity(self, gate, random_density):
+        rho = random_density(3)
+        out = conjugate_by(conjugate_by(rho, gate), gate)
         assert max_entry_delta(out, rho) == 0.0
 
     def test_hadamard_on_zero(self):
-        g = gate_set()
-        out = conjugate_by(proj([1, 0]), g.H)
+        out = conjugate_by(proj([1, 0]), ("H", (1,)))
         assert np.allclose(out.entries, np.full((2, 2), 0.5), atol=1e-16)
 
     def test_hand_expanded_second_qubit_hadamard(self):
         # (alpha, beta) = (1, 0): H on qubit 2 gives |0>|+><+|<0| x |0><0|
-        g = gate_set()
-        i1 = identity(1)
         rho1 = tensor(proj([1, 0]), proj([1, 0, 0, 0]))
-        out = conjugate_by(rho1, tensor(tensor(i1, g.H), i1))
+        out = conjugate_by(rho1, ("H", (2,)))
         expected = np.zeros((8, 8))
         for r in (0, 2):
             for c in (0, 2):
                 expected[r, c] = 0.5
         assert np.max(np.abs(out.entries - expected)) <= 1e-15
 
-    def test_trace_and_hermiticity_preserved_by_gate_set(self, random_density):
-        g = gate_set()
-        for u in (g.I, g.X, g.Y, g.Z, g.H):
-            rho = random_density(1)
-            out = conjugate_by(rho, u)
-            assert abs(out.trace() - 1) < 1e-13
-            assert hermiticity_deviation(out) < 1e-13
-        rho = random_density(2)
-        out = conjugate_by(rho, g.CNOT)
+    def test_hand_expanded_cnot(self):
+        # CNOT(1 -> 3) maps |1 0 0> to |1 0 1>: basis index 4 to 5
+        out = conjugate_by(proj([0, 0, 0, 0, 1, 0, 0, 0]), ("CNOT", (1, 3)))
+        expected = np.zeros((8, 8))
+        expected[5, 5] = 1
+        assert np.array_equal(out.entries, expected)
+
+    @pytest.mark.parametrize("gate", GATES, ids=str)
+    def test_trace_and_hermiticity_preserved(self, gate, random_density):
+        rho = random_density(3)
+        out = conjugate_by(rho, gate)
         assert abs(out.trace() - 1) < 1e-13
         assert hermiticity_deviation(out) < 1e-13
 
-    def test_dimension_mismatch(self, random_density):
-        with pytest.raises(ValueError):
-            conjugate_by(random_density(2), gate_set().H)
+    @pytest.mark.parametrize(
+        "gate,message",
+        [
+            (("X", (1,)), "unknown gate"),
+            (("h", (1,)), "unknown gate"),
+            (("H", (1, 2)), "unknown gate"),
+            (("CNOT", (1,)), "unknown gate"),
+            (("CNOT", (2, 2)), "unknown gate"),
+            (("H", (0,)), "acts outside qubits 1..2"),
+            (("H", (3,)), "acts outside qubits 1..2"),
+            (("CNOT", (1, 3)), "acts outside qubits 1..2"),
+        ],
+        ids=["X", "lowercase-h", "H-two-qubits", "CNOT-one-qubit", "CNOT-same-qubit",
+             "H-qubit-0", "H-qubit-3", "CNOT-target-3"],
+    )
+    def test_bad_gate_rejected(self, gate, message, random_density):
+        with pytest.raises(ValueError, match=message):
+            conjugate_by(random_density(2), gate)
 
 
 class TestFidelity:
@@ -185,6 +200,10 @@ class TestFidelity:
         bad = DensityOperator([[1, 1], [0, 0]])
         with pytest.raises(ValueError):
             fidelity_with(psi, bad)
+        # the tolerance is 1e-9: a 1e-10 deviation passes, a 1e-8 one fails
+        assert fidelity_with(psi, DensityOperator([[1, 1e-10], [0, 0]])) == 1.0
+        with pytest.raises(ValueError, match=r"not Hermitian \(deviation 1\.000e-08\)"):
+            fidelity_with(psi, DensityOperator([[1, 1e-8], [0, 0]]))
         # a nan entry makes a nan deviation, which must fail the check too
         for entry in ((1, 1), (0, 1)):
             ent = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -202,12 +221,6 @@ class TestFidelity:
 
 
 class TestOperatorScaling:
-    def test_hadamard_square_is_identity_exactly(self):
-        g = gate_set()
-        # entries +-1 square to 2I exactly; the two 1/sqrt(2) factors make 1/2
-        assert g.H.root2_shift == 1
-        assert np.array_equal(g.H.entries @ g.H.entries, 2 * np.eye(2))
-
     def test_trace_linearity(self, random_density, rng):
         a, b = random_density(2), random_density(2)
         x, y = complex(rng.normal()), complex(rng.normal())

@@ -110,6 +110,19 @@ def test_hash_consistency():
     a = PolyP([Fraction(1, 2), 1])
     b = PolyP([Fraction(2, 4), 1])
     assert a == b and hash(a) == hash(b)
+    # a constant equals, and hashes like, its coefficient in any exact type
+    for constant, plain in (
+        (PolyP(), 0),
+        (PolyP([2]), 2),
+        (PolyP([Fraction(-3, 4)]), Fraction(-3, 4)),
+        (PolyP([Fraction(4, 2)]), GaussianRational(2)),
+        (PolyP([GaussianRational(1, 1)]), GaussianRational(1, 1)),
+        (PolyP([GaussianRational(0, Fraction(1, 3))]), GaussianRational(0, Fraction(1, 3))),
+    ):
+        assert constant == plain and hash(constant) == hash(plain)
+        assert plain in {constant} and constant in {plain}
+    assert 2 in {PolyP([2]), GaussianRational(2)} and len({PolyP([2]), GaussianRational(2), 2}) == 1
+    assert PolyP([0, 1]) not in {0, 1}
 
 
 # --- PolyP against a Fraction-pair reference ---------------------------------

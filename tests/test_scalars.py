@@ -133,12 +133,22 @@ def test_gaussian_rational_matches_fraction_pairs(x, y):
 
 
 @given(x=pairs, y=pairs)
+@example(x=(2, 0), y=(0, 0))
+@example(x=(Fraction(-3, 4), 1), y=(1, 1))
 def test_gaussian_rational_equal_values_hash_equal(x, y):
     """Values reached by different routes compare and hash alike."""
     g = GaussianRational(*x)
     h = GaussianRational(*y)
     for same in (g + h - h, (g * h + g) - g * h, -(-g), g.conjugate().conjugate()):
         assert same == g and hash(same) == hash(g)
+    # a real value equals, and hashes like, its Fraction (and its int)
+    re = Fraction(x[0])
+    real = GaussianRational(re)
+    for plain in [re] + ([re.numerator] if re.denominator == 1 else []):
+        assert real == plain and hash(real) == hash(plain)
+        assert plain in {real} and real in {plain} and {real: 1}[plain] == 1
+    if x[1]:
+        assert g not in {re}
 
 
 def test_gaussian_rational_hash_ignores_construction():

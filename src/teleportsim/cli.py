@@ -109,10 +109,6 @@ class SweepConfig:
         return [self.p_start + span * i / (self.steps - 1) for i in range(self.steps)]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _grid_fidelities(kind: NoiseKind, state: InputState, grid: list[float]) -> list[float]:
     """Pipeline fidelity at every grid point, one batched run per chunk."""
     out: list[float] = []
@@ -138,10 +134,11 @@ def run_sweep(config: SweepConfig) -> str:
     lines = [",".join(header)]
     grid = config.grid()
     p_grid = np.array(grid)
-    p_text = [_fmt(p) for p in grid]
     for alpha, beta in config.states:
-        label = state_label(alpha, beta)
         state = InputState(alpha, beta)
+        # one format call per row: p, the label (float reprs, so no `%`),
+        # then the value columns
+        row = "%.17g," + state_label(alpha, beta) + ",%.17g" * (len(header) - 2)
         columns = []
         if "numeric" in want:
             numeric = _grid_fidelities(config.kind, state, grid)
@@ -153,8 +150,7 @@ def run_sweep(config: SweepConfig) -> str:
             columns.append(fidelity_linear(config.kind, state, p_grid).tolist())
         if with_diff:
             columns.append([abs(f_num - f_ana) for f_num, f_ana in zip(numeric, analytic)])
-        for p, *values in zip(p_text, *columns):
-            lines.append(",".join([p, label, *map(_fmt, values)]))
+        lines += map(row.__mod__, zip(grid, *columns))
     return "\n".join(lines) + "\n"
 
 
@@ -206,10 +202,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _format_entry(z: complex) -> str:
-    return f"{z.real:.12g}{z.imag:+.12g}i"
-
-
 def cmd_trace(args) -> int:
     states = _states_from_args(args)
     if len(states) != 1:
@@ -217,19 +209,16 @@ def cmd_trace(args) -> int:
     alpha, beta = states[0]
     state = InputState(alpha, beta)
     stages = run_stages(state, ChannelSpec(NoiseKind(args.noise), args.p))
-    lines = [
-        f"stage trace: noise={args.noise} p={_fmt(args.p)} "
-        f"state={state_label(alpha, beta)}"
-    ]
+    lines = [f"stage trace: noise={args.noise} p={args.p:.17g} state={state_label(alpha, beta)}"]
     for label, rho in stages.items():
         lines.append("")
         lines.append(f"{label} ({rho.num_qubits} qubit{'s' if rho.num_qubits > 1 else ''})")
+        row_fmt = "  " + "  ".join(["%32s"] * rho.dim)
         # Python complexes format to the same text as numpy's, and faster
         for row in rho.entries.tolist():
-            lines.append("  " + "  ".join(f"{_format_entry(z):>32}" for z in row))
-        tr = rho.trace()
+            lines.append(row_fmt % tuple(["%.12g%+.12gi" % (z.real, z.imag) for z in row]))
         min_eig = hermitian_eigenvalues(rho)[0]
-        lines.append(f"  trace = {tr.real:.12g}, min eigenvalue = {min_eig:.12g}")
+        lines.append("  trace = %.12g, min eigenvalue = %.12g" % (rho.trace().real, min_eig))
     text = "\n".join(lines) + "\n"
     if args.out:
         return _write_or_fail(args.out, text)

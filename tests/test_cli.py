@@ -4,14 +4,19 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
+import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from teleportsim import exact, teleport
+from teleportsim.analytic import fidelity_closed, fidelity_linear
 from teleportsim.cli import (
+    ALL_COLUMNS,
     MAX_STEPS,
     SweepConfig,
     format_amplitude,
@@ -21,9 +26,10 @@ from teleportsim.cli import (
     run_sweep,
     state_label,
 )
-from teleportsim.channels import NoiseKind
+from teleportsim.channels import ChannelSpec, NoiseKind
 from teleportsim.exact import GaussianRational
-from teleportsim.teleport import InputState
+from teleportsim.linalg import hermitian_eigenvalues
+from teleportsim.teleport import InputState, run_stages, teleport_fidelity
 
 
 class TestAmplitudeGrammar:
@@ -515,6 +521,103 @@ def _run_cli(argv) -> str:
     return buf.getvalue()
 
 
+def _exact_text(z: complex) -> str:
+    """`re+imi` text that parses back to exactly ``z``, a -0.0 part included."""
+    sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"
+    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
+
+
+def _reference_sweep_csv(config: SweepConfig) -> str:
+    """`run_sweep`'s CSV with every field formatted on its own and joined
+    with commas: the reference for the CLI's one format call per row."""
+    want = set(config.columns)
+    with_diff = {"numeric", "analytic"} <= want
+    names = [name for name in ALL_COLUMNS if name in want]
+    header = ["p", "state_label"] + [f"f_{name}" for name in names]
+    lines = [",".join(header + ["abs_diff"] * with_diff)]
+    grid = config.grid()
+    for alpha, beta in config.states:
+        state = InputState(alpha, beta)
+        computed = {
+            "numeric": teleport_fidelity(state, ChannelSpec(config.kind, grid)).tolist(),
+            "analytic": fidelity_closed(config.kind, state, np.array(grid)).tolist(),
+            "linear": fidelity_linear(config.kind, state, np.array(grid)).tolist(),
+        }
+        columns = [computed[name] for name in names]
+        if with_diff:
+            columns.append(
+                [abs(a - b) for a, b in zip(computed["numeric"], computed["analytic"])]
+            )
+        for p, *values in zip(grid, *columns):
+            fields = [f"{p:.17g}", state_label(alpha, beta)]
+            lines.append(",".join(fields + [f"{v:.17g}" for v in values]))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_trace_text(kind: NoiseKind, p: float, alpha: complex, beta: complex) -> str:
+    """`trace`'s text with one f-string per entry: the reference for the
+    CLI's one format call per row."""
+    stages = run_stages(InputState(alpha, beta), ChannelSpec(kind, p))
+    lines = [f"stage trace: noise={kind.value} p={p:.17g} state={state_label(alpha, beta)}"]
+    for label, rho in stages.items():
+        lines.append("")
+        lines.append(f"{label} ({rho.num_qubits} qubit{'s' if rho.num_qubits > 1 else ''})")
+        for row in rho.entries.tolist():
+            lines.append("  " + "  ".join(f"{f'{z.real:.12g}{z.imag:+.12g}i':>32}" for z in row))
+        min_eig = hermitian_eigenvalues(rho)[0]
+        lines.append(f"  trace = {rho.trace().real:.12g}, min eigenvalue = {min_eig:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+def _assert_same_text(text: str, expected: str) -> None:
+    """Fail on the first differing line.  pytest's own diff of two whole
+    traces is slow enough to stall hypothesis's shrinking."""
+    if text != expected:
+        got, want = text.splitlines(), expected.splitlines()
+        k = next((k for k, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), len(want))
+        pytest.fail(f"line {k}: {got[k:k + 1]} != {want[k:k + 1]}")
+
+
+# one state with -0.0 parts, which the label and the pipeline keep
+SIGNED_ZERO_STATES = "1,0;-0.0+0.6i,0.8-0.0i;0.5+0.5i,0.5-0.5i"
+
+
+class TestFormatting:
+    """The row-at-a-time formatters write the bytes of the per-field ones."""
+
+    @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "columns",
+        [",".join(c) for r in (1, 2, 3) for c in itertools.combinations(ALL_COLUMNS, r)],
+    )
+    def test_sweep_column_subsets(self, kind, columns):
+        grid = ["--p-start", "0.1", "--p-end", "0.9", "--steps", "7"]
+        argv = ["sweep", "--noise", kind.value, "--columns", columns, *grid,
+                "--states", SIGNED_ZERO_STATES]
+        config = SweepConfig(
+            kind, tuple(parse_states(SIGNED_ZERO_STATES)), 0.1, 0.9, 7,
+            tuple(columns.split(",")),
+        )
+        text = _run_cli(argv)
+        assert "-0.0+0.6i" in text
+        _assert_same_text(text, _reference_sweep_csv(config))
+
+    @given(
+        st.sampled_from(list(NoiseKind)),
+        st.floats(min_value=-0.0, max_value=1.0),
+        st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 4).filter(
+            lambda parts: sum(x * x for x in parts) > 1e-3
+        ),
+    )
+    @example(NoiseKind.BIT_FLIP, -0.0, (0.6, -0.0, -0.0, 0.8))
+    def test_trace_equals_per_entry_formatter(self, kind, p, parts):
+        state = InputState.normalized(complex(*parts[:2]), complex(*parts[2:]))
+        alpha, beta = complex(state.alpha), complex(state.beta)
+        argv = ["trace", "--noise", kind.value, f"--p={p!r}",
+                f"--states={_exact_text(alpha)},{_exact_text(beta)}"]
+        _assert_same_text(_run_cli(argv), _reference_trace_text(kind, p, alpha, beta))
+
+
 def _load_tracer_module():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", Path(__file__).parents[1] / "perfbench" / "tracer.py"
@@ -543,6 +646,8 @@ class TestTracerBindings:
         finally:
             tracer.uninstall()
         assert traced == untraced
+        assert tracer.calls["cli.cmd_trace"] == 1
+        assert tracer.calls["cli.run_sweep"] == 1
         # one batched run for the sweep's state, one for the trace
         assert tracer.calls["teleport.run_stages_from_initial"] == 2
         assert dict(tracer.runs) == {"depolarizing": 1, "bitflip": 1}

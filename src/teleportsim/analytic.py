@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channels import NoiseKind
+from .channels import ChannelSpec, NoiseKind
 from .exact import GaussianRational, PolyP
 from .linalg import DensityOperator
 from .teleport import InputState
@@ -95,18 +95,10 @@ def _coefficient_table() -> np.ndarray:
     return table
 
 
-def _probabilities(p) -> tuple[np.ndarray, bool]:
-    """``p`` as a 1-D float64 grid, and whether it was a scalar."""
-    grid = np.asarray(p, dtype=float)
-    scalar = grid.ndim == 0
-    if grid.ndim > 1:
-        raise ValueError(f"noise probabilities must be a scalar or 1-D, got shape {grid.shape}")
-    grid = grid.reshape(-1)
-    inside = (grid >= 0) & (grid <= 1)
-    if not inside.all():
-        bad = p if scalar else grid[np.argmin(inside)].item()
-        raise ValueError(f"noise probability {bad} outside [0, 1]")
-    return grid, scalar
+def _probabilities(noise: ChannelSpec) -> tuple[np.ndarray, bool]:
+    """The spec's checked ``p`` as a 1-D float64 grid, and whether it was a scalar."""
+    grid = np.asarray(noise.p, dtype=float)
+    return grid.reshape(-1), grid.ndim == 0
 
 
 def _amplitudes(input_state: InputState) -> tuple[complex, complex]:
@@ -176,13 +168,13 @@ def _closed_entries(kind: NoiseKind, a: complex, b: complex, grid: np.ndarray) -
     return [(aa, 0.0), _mul(u6, coh), _mul(u6, coh_c), (dd, 0.0)]
 
 
-def rho10_closed(kind: NoiseKind, input_state: InputState, p) -> DensityOperator:
-    """The published single-qubit output state at float p.
+def rho10_closed(input_state: InputState, noise: ChannelSpec) -> DensityOperator:
+    """The published single-qubit output state under ``noise``.
 
-    A 1-D grid of p gives a batched operator, one 2x2 slice per point.
+    A batch spec gives a batched operator, one 2x2 slice per probability.
     """
-    grid, scalar = _probabilities(p)
-    entries = _closed_entries(kind, *_amplitudes(input_state), grid)
+    grid, scalar = _probabilities(noise)
+    entries = _closed_entries(noise.kind, *_amplitudes(input_state), grid)
     out = np.empty((grid.size, 2, 2), dtype=complex)
     for (i, j), (re, im) in zip(((0, 0), (0, 1), (1, 0), (1, 1)), entries):
         out.real[:, i, j] = re
@@ -190,15 +182,15 @@ def rho10_closed(kind: NoiseKind, input_state: InputState, p) -> DensityOperator
     return DensityOperator(out[0] if scalar else out)
 
 
-def fidelity_closed(kind: NoiseKind, input_state: InputState, p):
+def fidelity_closed(input_state: InputState, noise: ChannelSpec):
     """<psi| rho10_closed |psi> expanded to a real number.
 
-    A float for scalar p; an array over a 1-D grid of p, each value bit for
-    bit the scalar one.
+    A float for a scalar ``p``; an array for a batch spec, each value bit
+    for bit the scalar one.
     """
-    grid, scalar = _probabilities(p)
+    grid, scalar = _probabilities(noise)
     a, b = _amplitudes(input_state)
-    r00, r01, r10, r11 = _closed_entries(kind, a, b, grid)
+    r00, r01, r10, r11 = _closed_entries(noise.kind, a, b, grid)
     terms = (
         _mul((abs(a) ** 2, 0.0), r00),
         _mul(_pair(a.conjugate() * b), r01),
@@ -206,7 +198,9 @@ def fidelity_closed(kind: NoiseKind, input_state: InputState, p):
         _mul((abs(b) ** 2, 0.0), r11),
     )
     re, im = functools.reduce(_add, terms)
-    assert np.all(np.abs(im) <= 1e-12)
+    # real by conjugate symmetry; a residue (or a nan) means a typo
+    if not np.all(np.abs(im) <= 1e-12):
+        raise ValueError("closed-form fidelity has an imaginary part above 1e-12")
     return float(re[0]) if scalar else re
 
 
@@ -229,10 +223,10 @@ def linear_slope(kind: NoiseKind, input_state: InputState) -> float:
     return 32 * t
 
 
-def fidelity_linear(kind: NoiseKind, input_state: InputState, p):
-    """Published small-p approximation F ~ 1 - p * slope, at p or over a 1-D grid."""
-    grid, scalar = _probabilities(p)
-    values = 1.0 - grid * linear_slope(kind, input_state)
+def fidelity_linear(input_state: InputState, noise: ChannelSpec):
+    """Published small-p approximation F ~ 1 - p * slope, at a scalar or batch spec."""
+    grid, scalar = _probabilities(noise)
+    values = 1.0 - grid * linear_slope(noise.kind, input_state)
     return float(values[0]) if scalar else values
 
 

@@ -14,8 +14,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analytic import fidelity_closed, fidelity_linear
 from .channels import ChannelSpec, NoiseKind
 from .charts import render_line_chart
@@ -99,57 +97,45 @@ class SweepConfig:
         for col in self.columns:
             if col not in ALL_COLUMNS:
                 raise ValueError(f"unknown column {col!r}")
-        if self.p_start < 0 or self.p_end > 1:
-            # name the grid point that a column's own check would name first
-            bad = next((p for p in self.grid() if not 0 <= p <= 1), self.p_end)
-            raise ValueError(f"noise probability {bad} outside [0, 1]")
+        ChannelSpec(self.kind, self.grid())  # names the first bad grid point
 
     def grid(self) -> list[float]:
         span = self.p_end - self.p_start
         return [self.p_start + span * i / (self.steps - 1) for i in range(self.steps)]
 
 
-def _grid_fidelities(kind: NoiseKind, state: InputState, grid: list[float]) -> list[float]:
-    """Pipeline fidelity at every grid point, one batched run per chunk."""
-    out: list[float] = []
+def _grid_columns(
+    kind: NoiseKind, state: InputState, grid: list[float], functions: list
+) -> list[list[float]]:
+    """Each ``function(state, noise)`` at every grid point, one list per
+    function; each chunk of the grid is one spec, shared by the functions."""
+    columns: list[list[float]] = [[] for _ in functions]
     for start in range(0, len(grid), BATCH_POINTS):
         batch = ChannelSpec(kind, grid[start : start + BATCH_POINTS])
-        out += teleport_fidelity(state, batch).tolist()
-    return out
+        for column, function in zip(columns, functions):
+            column += function(state, batch).tolist()
+    return columns
 
 
 def run_sweep(config: SweepConfig) -> str:
     """Compute the sweep as CSV text, rows ordered by (state, p)."""
-    want = set(config.columns)
-    header = ["p", "state_label"]
-    if "numeric" in want:
-        header.append("f_numeric")
-    if "analytic" in want:
-        header.append("f_analytic")
-    if "linear" in want:
-        header.append("f_linear")
-    with_diff = {"numeric", "analytic"} <= want
-    if with_diff:
-        header.append("abs_diff")
+    # looked up on each call, so that a patched module binding takes effect
+    by_name = dict(numeric=teleport_fidelity, analytic=fidelity_closed, linear=fidelity_linear)
+    names = [name for name in ALL_COLUMNS if name in config.columns]
+    functions = [by_name[name] for name in names]
+    with_diff = {"numeric", "analytic"} <= set(names)
+    header = ["p", "state_label"] + [f"f_{name}" for name in names] + ["abs_diff"] * with_diff
     lines = [",".join(header)]
     grid = config.grid()
-    p_grid = np.array(grid)
     for alpha, beta in config.states:
         state = InputState(alpha, beta)
         # one format call per row: p, the label (float reprs, so no `%`),
         # then the value columns
         row = "%.17g," + state_label(alpha, beta) + ",%.17g" * (len(header) - 2)
-        columns = []
-        if "numeric" in want:
-            numeric = _grid_fidelities(config.kind, state, grid)
-            columns.append(numeric)
-        if "analytic" in want:
-            analytic = fidelity_closed(config.kind, state, p_grid).tolist()
-            columns.append(analytic)
-        if "linear" in want:
-            columns.append(fidelity_linear(config.kind, state, p_grid).tolist())
+        columns = _grid_columns(config.kind, state, grid, functions)
         if with_diff:
-            columns.append([abs(f_num - f_ana) for f_num, f_ana in zip(numeric, analytic)])
+            # numeric and analytic come first, in ALL_COLUMNS order
+            columns.append([abs(f_num - f_ana) for f_num, f_ana in zip(*columns[:2])])
         lines += map(row.__mod__, zip(grid, *columns))
     return "\n".join(lines) + "\n"
 
@@ -252,7 +238,8 @@ def cmd_curves(args) -> int:
     grid = config.grid()
     series = []
     for alpha, beta in config.states:
-        fidelities = _grid_fidelities(config.kind, InputState(alpha, beta), grid)
+        state = InputState(alpha, beta)
+        (fidelities,) = _grid_columns(config.kind, state, grid, [teleport_fidelity])
         series.append((state_label(alpha, beta), list(zip(grid, fidelities))))
     svg = render_line_chart(
         title=f"teleportation fidelity under {config.kind.value} noise",

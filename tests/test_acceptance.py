@@ -146,7 +146,8 @@ def test_criterion_1_numeric_analytic_equivalence():
                 delta = abs(f_num - table_fidelity(kind, r, p))
                 if delta > worst:
                     worst, worst_at = delta, (amp, p)
-                published_dev = max(published_dev, abs(f_num - fidelity_closed(kind, state, p)))
+                f_pub = fidelity_closed(state, ChannelSpec(kind, p))
+                published_dev = max(published_dev, abs(f_num - f_pub))
             if (kind.value, amp) in PUBLISHED_FIDELITY_HOLDS:
                 if published_dev > 1e-12:
                     failures.append(
@@ -320,7 +321,8 @@ def test_criterion_5_linear_approximation_slopes():
             tail = sum(abs(ck) for ck in c[3:])
             for p in np.linspace(0.001, 0.02, 20):
                 p = float(p)
-                resid = fidelity_closed(kind, state, p) - fidelity_linear(kind, state, p)
+                spec = ChannelSpec(kind, p)
+                resid = fidelity_closed(state, spec) - fidelity_linear(state, spec)
                 excess = abs(resid - c[2] * p**2)
                 if excess > p**3 * tail + 1e-14:
                     failures.append(
@@ -442,8 +444,8 @@ def test_criterion_10_channel_ordering():
     failures = []
     plus = InputState(2**-0.5, 2**-0.5)
     for p in (0.1, 0.2, 0.3):
-        f_bit = fidelity_closed(NoiseKind.BIT_FLIP, plus, p)
-        f_dep = fidelity_closed(NoiseKind.DEPOLARIZING, plus, p)
+        f_bit = fidelity_closed(plus, ChannelSpec(NoiseKind.BIT_FLIP, p))
+        f_dep = fidelity_closed(plus, ChannelSpec(NoiseKind.DEPOLARIZING, p))
         if not f_bit >= f_dep:
             failures.append(f"p={p}: bit flip {f_bit} < depolarizing {f_dep}")
     criterion(10, "bit flip degrades equal superposition slower than depolarizing", failures)

@@ -15,7 +15,7 @@ from teleportsim.analytic import (
     linear_slope_exact,
     rho10_closed,
 )
-from teleportsim.channels import NoiseKind
+from teleportsim.channels import ChannelSpec, NoiseKind
 from teleportsim.exact import GaussianRational, P, PolyP
 from teleportsim.linalg import DensityOperator
 from teleportsim.teleport import InputState
@@ -69,7 +69,7 @@ class TestClosedState:
     def test_identity_at_zero_noise(self):
         for kind in NoiseKind:
             for st in STATES:
-                rho = rho10_closed(kind, st, 0.0)
+                rho = rho10_closed(st, ChannelSpec(kind, 0.0))
                 a, b = complex(st.alpha), complex(st.beta)
                 expected = np.array(
                     [[abs(a) ** 2, a * np.conj(b)], [b * np.conj(a), abs(b) ** 2]]
@@ -79,11 +79,11 @@ class TestClosedState:
     def test_depolarizing_coherence_entry(self):
         st = STATES[2]
         for p in (0.1, 0.6):
-            rho = rho10_closed(NoiseKind.DEPOLARIZING, st, p)
+            rho = rho10_closed(st, ChannelSpec(NoiseKind.DEPOLARIZING, p))
             assert rho.entries[0, 1] == pytest.approx((1 - p) ** 12 * 0.48, abs=1e-15)
 
     def test_phaseflip_half_is_diagonal(self):
-        rho = rho10_closed(NoiseKind.PHASE_FLIP, STATES[2], 0.5)
+        rho = rho10_closed(STATES[2], ChannelSpec(NoiseKind.PHASE_FLIP, 0.5))
         assert rho.entries[0, 1] == 0
         assert rho.entries[0, 0] == pytest.approx(0.36)
         assert rho.entries[1, 1] == pytest.approx(0.64)
@@ -92,26 +92,27 @@ class TestClosedState:
         for kind in NoiseKind:
             for st in STATES:
                 for p in np.linspace(0, 1, 11):
-                    rho = rho10_closed(kind, st, float(p))
+                    rho = rho10_closed(st, ChannelSpec(kind, float(p)))
                     assert abs(rho.trace().real - 1) <= 1e-12
 
     def test_probability_domain(self):
         with pytest.raises(ValueError):
-            rho10_closed(NoiseKind.DEPOLARIZING, STATES[0], 1.5)
+            rho10_closed(STATES[0], ChannelSpec(NoiseKind.DEPOLARIZING, 1.5))
 
 
 class TestClosedFidelity:
     def test_one_at_zero(self):
         for kind in NoiseKind:
             for st in STATES:
-                assert fidelity_closed(kind, st, 0.0) == pytest.approx(1.0, abs=1e-14)
+                assert fidelity_closed(st, ChannelSpec(kind, 0.0)) == pytest.approx(1.0, abs=1e-14)
 
     def test_depolarizing_equal_superposition_form(self):
         st = STATES[1]
         for p in (0.0, 0.2, 1.0):
             expected = 0.5 + (1 - p) ** 12 / 2
-            assert fidelity_closed(NoiseKind.DEPOLARIZING, st, p) == pytest.approx(expected, abs=1e-13)
-        assert fidelity_closed(NoiseKind.DEPOLARIZING, st, 1.0) == pytest.approx(0.5)
+            got = fidelity_closed(st, ChannelSpec(NoiseKind.DEPOLARIZING, p))
+            assert got == pytest.approx(expected, abs=1e-13)
+        assert fidelity_closed(st, ChannelSpec(NoiseKind.DEPOLARIZING, 1.0)) == pytest.approx(0.5)
 
     def test_phaseflip_expansion(self):
         st = STATES[3]
@@ -120,20 +121,22 @@ class TestClosedFidelity:
         for p in (0.1, 0.4):
             u6 = horner(PUBLISHED.u6, p)
             expected = abs(a) ** 4 + abs(b) ** 4 + 2 * u6 * t
-            assert fidelity_closed(NoiseKind.PHASE_FLIP, st, p) == pytest.approx(expected, abs=1e-14)
+            got = fidelity_closed(st, ChannelSpec(NoiseKind.PHASE_FLIP, p))
+            assert got == pytest.approx(expected, abs=1e-14)
 
 
 class TestLinearApproximation:
     def test_one_at_zero(self):
         for kind in NoiseKind:
-            assert fidelity_linear(kind, STATES[2], 0.0) == 1.0
+            assert fidelity_linear(STATES[2], ChannelSpec(kind, 0.0)) == 1.0
 
     def test_depolarizing_spot_value(self):
-        assert fidelity_linear(NoiseKind.DEPOLARIZING, STATES[1], 0.01) == pytest.approx(0.94)
+        spec = ChannelSpec(NoiseKind.DEPOLARIZING, 0.01)
+        assert fidelity_linear(STATES[1], spec) == pytest.approx(0.94)
 
     def test_phaseflip_basis_state(self):
         for p in (0.0, 0.3, 1.0):
-            assert fidelity_linear(NoiseKind.PHASE_FLIP, STATES[0], p) == 1.0
+            assert fidelity_linear(STATES[0], ChannelSpec(NoiseKind.PHASE_FLIP, p)) == 1.0
 
     def test_named_slopes(self):
         assert linear_slope(NoiseKind.DEPOLARIZING, STATES[0]) == pytest.approx(4.5)
@@ -143,7 +146,7 @@ class TestLinearApproximation:
     def test_slope_is_derivative_of_closed_form_at_named_probes(self):
         for kind in NoiseKind:
             for st in STATES:
-                fd = fd_slope_at_zero(lambda p: fidelity_closed(kind, st, p))
+                fd = fd_slope_at_zero(lambda p: fidelity_closed(st, ChannelSpec(kind, p)))
                 assert abs(fd + linear_slope(kind, st)) <= 1e-9
 
     def test_slope_consistency_on_random_states(self, rng):
@@ -152,7 +155,7 @@ class TestLinearApproximation:
             v /= np.linalg.norm(v)
             st = InputState(complex(v[0]), complex(v[1]))
             for kind in NoiseKind:
-                fd = fd_slope_at_zero(lambda p: fidelity_closed(kind, st, p))
+                fd = fd_slope_at_zero(lambda p: fidelity_closed(st, ChannelSpec(kind, p)))
                 assert abs(fd + linear_slope(kind, st)) <= 1e-6
 
     def test_residual_is_second_order(self):
@@ -160,7 +163,8 @@ class TestLinearApproximation:
         for kind in NoiseKind:
             for st in STATES:
                 def residual(p):
-                    return fidelity_closed(kind, st, p) - fidelity_linear(kind, st, p)
+                    spec = ChannelSpec(kind, p)
+                    return fidelity_closed(st, spec) - fidelity_linear(st, spec)
 
                 c2_ref = abs(residual(0.02)) / 0.02**2
                 for p in grid:
@@ -282,16 +286,17 @@ class TestGridForms:
     @given(kind=st.sampled_from(list(NoiseKind)), state=input_states, grid=grids())
     def test_grid_equals_per_point_reference(self, kind, state, grid):
         points = grid.tolist()
+        spec = ChannelSpec(kind, grid)
         expected = np.array([reference_fidelity_closed(kind, state, p) for p in points])
-        assert fidelity_closed(kind, state, grid).tobytes() == expected.tobytes()
-        rho = rho10_closed(kind, state, grid).entries
+        assert fidelity_closed(state, spec).tobytes() == expected.tobytes()
+        rho = rho10_closed(state, spec).entries
         expected_rho = np.array([reference_rho10_closed(kind, state, p).entries for p in points])
         assert rho.tobytes() == expected_rho.tobytes()
         expected_linear = np.array([reference_fidelity_linear(kind, state, p) for p in points])
-        assert fidelity_linear(kind, state, grid).tobytes() == expected_linear.tobytes()
+        assert fidelity_linear(state, spec).tobytes() == expected_linear.tobytes()
         # a scalar p is the one-point grid
         for p, want in zip(points[:3], expected):
-            got = fidelity_closed(kind, state, p)
+            got = fidelity_closed(state, ChannelSpec(kind, p))
             assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
 
     def test_sweep_grid_on_named_and_random_states(self):
@@ -301,7 +306,8 @@ class TestGridForms:
         for kind in NoiseKind:
             for state in NAMED_STATES + [haar_state(seed) for seed in range(20)]:
                 expected = [reference_fidelity_closed(kind, state, p) for p in grid.tolist()]
-                assert fidelity_closed(kind, state, grid).tobytes() == np.array(expected).tobytes()
+                got = fidelity_closed(state, ChannelSpec(kind, grid))
+                assert got.tobytes() == np.array(expected).tobytes()
 
     def test_powers_equal_python_pow(self, rng):
         # np.power takes a SIMD path on some hosts and rounds differently
@@ -314,13 +320,13 @@ class TestGridForms:
     def test_return_types(self):
         state = NAMED_STATES[8]
         for kind in NoiseKind:
-            assert type(fidelity_closed(kind, state, 0.25)) is float
-            assert type(fidelity_linear(kind, state, 0.25)) is float
-            assert rho10_closed(kind, state, 0.25).entries.shape == (2, 2)
+            assert type(fidelity_closed(state, ChannelSpec(kind, 0.25))) is float
+            assert type(fidelity_linear(state, ChannelSpec(kind, 0.25))) is float
+            assert rho10_closed(state, ChannelSpec(kind, 0.25)).entries.shape == (2, 2)
             grid = np.array([0.0, 0.25, 1.0])
-            assert fidelity_closed(kind, state, grid).shape == (3,)
-            assert fidelity_linear(kind, state, grid).shape == (3,)
-            assert rho10_closed(kind, state, grid).entries.shape == (3, 2, 2)
+            assert fidelity_closed(state, ChannelSpec(kind, grid)).shape == (3,)
+            assert fidelity_linear(state, ChannelSpec(kind, grid)).shape == (3,)
+            assert rho10_closed(state, ChannelSpec(kind, grid)).entries.shape == (3, 2, 2)
 
     @pytest.mark.parametrize(
         "fn", [fidelity_closed, fidelity_linear, rho10_closed], ids=lambda f: f.__name__
@@ -329,11 +335,11 @@ class TestGridForms:
         state = NAMED_STATES[8]
         for p, bad in (([0.5, 2.75, -1.0], "2.75"), ([-3.0, 0.5], "-3.0"), ([0.0, float("nan")], "nan")):
             with pytest.raises(ValueError, match=rf"^noise probability {bad} outside \[0, 1\]$"):
-                fn(NoiseKind.BIT_FLIP, state, np.array(p))
+                fn(state, ChannelSpec(NoiseKind.BIT_FLIP, np.array(p)))
         with pytest.raises(ValueError, match=r"^noise probability 1.5 outside"):
-            fn(NoiseKind.BIT_FLIP, state, 1.5)
+            fn(state, ChannelSpec(NoiseKind.BIT_FLIP, 1.5))
         with pytest.raises(ValueError, match="1-D"):
-            fn(NoiseKind.BIT_FLIP, state, np.zeros((2, 2)))
+            fn(state, ChannelSpec(NoiseKind.BIT_FLIP, np.zeros((2, 2))))
 
     def test_imaginary_part_checked_at_every_point(self, monkeypatch):
         real_entries = analytic._closed_entries
@@ -347,6 +353,6 @@ class TestGridForms:
 
         monkeypatch.setattr(analytic, "_closed_entries", skewed)
         grid = np.linspace(0, 1, 11)
-        fidelity_closed(NoiseKind.BIT_FLIP, NAMED_STATES[8], grid[:-1])
-        with pytest.raises(AssertionError):
-            fidelity_closed(NoiseKind.BIT_FLIP, NAMED_STATES[8], grid)
+        fidelity_closed(NAMED_STATES[8], ChannelSpec(NoiseKind.BIT_FLIP, grid[:-1]))
+        with pytest.raises(ValueError, match="imaginary part above 1e-12"):
+            fidelity_closed(NAMED_STATES[8], ChannelSpec(NoiseKind.BIT_FLIP, grid))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from teleportsim import exact, teleport
+from teleportsim import cli, exact, teleport
 from teleportsim.analytic import fidelity_closed, fidelity_linear
 from teleportsim.cli import (
     ALL_COLUMNS,
@@ -202,6 +202,10 @@ class TestSweep:
     def test_grid_range_edges(self):
         SweepConfig(NoiseKind.BIT_FLIP, ((1, 0),), p_start=0.0, p_end=1.0)
         SweepConfig(NoiseKind.BIT_FLIP, ((1, 0),), p_start=-0.0, p_end=0.0)
+        # the grid decides, not its end: this p_end is above 1, its grid is not
+        argv = ["sweep", "--noise", "bitflip", "--p-start", "0.04267581793069375",
+                "--p-end", "1.0000000000000002", "--steps", "142"]
+        assert _run_cli(argv).splitlines()[-1].startswith("1,")
         with pytest.raises(ValueError, match=r"^noise probability 1.0000000000000002 outside"):
             SweepConfig(NoiseKind.BIT_FLIP, ((1, 0),), p_end=1 + 2**-52)
         with pytest.raises(ValueError, match=r"^noise probability -5e-324 outside"):
@@ -536,12 +540,13 @@ def _reference_sweep_csv(config: SweepConfig) -> str:
     header = ["p", "state_label"] + [f"f_{name}" for name in names]
     lines = [",".join(header + ["abs_diff"] * with_diff)]
     grid = config.grid()
+    spec = ChannelSpec(config.kind, grid)
     for alpha, beta in config.states:
         state = InputState(alpha, beta)
         computed = {
-            "numeric": teleport_fidelity(state, ChannelSpec(config.kind, grid)).tolist(),
-            "analytic": fidelity_closed(config.kind, state, np.array(grid)).tolist(),
-            "linear": fidelity_linear(config.kind, state, np.array(grid)).tolist(),
+            "numeric": teleport_fidelity(state, spec).tolist(),
+            "analytic": fidelity_closed(state, spec).tolist(),
+            "linear": fidelity_linear(state, spec).tolist(),
         }
         columns = [computed[name] for name in names]
         if with_diff:
@@ -631,7 +636,7 @@ class TestTracerBindings:
     """The benchmark's trace harness wraps module bindings of the package;
     every binding it patches must exist and keep its call signature."""
 
-    def test_traced_outputs_equal_untraced(self):
+    def test_traced_outputs_equal_untraced(self, monkeypatch):
         tracer_mod = _load_tracer_module()
         argvs = [
             ["sweep", "--noise", "depolarizing", "--steps", "11", "--states", "0.6,0+0.8i"],
@@ -657,6 +662,17 @@ class TestTracerBindings:
         assert tracer.calls["analytic.fidelity_linear"] == 1
         assert teleport.run_stages_from_initial is original
         assert [_run_cli(argv) for argv in argvs] == untraced
+        # each column layer runs once per chunk: 11 points in chunks of 5 make 3
+        monkeypatch.setattr(cli, "BATCH_POINTS", 5)
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            assert _run_cli(argvs[0]) == untraced[0]
+        finally:
+            tracer.uninstall()
+        for name in ("fidelity_closed", "fidelity_linear"):
+            assert tracer.calls[f"analytic.{name}"] == 3
+        assert tracer.calls["teleport.run_stages_from_initial"] == 3
 
     def test_traced_exact_route_equals_untraced(self):
         state = InputState(GaussianRational(Fraction(3, 5)), GaussianRational(0, Fraction(4, 5)))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from teleportsim import cli
+from teleportsim.analytic import fidelity_closed, fidelity_linear
 from teleportsim.channels import ChannelSpec, NoiseKind
 from teleportsim.cli import SweepConfig, run_sweep
 from teleportsim.exact import GaussianRational
@@ -345,12 +346,17 @@ class TestBatchedPipeline:
         # --steps 2500 runs three batches of at most 1024 points
         state = random_states(13, 1)[0]
         alpha, beta = complex(state.alpha), complex(state.beta)
-        config = SweepConfig(kind, ((alpha, beta),), steps=2500, columns=("numeric",))
-        rows = run_sweep(config).splitlines()[1:]
+        config = SweepConfig(kind, ((alpha, beta),), steps=2500)
+        rows = [row.split(",") for row in run_sweep(config).splitlines()[1:]]
         assert len(rows) == 2500 > cli.BATCH_POINTS
-        for row, p in zip(rows, config.grid()):
-            f = float(row.split(",")[2])
-            assert f == teleport_fidelity(state, ChannelSpec(kind, p))
+        grid = config.grid()
+        for row, p in zip(rows, grid):
+            assert float(row[2]) == teleport_fidelity(state, ChannelSpec(kind, p))
+        # the published-form columns, run per chunk, equal one whole-grid run
+        whole = ChannelSpec(kind, grid)
+        for index, function in ((3, fidelity_closed), (4, fidelity_linear)):
+            column = np.array([float(row[index]) for row in rows])
+            assert column.tobytes() == function(state, whole).tobytes()
 
     def test_chunk_boundaries_do_not_change_bytes(self, monkeypatch):
         # the three complex states of the golden sweeps

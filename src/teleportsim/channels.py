@@ -22,11 +22,12 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
 
-from .linalg import DensityOperator, _qubit_tables
+from .linalg import Operator
 
 # unused here, but perfbench/tracer.py wraps these bindings
 from .linalg import conjugate_by, tensor  # noqa: F401
@@ -55,11 +56,14 @@ class ChannelSpec:
     def __post_init__(self):
         if isinstance(self.p, (list, tuple, np.ndarray)):
             object.__setattr__(self, "p", _probability_batch(self.p))
-        # a bool is an int, but no probability: a bool batch is rejected too
+        # a bool is an int, but no probability: in a batch too
         elif isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
             raise ValueError(f"noise probability {self.p!r} is not real")
         elif not 0 <= self.p <= 1:  # nan fails the comparison
             raise ValueError(f"noise probability {self.p} outside [0, 1]")
+
+
+_BOOLS = frozenset((bool, np.bool_))
 
 
 def _probability_batch(values: Any) -> tuple[float, ...]:
@@ -71,6 +75,10 @@ def _probability_batch(values: Any) -> tuple[float, ...]:
         )
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"noise probabilities must be real numbers, got dtype {arr.dtype}")
+    if not isinstance(values, np.ndarray) and _BOOLS & set(map(type, values)):
+        # numpy reads a bool among numbers as a number
+        bad = next(v for v in values if type(v) in _BOOLS)
+        raise ValueError(f"noise probability {bad!r} is not real")
     arr = arr.astype(np.float64)
     bad = np.flatnonzero(~((arr >= 0) & (arr <= 1)))  # nan fails both
     if bad.size:
@@ -104,6 +112,21 @@ def _pauli_weights(
     w_pauli = p * scalar(Fraction(1, 4))
     w_keep = one - p * scalar(Fraction(3, 4))
     return [(w_keep, "I"), (w_pauli, "X"), (w_pauli, "Y"), (w_pauli, "Z")]
+
+
+@lru_cache(maxsize=None)
+def _qubit_tables(qubit: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For ``qubit`` of ``n``: the flattened X-flip permutation of a matrix's
+    entries, and the mask of entries whose row and column bits differ."""
+    bit = 1 << (n - qubit)
+    index = np.arange(1 << n)
+    flipped = index ^ bit
+    perm = (flipped[:, None] * (1 << n) + flipped).ravel()
+    set_bit = (index & bit) != 0
+    differ = set_bit[:, None] != set_bit[None, :]
+    perm.setflags(write=False)
+    differ.setflags(write=False)
+    return perm, differ
 
 
 # The last spec's branches, as (key, branches) with the branches as
@@ -154,9 +177,7 @@ def _branches(spec: ChannelSpec, n: int) -> tuple:
     return branches
 
 
-def _apply_pauli_channel(
-    spec: ChannelSpec, rho: DensityOperator, qubits: range
-) -> DensityOperator:
+def _apply_pauli_channel(spec: ChannelSpec, rho: Operator, qubits: range) -> Operator:
     """Apply the channel to each of ``qubits`` in turn; one new operator.
 
     Per qubit, the branches are summed in order, ``((I + X) + Y) + Z``, in
@@ -194,12 +215,10 @@ def _apply_pauli_channel(
             np.add(acc, prod, out=acc)
         src = acc
     del flip, prod  # freed before the operator copies acc
-    return DensityOperator(acc)
+    return Operator(acc)
 
 
-def apply_to_qubit(
-    spec: ChannelSpec, rho: DensityOperator, qubit: int
-) -> DensityOperator:
+def apply_to_qubit(spec: ChannelSpec, rho: Operator, qubit: int) -> Operator:
     """Apply the channel to one qubit, identity on the rest."""
     n = rho.num_qubits
     if not 1 <= qubit <= n:
@@ -207,7 +226,7 @@ def apply_to_qubit(
     return _apply_pauli_channel(spec, rho, range(qubit, qubit + 1))
 
 
-def apply_layer(spec: ChannelSpec, rho: DensityOperator) -> DensityOperator:
+def apply_layer(spec: ChannelSpec, rho: Operator) -> Operator:
     """Apply the channel independently to every qubit.
 
     Single-qubit channels on distinct qubits commute, so the sequential

@@ -28,7 +28,8 @@ def _freeze(entries: np.ndarray) -> np.ndarray:
 
 
 class Operator:
-    """Square complex matrix on ``num_qubits`` qubits.
+    """Square complex matrix on ``num_qubits`` qubits: a density matrix or
+    any other operator.
 
     ``entries`` has shape (dim, dim), or (B, dim, dim) for a batch.
     """
@@ -65,10 +66,6 @@ class Operator:
         return f"<{type(self).__name__} {self.num_qubits} qubit(s)>"
 
 
-class DensityOperator(Operator):
-    """Operator used in state position."""
-
-
 class PureState:
     """State vector of 2**n complex amplitudes."""
 
@@ -88,20 +85,17 @@ class PureState:
         self.num_qubits = n
         self.amplitudes = _freeze(amps)
 
-    def projector(self) -> DensityOperator:
+    def projector(self) -> Operator:
         amps = self.amplitudes
-        return DensityOperator(np.outer(amps, np.conjugate(amps)))
+        return Operator(np.outer(amps, np.conjugate(amps)))
 
 
 def tensor(a: Operator, b: Operator) -> Operator:
     """Kronecker product with ``a``'s qubits leftmost (most significant)."""
-    ent = np.kron(a.entries, b.entries)
-    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator(ent)
-    return Operator(ent)
+    return Operator(np.kron(a.entries, b.entries))
 
 
-def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
+def partial_trace(rho: Operator, keep: Sequence[int]) -> Operator:
     """Reduced operator on the ``keep`` qubits, in ``keep`` order.
 
     ``keep`` must be a non-empty duplicate-free subset of 1..n; tracing out
@@ -123,7 +117,7 @@ def partial_trace(rho: DensityOperator, keep: Sequence[int]) -> DensityOperator:
     dk = 2 ** len(keep)
     dt = 2 ** len(traced)
     block = tens.reshape(dk, dt, dk, dt)
-    return DensityOperator(np.trace(block, axis1=1, axis2=3))
+    return Operator(np.trace(block, axis1=1, axis2=3))
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +155,7 @@ def _hadamard_conjugate(entries: np.ndarray, qubit: int, n: int) -> np.ndarray:
     return np.multiply(out, complex(0.5), out=out)
 
 
-def conjugate_by(rho: DensityOperator, gate: tuple[str, tuple[int, ...]]) -> DensityOperator:
+def conjugate_by(rho: Operator, gate: tuple[str, tuple[int, ...]]) -> Operator:
     """Return U rho U^dagger for a Clifford ``gate``: ``("H", (qubit,))`` or
     ``("CNOT", (control, target))``, as in :data:`teleportsim.teleport.CIRCUIT`.
 
@@ -175,49 +169,16 @@ def conjugate_by(rho: DensityOperator, gate: tuple[str, tuple[int, ...]]) -> Den
     if not all(1 <= q <= n for q in qubits):
         raise ValueError(f"gate {gate} acts outside qubits 1..{n}")
     if name == "H" and len(qubits) == 1:
-        return DensityOperator(_hadamard_conjugate(rho.entries, qubits[0], n))
+        return Operator(_hadamard_conjugate(rho.entries, qubits[0], n))
     if name == "CNOT" and len(qubits) == 2 and qubits[0] != qubits[1]:
         entries = rho.entries
         flat = entries.reshape(entries.shape[:-2] + (-1,))
         permuted = flat.take(_cnot_permutation(*qubits, n), axis=-1).reshape(entries.shape)
-        return DensityOperator(permuted + 0j)
+        return Operator(permuted + 0j)
     raise ValueError(f"unknown gate {gate}; expected ('H', (q,)) or ('CNOT', (c, t))")
 
 
-@lru_cache(maxsize=None)
-def _qubit_tables(qubit: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For ``qubit`` of ``n``: the flattened X-flip permutation of a matrix's
-    entries, and the mask of entries whose row and column bits differ."""
-    bit = 1 << (n - qubit)
-    index = np.arange(1 << n)
-    flipped = index ^ bit
-    perm = (flipped[:, None] * (1 << n) + flipped).ravel()
-    set_bit = (index & bit) != 0
-    differ = set_bit[:, None] != set_bit[None, :]
-    perm.setflags(write=False)
-    differ.setflags(write=False)
-    return perm, differ
-
-
-def pauli_conjugate(entries: np.ndarray, label: str, qubit: int, n: int) -> np.ndarray:
-    """Entries of P rho P^dagger for the Pauli ``label`` on ``qubit`` of ``n``.
-
-    Conjugating by a one-qubit Pauli only permutes entries and flips signs,
-    so no matrix product is needed: X flips the qubit's bit in the row and
-    column index, Z negates the entries whose row and column bits differ,
-    and Y does both.  Works on a batch of matrices along the leading axis
-    too.
-    """
-    perm, differ = _qubit_tables(qubit, n)
-    if label in ("X", "Y"):
-        lead = entries.shape[:-2]
-        entries = entries.reshape(lead + (-1,)).take(perm, axis=-1).reshape(entries.shape)
-    if label in ("Y", "Z"):
-        entries = np.where(differ, -entries, entries)
-    return entries
-
-
-def fidelity_with(psi: PureState, rho: DensityOperator) -> Any:
+def fidelity_with(psi: PureState, rho: Operator) -> Any:
     """Overlap <psi| rho |psi>: a real float, or a (B,) float array for a
     batched ``rho``."""
     if psi.num_qubits != rho.num_qubits:

@@ -21,14 +21,7 @@ from typing import Any
 import numpy as np
 
 from .channels import ChannelSpec, apply_layer
-from .linalg import (
-    DensityOperator,
-    PureState,
-    conjugate_by,
-    fidelity_with,
-    pauli_conjugate,
-    tensor,
-)
+from .linalg import Operator, PureState, conjugate_by, fidelity_with, tensor
 
 STAGE_LABELS = tuple(f"rho{k}" for k in range(1, 11))
 
@@ -135,31 +128,32 @@ ALTERNATE_ASSIGNMENTS = (
 CIRCUIT = (("H", (2,)), ("CNOT", (2, 3)), ("CNOT", (1, 2)), ("H", (1,)))
 
 
-def build_initial(input_state: InputState) -> DensityOperator:
+def build_initial(input_state: InputState) -> Operator:
     """|psi><psi| tensor |00><00| on three qubits.
 
     The only nonzero entries sit at index pairs (0,0), (0,4), (4,0), (4,4):
     |a|^2, a b*, b a*, |b|^2.
     """
     psi = PureState([complex(input_state.alpha), complex(input_state.beta)])
-    ancilla = DensityOperator(np.diag([1, 0, 0, 0]))
+    ancilla = Operator(np.diag([1, 0, 0, 0]))
     return tensor(psi.projector(), ancilla)
 
 
-# Correction applied for each (x_pow, z_pow); Z X = iY, so conjugating by
-# Z X is conjugating by Y.
-_CORRECTION = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+# The entries of a 2x2 block whose row and column differ: Z negates them.
+_COHERENCES = np.array([[False, True], [True, False]])
+_COHERENCES.setflags(write=False)
 
 
 def measure_and_correct(
-    rho9: DensityOperator, assignment: CorrectionAssignment | None = None
-) -> DensityOperator:
+    rho9: Operator, assignment: CorrectionAssignment | None = None
+) -> Operator:
     """Outcome-averaged measurement of qubits 1,2 with X/Z corrections.
 
     For each outcome (m1, m2): project qubits 1 and 2 onto |m1 m2> without
     renormalizing, reduce to qubit 3, apply X then Z as wired by the
     assignment, and sum the four corrected branches.  Corrections are
-    applied noiselessly.
+    applied noiselessly, on the 2x2 block: X reverses its rows and its
+    columns, and Z negates its coherences.
     """
     if assignment is None:
         assignment = DEFAULT_ASSIGNMENT
@@ -171,18 +165,20 @@ def measure_and_correct(
             base = 4 * m1 + 2 * m2
             block = rho9.entries[..., base : base + 2, base : base + 2]
             outcome = {1: m1, 2: m2}
-            label = _CORRECTION[outcome[assignment.x_source], outcome[assignment.z_source]]
-            branch = pauli_conjugate(block, label, 1, 1)
-            acc = branch if acc is None else acc + branch
-    return DensityOperator(acc)
+            if outcome[assignment.x_source]:
+                block = block[..., ::-1, ::-1]
+            if outcome[assignment.z_source]:
+                block = np.where(_COHERENCES, -block, block)
+            acc = block if acc is None else acc + block
+    return Operator(acc)
 
 
 def run_stages_from_initial(
-    rho1: DensityOperator,
+    rho1: Operator,
     noise: ChannelSpec,
     noise_enabled: bool = True,
     assignment: CorrectionAssignment | None = None,
-) -> dict[str, DensityOperator]:
+) -> dict[str, Operator]:
     """Run the gate/noise ladder from an arbitrary three-qubit initial state.
 
     Returns the ten stages keyed in :data:`STAGE_LABELS` order.  With a
@@ -201,7 +197,7 @@ def run_stages_from_initial(
     return stages
 
 
-def run_stages(input_state: InputState, noise: ChannelSpec) -> dict[str, DensityOperator]:
+def run_stages(input_state: InputState, noise: ChannelSpec) -> dict[str, Operator]:
     """Run the full protocol for one input state, returning every stage."""
     return run_stages_from_initial(build_initial(input_state), noise)
 

@@ -24,7 +24,7 @@ from .analytic import PUBLISHED, linear_slope_exact
 from .channels import ChannelSpec, NoiseKind, apply_layer
 from .exact import GaussianRational, P, PolyP, extract_transfer_map, run_pipeline_symbolic
 from .linalg import (
-    DensityOperator,
+    Operator,
     PureState,
     fidelity_with,  # unused here, but perfbench/tracer.py wraps this binding
     max_entry_delta,
@@ -220,7 +220,7 @@ def verify_linear_slopes() -> list[VerificationTarget]:
     return targets
 
 
-def _product_of_noisy_marginals(rho: DensityOperator, p: float) -> DensityOperator:
+def _product_of_noisy_marginals(rho: Operator, p: float) -> Operator:
     """The factorized shortcut form: tensor of per-qubit noisy marginals.
 
     Drops all correlations of the input state, so it can only agree with
@@ -230,21 +230,21 @@ def _product_of_noisy_marginals(rho: DensityOperator, p: float) -> DensityOperat
     one_q = np.eye(2, dtype=np.complex128)
     for q in range(1, rho.num_qubits + 1):
         marginal = partial_trace(rho, [q])
-        noisy = DensityOperator((1 - p) * marginal.entries + (p / 2) * one_q)
+        noisy = Operator((1 - p) * marginal.entries + (p / 2) * one_q)
         out = noisy if out is None else tensor(out, noisy)
     return out
 
 
-def _bell_pair_state() -> DensityOperator:
+def _bell_pair_state() -> Operator:
     amp = 2**-0.5
     bell = PureState([amp, 0, 0, amp]).projector()
     qubit3 = PureState([1, 0]).projector()
     return tensor(bell, qubit3)
 
 
-def _plus_product_state() -> DensityOperator:
+def _plus_product_state() -> Operator:
     plus = PureState([2**-0.5, 2**-0.5]).projector()
-    mixed = DensityOperator([[0.3, 0], [0, 0.7]])
+    mixed = Operator([[0.3, 0], [0, 0.7]])
     zero = PureState([1, 0]).projector()
     return tensor(tensor(plus, mixed), zero)
 

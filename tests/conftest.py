@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from teleportsim.linalg import DensityOperator
+from teleportsim.linalg import Operator
 
 # Property tests draw the same examples on every run, so tier-1 stays
 # deterministic and its time bounded.
@@ -19,12 +19,12 @@ def rng():
 def random_density(rng):
     """Factory for random full-rank density operators."""
 
-    def make(num_qubits: int) -> DensityOperator:
+    def make(num_qubits: int) -> Operator:
         dim = 2**num_qubits
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         m = a @ a.conj().T
         m /= np.trace(m).real
-        return DensityOperator(m)
+        return Operator(m)
 
     return make
 

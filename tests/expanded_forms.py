@@ -12,7 +12,10 @@ conjugations, on gates written out here with numpy:
 - :func:`kraus_operators` writes each channel as weighted 2x2 Kraus
   operators, for the embedded-Kraus references in ``test_channels``;
 - :func:`dense_conjugate` with :func:`gate_matrix` is the dense form of
-  ``linalg.conjugate_by``, which applies the circuit's gates by index maps.
+  ``linalg.conjugate_by``, which applies the circuit's gates by index maps;
+- :func:`pauli_conjugate` conjugates by one Pauli on any qubit of n, the
+  general form of the noise kernel's flips and of the 2x2 corrections in
+  ``teleport.measure_and_correct``.
 """
 
 import itertools
@@ -21,8 +24,8 @@ from typing import Any
 
 import numpy as np
 
-from teleportsim.channels import ChannelSpec, NoiseKind, _complex_p, _pauli_weights
-from teleportsim.linalg import DensityOperator, Operator, partial_trace, tensor
+from teleportsim.channels import ChannelSpec, NoiseKind, _complex_p, _pauli_weights, _qubit_tables
+from teleportsim.linalg import Operator, partial_trace, tensor
 
 # complex constants: -one and -i carry a -0.0 part, and the bits of every
 # conjugated state depend on it
@@ -100,6 +103,24 @@ def dense_conjugate(rho: Operator, u: np.ndarray, scale: Any = None) -> np.ndarr
     return raw
 
 
+def pauli_conjugate(entries: np.ndarray, label: str, qubit: int, n: int) -> np.ndarray:
+    """Entries of P rho P^dagger for the Pauli ``label`` on ``qubit`` of ``n``.
+
+    Conjugating by a one-qubit Pauli only permutes entries and flips signs,
+    so no matrix product is needed: X flips the qubit's bit in the row and
+    column index, Z negates the entries whose row and column bits differ,
+    and Y does both.  Works on a batch of matrices along the leading axis
+    too.
+    """
+    perm, differ = _qubit_tables(qubit, n)
+    if label in ("X", "Y"):
+        lead = entries.shape[:-2]
+        entries = entries.reshape(lead + (-1,)).take(perm, axis=-1).reshape(entries.shape)
+    if label in ("Y", "Z"):
+        entries = np.where(differ, -entries, entries)
+    return entries
+
+
 def kraus_operators(spec: ChannelSpec) -> list[tuple[Any, np.ndarray]]:
     """Weighted Kraus decomposition {(w_i, K_i)} with sum_i w_i K_i^dag K_i = I.
 
@@ -111,7 +132,7 @@ def kraus_operators(spec: ChannelSpec) -> list[tuple[Any, np.ndarray]]:
     return [(w, PAULIS[label]) for w, label in _pauli_weights(spec.kind, _complex_p(spec.p))]
 
 
-def sort_qubits(op: Operator, labels: list[int]) -> DensityOperator:
+def sort_qubits(op: Operator, labels: list[int]) -> Operator:
     """Reorder qubit axes so the given logical labels come out ascending.
 
     ``labels[k]`` is the logical index carried by the operator's k-th qubit;
@@ -125,10 +146,10 @@ def sort_qubits(op: Operator, labels: list[int]) -> DensityOperator:
     order = sorted(range(n), key=lambda k: labels[k])
     axes = order + [n + ax for ax in order]
     ent = op.entries.reshape((2,) * (2 * n)).transpose(axes).reshape(op.dim, op.dim)
-    return DensityOperator(ent)
+    return Operator(ent)
 
 
-def depolarizing_subset_expansion(rho: DensityOperator, p: Any) -> DensityOperator:
+def depolarizing_subset_expansion(rho: Operator, p: Any) -> Operator:
     """Expanded form of the three-qubit depolarizing layer.
 
     Sums over the subsets of qubits that get replaced by I/2: the surviving
@@ -156,10 +177,10 @@ def depolarizing_subset_expansion(rho: DensityOperator, p: Any) -> DensityOperat
         acc = acc + (pp * pp * keep_w * quarter) * emb.entries
     full_w = pp * pp * pp * eighth * rho.trace()
     acc = acc + full_w * eye(3)
-    return DensityOperator(acc)
+    return Operator(acc)
 
 
-def flip_sum_expansion(spec: ChannelSpec, rho: DensityOperator) -> DensityOperator:
+def flip_sum_expansion(spec: ChannelSpec, rho: Operator) -> Operator:
     """Explicit Pauli-string sum form of a flip-channel layer.
 
     Sums over every combination of per-qubit flips with weight
@@ -181,4 +202,4 @@ def flip_sum_expansion(spec: ChannelSpec, rho: DensityOperator) -> DensityOperat
             string = factor if string is None else np.kron(string, factor)
         branch = dense_conjugate(rho, string) * weight
         acc = branch if acc is None else acc + branch
-    return DensityOperator(acc)
+    return Operator(acc)

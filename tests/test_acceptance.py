@@ -33,7 +33,7 @@ from expanded_forms import depolarizing_subset_expansion, flip_sum_expansion
 from teleportsim.channels import ChannelSpec, NoiseKind, apply_layer
 from teleportsim.exact import GaussianRational, P, PolyP, extract_transfer_map
 from teleportsim.linalg import (
-    DensityOperator,
+    Operator,
     hermitian_eigenvalues,
     hermiticity_deviation,
     max_entry_delta,
@@ -113,12 +113,12 @@ def criterion(num: int, description: str, failures: list[str]) -> None:
         raise AssertionError(f"criterion {num} has {len(failures)} violation(s):\n{listing}{more}")
 
 
-def random_states(count: int, rng) -> list[DensityOperator]:
+def random_states(count: int, rng) -> list[Operator]:
     out = []
     for _ in range(count):
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         m = a @ a.conj().T
-        out.append(DensityOperator(m / np.trace(m).real))
+        out.append(Operator(m / np.trace(m).real))
     return out
 
 

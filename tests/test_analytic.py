@@ -17,7 +17,7 @@ from teleportsim.analytic import (
 )
 from teleportsim.channels import ChannelSpec, NoiseKind
 from teleportsim.exact import GaussianRational, P, PolyP
-from teleportsim.linalg import DensityOperator
+from teleportsim.linalg import Operator
 from teleportsim.teleport import InputState
 
 STATES = [
@@ -184,9 +184,20 @@ class TestLinearApproximation:
                 st = InputState(complex(alpha), complex(beta))
                 assert float(exact) == pytest.approx(linear_slope(kind, st), abs=1e-14)
 
+    @given(
+        a=st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False),
+        b=st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False),
+    )
+    def test_bitflip_cross_term_is_exactly_real(self, a, b):
+        # linear_slope's cross term, as it computes it: the two products are
+        # exact float conjugates, so their squares' imaginary parts cancel to
+        # 0.0 and the slope needs no check on them
+        cross = (a * b.conjugate()) ** 2 + (b * a.conjugate()) ** 2
+        assert cross.imag == 0.0
+
 
 # The per-point closed forms, as the package computed them before it took a
-# whole p grid: Python scalar arithmetic, one DensityOperator per point.  The
+# whole p grid: Python scalar arithmetic, one Operator per point.  The
 # grid forms must equal them bit for bit.
 
 
@@ -224,7 +235,7 @@ def reference_rho10_closed(kind, input_state, p):
     else:
         u6 = u("u6")
         ent = [[aa, u6 * coh], [u6 * coh.conjugate(), dd]]
-    return DensityOperator(ent)
+    return Operator(ent)
 
 
 def reference_fidelity_closed(kind, input_state, p):

@@ -24,6 +24,7 @@ from expanded_forms import (
     flip_sum_expansion,
     gate_matrix,
     kraus_operators,
+    pauli_conjugate,
     sort_qubits,
 )
 from teleportsim.channels import (
@@ -36,14 +37,12 @@ from teleportsim.channels import (
 )
 from teleportsim.exact import GaussianRational, P, PolyP
 from teleportsim.linalg import (
-    DensityOperator,
     Operator,
     PureState,
     conjugate_by,
     hermitian_eigenvalues,
     max_entry_delta,
     partial_trace,
-    pauli_conjugate,
     tensor,
 )
 from teleportsim.teleport import (
@@ -154,8 +153,13 @@ class TestProbabilityBatch:
             ([0.5, 0.5j], "must be real numbers, got dtype complex128"),
             (["0.5"], "must be real numbers, got dtype <U3"),
             ([True, False], "must be real numbers, got dtype bool"),
+            ([0.5, True], "noise probability True is not real"),
+            ((0.5, np.True_), "noise probability np.True_ is not real"),
         ],
-        ids=["nan", "above-one", "negative", "inf", "empty", "2-D", "0-D", "complex", "string", "bool"],
+        ids=[
+            "nan", "above-one", "negative", "inf", "empty", "2-D", "0-D", "complex", "string",
+            "bool", "bool-in-list", "numpy-bool-in-tuple",
+        ],
     )
     def test_every_element_validated(self, batch, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -178,7 +182,7 @@ class TestApplyToQubit:
         rho = tensor(zero, sigma)
         p = 0.3
         out = apply_to_qubit(spec(NoiseKind.BIT_FLIP, p), rho, 1)
-        target = DensityOperator([[1 - p, 0], [0, p]])
+        target = Operator([[1 - p, 0], [0, p]])
         assert max_entry_delta(out, tensor(target, sigma)) <= 1e-15
 
     def test_p0_leaves_input_exactly(self, random_density):
@@ -192,7 +196,7 @@ class TestApplyToQubit:
         out = apply_to_qubit(spec(NoiseKind.DEPOLARIZING, 1.0), rho, 2)
         marg = partial_trace(rho, keep=[1, 3])
         rebuilt = sort_qubits(tensor(marg, Operator(eye(1))), [1, 3, 2])
-        assert max_entry_delta(out, DensityOperator(rebuilt.entries / 2)) <= 1e-14
+        assert max_entry_delta(out, Operator(rebuilt.entries / 2)) <= 1e-14
 
     def test_index_out_of_range(self, random_density):
         with pytest.raises(ValueError):
@@ -246,7 +250,7 @@ class TestApplyLayer:
     def test_phaseflip_fixes_diagonal_states(self, rng):
         diag = np.diag(rng.random(8))
         diag /= diag.trace()
-        rho = DensityOperator(diag)
+        rho = Operator(diag)
         out = apply_layer(spec(NoiseKind.PHASE_FLIP, 0.37), rho)
         assert max_entry_delta(out, rho) <= 1e-15
 
@@ -323,7 +327,7 @@ class TestExpandedForms:
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         m = a @ a.conj().T
-        rho = DensityOperator(m / np.trace(m).real)
+        rho = Operator(m / np.trace(m).real)
         s = spec(kind, p)
         if kind is NoiseKind.DEPOLARIZING:
             oracle = depolarizing_subset_expansion(rho, s.p)
@@ -351,12 +355,28 @@ def dense_correction_reference(rho9, assignment):
     for m1 in (0, 1):
         for m2 in (0, 1):
             base = 4 * m1 + 2 * m2
-            block = DensityOperator(rho9.entries[base : base + 2, base : base + 2])
+            block = Operator(rho9.entries[base : base + 2, base : base + 2])
             outcome = {1: m1, 2: m2}
             x_pow = outcome[assignment.x_source]
             z_pow = outcome[assignment.z_source]
             u = {(1, 1): Z @ X, (1, 0): X, (0, 1): Z}.get((x_pow, z_pow))
             branch = block.entries if u is None else dense_conjugate(block, u)
+            acc = branch if acc is None else acc + branch
+    return acc
+
+
+def pauli_correction_reference(rho9, assignment):
+    """measure_and_correct as one-qubit Pauli conjugations of each 2x2 block
+    by expanded_forms.pauli_conjugate: I, X, Z, or Y for X then Z (Z X = iY)."""
+    labels = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+    acc = None
+    for m1 in (0, 1):
+        for m2 in (0, 1):
+            base = 4 * m1 + 2 * m2
+            block = rho9.entries[..., base : base + 2, base : base + 2]
+            outcome = {1: m1, 2: m2}
+            label = labels[outcome[assignment.x_source], outcome[assignment.z_source]]
+            branch = pauli_conjugate(block, label, 1, 1)
             acc = branch if acc is None else acc + branch
     return acc
 
@@ -389,19 +409,19 @@ def random_operator(rng, num_qubits, batch=None, zeros=False):
         re, im = rng.normal(size=(2, *shape))
     out = np.empty(shape, dtype=complex)
     out.real, out.imag = re, im  # `re + 1j * im` would turn -0.0 into 0.0
-    return DensityOperator(out)
+    return Operator(out)
 
 
 def layer_reference(spec, rho, reference=embedded_kraus_reference):
     """Dense form of apply_layer: a per-qubit reference, qubit by qubit."""
     for qubit in range(1, rho.num_qubits + 1):
-        rho = DensityOperator(reference(spec, rho, qubit))
+        rho = Operator(reference(spec, rho, qubit))
     return rho.entries
 
 
 def branch_sum_reference(spec, rho, qubit):
     """apply_to_qubit as one Pauli branch at a time: each conjugated by
-    linalg.pauli_conjugate, then weighted, then summed in order."""
+    expanded_forms.pauli_conjugate, then weighted, then summed in order."""
     acc = None
     for w, label in _pauli_weights(spec.kind, _complex_p(spec.p)):
         branch = pauli_conjugate(rho.entries, label, qubit, rho.num_qubits) * w
@@ -439,7 +459,7 @@ class TestAgainstDenseReference:
         for _ in range(3):
             p = Fraction(int(rng.integers(0, 101)), 100)
             rows = random_rational_rows(rng, 8)
-            rho = DensityOperator([[complex(x) for x in row] for row in rows])
+            rho = Operator([[complex(x) for x in row] for row in rows])
             got = apply_to_qubit(spec(kind, float(p)), rho, qubit).entries
             want = ref.noise_on_qubit(ref.matrix(rows), kind, qubit)
             assert np.max(np.abs(got - evaluate_at(want, p))) <= 1e-14
@@ -454,7 +474,7 @@ class TestAgainstDenseReference:
         ancillas = [[int(r == c == 0) for c in range(pad)] for r in range(pad)]
         for _ in range(2):
             rows = random_rational_rows(rng, 2**num_qubits)
-            rho = DensityOperator([[complex(x) for x in row] for row in rows])
+            rho = Operator([[complex(x) for x in row] for row in rows])
             want = ref.kron(ref.matrix(rows), ref.matrix(ancillas))
             for qubit in range(1, num_qubits + 1):
                 want = ref.noise_on_qubit(want, kind, qubit)
@@ -502,12 +522,25 @@ class TestAgainstDenseReference:
         # p = -0.0 equals 0.0, but its X weight is -0.0, and so is the real
         # part of output entry (1, 0) here; weights kept for p = 0.0 would
         # give +0.0
-        rho = DensityOperator([[0.5 + 0.5j, 0.5 + 0.5j], [complex(-0.0, 0.5), -0.5 - 0.5j]])
+        rho = Operator([[0.5 + 0.5j, 0.5 + 0.5j], [complex(-0.0, 0.5), -0.5 - 0.5j]])
         for p in (0.0, -0.0, 0.0, (0.0, 0.5), (-0.0, 0.5)):
             s = spec(NoiseKind.BIT_FLIP, p)
             got = apply_layer(s, rho).entries
             assert got.tobytes() == layer_reference(s, rho, branch_sum_reference).tobytes()
             assert np.signbit(got[..., 1, 0].real).tolist() == np.signbit(p).tolist()
+
+    @pytest.mark.parametrize("assignment", [DEFAULT_ASSIGNMENT, *ALTERNATE_ASSIGNMENTS])
+    def test_measure_and_correct_equals_pauli_conjugations(self, assignment, rng):
+        # the 2x2 flips and sign masks give the general conjugation's bits,
+        # signed zeros included, unbatched and batched
+        for batch in (None, 1, 5):
+            for zeros in (True, False):
+                for _ in range(100):
+                    rho9 = random_operator(rng, 3, batch, zeros)
+                    got = measure_and_correct(rho9, assignment).entries
+                    want = pauli_correction_reference(rho9, assignment)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("assignment", [DEFAULT_ASSIGNMENT, *ALTERNATE_ASSIGNMENTS])
     def test_measure_and_correct_equals_dense_corrections(self, assignment, random_density, rng):
@@ -517,7 +550,7 @@ class TestAgainstDenseReference:
             assert got.tobytes() == dense_correction_reference(rho9, assignment).tobytes()
         for _ in range(3):
             rows = random_rational_rows(rng, 8)
-            rho9 = DensityOperator([[complex(x) for x in row] for row in rows])
+            rho9 = Operator([[complex(x) for x in row] for row in rows])
             got = measure_and_correct(rho9, assignment).entries
             want = ref.measure_and_correct(ref.matrix(rows), assignment.x_source, assignment.z_source)
             assert np.max(np.abs(got - evaluate_at(want, 0))) <= 1e-14

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from expanded_forms import GATES, sort_qubits
+from expanded_forms import GATES, pauli_conjugate, sort_qubits
 from teleportsim.channels import ChannelSpec, NoiseKind
 from teleportsim.linalg import (
-    DensityOperator,
     Operator,
     PureState,
     conjugate_by,
@@ -15,20 +14,19 @@ from teleportsim.linalg import (
     hermiticity_deviation,
     max_entry_delta,
     partial_trace,
-    pauli_conjugate,
     tensor,
 )
 from teleportsim.teleport import InputState, run_stages
 
 
-def proj(amplitudes) -> DensityOperator:
+def proj(amplitudes) -> Operator:
     return PureState(amplitudes).projector()
 
 
 BELL = proj([2**-0.5, 0, 0, 2**-0.5])
 
 
-def brute_force_partial_trace(rho: DensityOperator, keep) -> np.ndarray:
+def brute_force_partial_trace(rho: Operator, keep) -> np.ndarray:
     """Index-summation oracle: loop over kept and summed bit patterns."""
     n = rho.num_qubits
     keep = list(keep)
@@ -188,7 +186,7 @@ class TestFidelity:
 
     def test_maximally_mixed_gives_half(self):
         psi = PureState([2**-0.5, -(2**-0.5)])
-        assert fidelity_with(psi, DensityOperator(np.eye(2) / 2)) == pytest.approx(0.5)
+        assert fidelity_with(psi, Operator(np.eye(2) / 2)) == pytest.approx(0.5)
 
     def test_dimension_mismatch(self):
         psi = PureState([1, 0])
@@ -197,19 +195,19 @@ class TestFidelity:
 
     def test_non_hermitian_rejected(self):
         psi = PureState([1, 0])
-        bad = DensityOperator([[1, 1], [0, 0]])
+        bad = Operator([[1, 1], [0, 0]])
         with pytest.raises(ValueError):
             fidelity_with(psi, bad)
         # the tolerance is 1e-9: a 1e-10 deviation passes, a 1e-8 one fails
-        assert fidelity_with(psi, DensityOperator([[1, 1e-10], [0, 0]])) == 1.0
+        assert fidelity_with(psi, Operator([[1, 1e-10], [0, 0]])) == 1.0
         with pytest.raises(ValueError, match=r"not Hermitian \(deviation 1\.000e-08\)"):
-            fidelity_with(psi, DensityOperator([[1, 1e-8], [0, 0]]))
+            fidelity_with(psi, Operator([[1, 1e-8], [0, 0]]))
         # a nan entry makes a nan deviation, which must fail the check too
         for entry in ((1, 1), (0, 1)):
             ent = np.array([[1, 0], [0, 0]], dtype=complex)
             ent[entry] = np.nan
             with pytest.raises(ValueError, match=r"not Hermitian \(deviation nan\)"):
-                fidelity_with(psi, DensityOperator(ent))
+                fidelity_with(psi, Operator(ent))
 
     def test_range_on_random_states(self, random_density, rng):
         for _ in range(10):
@@ -224,7 +222,7 @@ class TestOperatorScaling:
     def test_trace_linearity(self, random_density, rng):
         a, b = random_density(2), random_density(2)
         x, y = complex(rng.normal()), complex(rng.normal())
-        combo = DensityOperator(x * a.entries + y * b.entries)
+        combo = Operator(x * a.entries + y * b.entries)
         assert combo.trace() == pytest.approx(x * a.trace() + y * b.trace(), abs=1e-13)
 
     def test_qubit_cap_enforced(self):
@@ -275,7 +273,7 @@ class TestBatchAxis:
     behaves exactly as the matrix on its own."""
 
     def stack(self, random_density, num_qubits, size=5):
-        return DensityOperator(np.stack([random_density(num_qubits).entries for _ in range(size)]))
+        return Operator(np.stack([random_density(num_qubits).entries for _ in range(size)]))
 
     def test_shape_rules(self):
         op = Operator(np.zeros((4, 8, 8)))
@@ -287,15 +285,15 @@ class TestBatchAxis:
 
     def test_trace_dagger_and_hermiticity_per_slice(self, random_density, rng):
         rho = self.stack(random_density, 2)
-        skew = DensityOperator(rho.entries + 1j * rng.normal(size=rho.entries.shape))
+        skew = Operator(rho.entries + 1j * rng.normal(size=rho.entries.shape))
         assert rho.trace().shape == (5,)
         skew_dagger = np.conjugate(skew.entries).swapaxes(-1, -2)
         for k in range(5):
-            single = DensityOperator(skew.entries[k])
+            single = Operator(skew.entries[k])
             assert skew.trace()[k] == single.trace()
             assert skew_dagger[k].tobytes() == np.conjugate(single.entries).T.tobytes()
         assert hermiticity_deviation(skew) == max(
-            hermiticity_deviation(DensityOperator(e)) for e in skew.entries
+            hermiticity_deviation(Operator(e)) for e in skew.entries
         )
 
     @pytest.mark.parametrize("label", ["I", "X", "Y", "Z"])
@@ -318,11 +316,11 @@ class TestBatchAxis:
         psi = PureState(v / np.linalg.norm(v))
         got = fidelity_with(psi, rho)
         assert got.shape == (7,)
-        assert got.tolist() == [fidelity_with(psi, DensityOperator(e)) for e in rho.entries]
+        assert got.tolist() == [fidelity_with(psi, Operator(e)) for e in rho.entries]
         bad = rho.entries.copy()
         bad[3, 0, 1] += 1
         with pytest.raises(ValueError, match="not Hermitian"):
-            fidelity_with(psi, DensityOperator(bad))
+            fidelity_with(psi, Operator(bad))
 
     def test_entries_are_c_contiguous_whatever_the_input_layout(self):
         # A batched fidelity rounds according to the entries' memory layout,
@@ -335,7 +333,7 @@ class TestBatchAxis:
         strided = np.empty((2, 2, len(grid)), dtype=complex).transpose(2, 0, 1)
         strided[...] = rho10.entries
         assert not strided.flags.c_contiguous
-        copy = DensityOperator(strided)
+        copy = Operator(strided)
         assert copy.entries.flags.c_contiguous
         assert copy.entries.tobytes() == rho10.entries.tobytes()
         psi = PureState([0.6 + 0.8j, 0])

@@ -14,7 +14,7 @@ from teleportsim.channels import ChannelSpec, NoiseKind
 from teleportsim.cli import SweepConfig, run_sweep
 from teleportsim.exact import GaussianRational
 from teleportsim.linalg import (
-    DensityOperator,
+    Operator,
     hermitian_eigenvalues,
     hermiticity_deviation,
 )
@@ -210,7 +210,7 @@ class TestMeasureAndCorrect:
             assert np.max(np.abs(out.entries - expected)) <= 1e-15
 
     def test_maximally_mixed_input(self):
-        rho9 = DensityOperator(np.eye(8) / 8)
+        rho9 = Operator(np.eye(8) / 8)
         out = measure_and_correct(rho9)
         assert np.max(np.abs(out.entries - np.eye(2) / 2)) <= 1e-15
 
@@ -236,7 +236,7 @@ class TestMeasureAndCorrect:
 
     def test_wrong_qubit_count(self):
         with pytest.raises(ValueError):
-            measure_and_correct(DensityOperator(np.eye(4) / 4))
+            measure_and_correct(Operator(np.eye(4) / 4))
 
     def test_assignment_validation(self):
         with pytest.raises(ValueError):

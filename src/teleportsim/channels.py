@@ -214,8 +214,7 @@ def _apply_pauli_channel(spec: ChannelSpec, rho: Operator, qubits: range) -> Ope
         if prod is not None:
             np.add(acc, prod, out=acc)
         src = acc
-    del flip, prod  # freed before the operator copies acc
-    return Operator(acc)
+    return Operator(acc, copy=False)
 
 
 def apply_to_qubit(spec: ChannelSpec, rho: Operator, qubit: int) -> Operator:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .analytic import fidelity_closed, fidelity_linear
 from .channels import ChannelSpec, NoiseKind
@@ -28,6 +28,12 @@ BATCH_POINTS = 1024
 # largest grid a sweep or chart accepts: the grid, its text and the CSV are
 # built whole in memory
 MAX_STEPS = 100_000
+# decimals of the minimum eigenvalue a trace prints.  LAPACK's eigenvalues
+# carry rounding noise that differs between kernels (a zero eigenvalue reads
+# 0 on one, -1.5e-17 on another; the error bound for a trace-one 8x8
+# operator is about 8 x 2.2e-16), so they are printed at 1e-12, three orders
+# above it, with a -0 read as 0.
+EIGENVALUE_DIGITS = 12
 
 
 def parse_amplitude(token: str) -> complex:
@@ -83,6 +89,9 @@ class SweepConfig:
     p_end: float = 1.0
     steps: int = 101
     columns: tuple[str, ...] = ALL_COLUMNS
+    #: the grid as checked specs of at most BATCH_POINTS points each, built
+    #: once and shared by every state and column
+    chunks: tuple[ChannelSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, value in (("p_start", self.p_start), ("p_end", self.p_end)):
@@ -97,21 +106,26 @@ class SweepConfig:
         for col in self.columns:
             if col not in ALL_COLUMNS:
                 raise ValueError(f"unknown column {col!r}")
-        ChannelSpec(self.kind, self.grid())  # names the first bad grid point
+        span = self.p_end - self.p_start
+        grid = [self.p_start + span * i / (self.steps - 1) for i in range(self.steps)]
+        # in grid order, so ChannelSpec names the first bad grid point
+        chunks = tuple(
+            ChannelSpec(self.kind, grid[start : start + BATCH_POINTS])
+            for start in range(0, len(grid), BATCH_POINTS)
+        )
+        object.__setattr__(self, "chunks", chunks)
 
     def grid(self) -> list[float]:
-        span = self.p_end - self.p_start
-        return [self.p_start + span * i / (self.steps - 1) for i in range(self.steps)]
+        return [p for chunk in self.chunks for p in chunk.p]
 
 
 def _grid_columns(
-    kind: NoiseKind, state: InputState, grid: list[float], functions: list
+    state: InputState, chunks: tuple[ChannelSpec, ...], functions: list
 ) -> list[list[float]]:
     """Each ``function(state, noise)`` at every grid point, one list per
-    function; each chunk of the grid is one spec, shared by the functions."""
+    function, with one call per chunk of the grid."""
     columns: list[list[float]] = [[] for _ in functions]
-    for start in range(0, len(grid), BATCH_POINTS):
-        batch = ChannelSpec(kind, grid[start : start + BATCH_POINTS])
+    for batch in chunks:
         for column, function in zip(columns, functions):
             column += function(state, batch).tolist()
     return columns
@@ -132,7 +146,7 @@ def run_sweep(config: SweepConfig) -> str:
         # one format call per row: p, the label (float reprs, so no `%`),
         # then the value columns
         row = "%.17g," + state_label(alpha, beta) + ",%.17g" * (len(header) - 2)
-        columns = _grid_columns(config.kind, state, grid, functions)
+        columns = _grid_columns(state, config.chunks, functions)
         if with_diff:
             # numeric and analytic come first, in ALL_COLUMNS order
             columns.append([abs(f_num - f_ana) for f_num, f_ana in zip(*columns[:2])])
@@ -203,7 +217,7 @@ def cmd_trace(args) -> int:
         # Python complexes format to the same text as numpy's, and faster
         for row in rho.entries.tolist():
             lines.append(row_fmt % tuple(["%.12g%+.12gi" % (z.real, z.imag) for z in row]))
-        min_eig = hermitian_eigenvalues(rho)[0]
+        min_eig = round(float(hermitian_eigenvalues(rho)[0]), EIGENVALUE_DIGITS) + 0.0
         lines.append("  trace = %.12g, min eigenvalue = %.12g" % (rho.trace().real, min_eig))
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -239,7 +253,7 @@ def cmd_curves(args) -> int:
     series = []
     for alpha, beta in config.states:
         state = InputState(alpha, beta)
-        (fidelities,) = _grid_columns(config.kind, state, grid, [teleport_fidelity])
+        (fidelities,) = _grid_columns(state, config.chunks, [teleport_fidelity])
         series.append((state_label(alpha, beta), list(zip(grid, fidelities))))
     svg = render_line_chart(
         title=f"teleportation fidelity under {config.kind.value} noise",

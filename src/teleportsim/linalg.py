@@ -8,8 +8,8 @@ index, i.e. basis state |q1 q2 q3> has index 4*q1 + 2*q2 + q3.
 
 Operators may carry one leading batch axis, shape (B, dim, dim): one
 matrix per noise probability of a batched :class:`channels.ChannelSpec`.
-The elementwise, index and matmul operations here broadcast over it, so a
-batch runs the same code as a single matrix.
+The elementwise and index operations here broadcast over it, so a batch runs
+the same code as a single matrix.
 """
 
 from __future__ import annotations
@@ -36,9 +36,12 @@ class Operator:
 
     __slots__ = ("num_qubits", "entries")
 
-    def __init__(self, entries: Any):
-        # C order: a batched matmul rounds according to the memory layout
-        arr = np.array(entries, dtype=np.complex128, order="C")
+    def __init__(self, entries: Any, *, copy: bool = True):
+        # C order: the fidelity reads the entries as interleaved real pairs.
+        # copy=False is for an array built for this operator and held by no
+        # one else: it is stored, and frozen, as it is when already C-ordered
+        # complex128.
+        arr = np.array(entries, dtype=np.complex128, order="C", copy=copy or None)
         if arr.ndim not in (2, 3) or arr.shape[-2] != arr.shape[-1]:
             raise ValueError(
                 f"operator entries must be square, optionally batched, got shape {arr.shape}"
@@ -86,13 +89,26 @@ class PureState:
         self.amplitudes = _freeze(amps)
 
     def projector(self) -> Operator:
-        amps = self.amplitudes
-        return Operator(np.outer(amps, np.conjugate(amps)))
+        """|psi><psi|, each entry psi_i conj(psi_j) formed from float products
+        as the textbook complex product forms it: numpy's SIMD complex
+        multiply rounds differently at different SIMD levels."""
+        pairs = [(a.real, a.imag) for a in self.amplitudes.tolist()]
+        return Operator(
+            [[complex(ar * br + ai * bi, ai * br - ar * bi) for br, bi in pairs] for ar, ai in pairs]
+        )
 
 
 def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product with ``a``'s qubits leftmost (most significant)."""
-    return Operator(np.kron(a.entries, b.entries))
+    """Kronecker product with ``a``'s qubits leftmost (most significant).
+
+    One broadcast multiply, ``a[i, j] * b[k, l]`` at ``[i, k, j, l]``, then a
+    reshape: the products of ``np.kron``, bit for bit.  A leading batch axis
+    on either side broadcasts, one product per slice.
+    """
+    x, y = a.entries, b.entries
+    dim = x.shape[-1] * y.shape[-1]
+    out = x[..., :, None, :, None] * y[..., None, :, None, :]
+    return Operator(out.reshape(out.shape[:-4] + (dim, dim)), copy=False)
 
 
 def partial_trace(rho: Operator, keep: Sequence[int]) -> Operator:
@@ -117,7 +133,7 @@ def partial_trace(rho: Operator, keep: Sequence[int]) -> Operator:
     dk = 2 ** len(keep)
     dt = 2 ** len(traced)
     block = tens.reshape(dk, dt, dk, dt)
-    return Operator(np.trace(block, axis1=1, axis2=3))
+    return Operator(np.trace(block, axis1=1, axis2=3), copy=False)
 
 
 @lru_cache(maxsize=None)
@@ -169,18 +185,25 @@ def conjugate_by(rho: Operator, gate: tuple[str, tuple[int, ...]]) -> Operator:
     if not all(1 <= q <= n for q in qubits):
         raise ValueError(f"gate {gate} acts outside qubits 1..{n}")
     if name == "H" and len(qubits) == 1:
-        return Operator(_hadamard_conjugate(rho.entries, qubits[0], n))
+        return Operator(_hadamard_conjugate(rho.entries, qubits[0], n), copy=False)
     if name == "CNOT" and len(qubits) == 2 and qubits[0] != qubits[1]:
         entries = rho.entries
         flat = entries.reshape(entries.shape[:-2] + (-1,))
         permuted = flat.take(_cnot_permutation(*qubits, n), axis=-1).reshape(entries.shape)
-        return Operator(permuted + 0j)
+        return Operator(permuted + 0j, copy=False)
     raise ValueError(f"unknown gate {gate}; expected ('H', (q,)) or ('CNOT', (c, t))")
 
 
 def fidelity_with(psi: PureState, rho: Operator) -> Any:
     """Overlap <psi| rho |psi>: a real float, or a (B,) float array for a
-    batched ``rho``."""
+    batched ``rho``.
+
+    A fold in a fixed order with no matrix product, so the value does not
+    depend on the BLAS kernel, the SIMD level or the batch: the terms
+    Re(conj(psi_i) psi_j rho_ij) = u_ij Re(rho_ij) - v_ij Im(rho_ij), where
+    u_ij + i v_ij = conj(psi_i) psi_j, are added left to right over (i, j)
+    in row-major order.  Each slice of a batch equals its unbatched value.
+    """
     if psi.num_qubits != rho.num_qubits:
         raise ValueError(
             f"dimension mismatch: state on {psi.num_qubits} qubits, "
@@ -189,16 +212,23 @@ def fidelity_with(psi: PureState, rho: Operator) -> Any:
     dev = hermiticity_deviation(rho)
     if not dev <= 1e-9:  # a nan deviation fails too
         raise ValueError(f"operator is not Hermitian (deviation {dev:.3e})")
-    rows = np.conjugate(psi.amplitudes) @ rho.entries
-    if rows.ndim == 1:
-        return float((rows @ psi.amplitudes).real)
-    # one dot per slice: a batched `rows @ amplitudes` rounds differently
-    return np.array([(row @ psi.amplitudes).real for row in rows])
+    amps = psi.amplitudes.tolist()
+    uv = np.array(
+        [(a.real * b.real + a.imag * b.imag, a.real * b.imag - a.imag * b.real)
+         for a in amps for b in amps]
+    )
+    entries = rho.entries
+    parts = entries.reshape(entries.shape[:-2] + (-1,)).view(np.float64)
+    terms = parts[..., 0::2] * uv[:, 0] - parts[..., 1::2] * uv[:, 1]
+    total = terms[..., 0]
+    for k in range(1, terms.shape[-1]):
+        total = total + terms[..., k]
+    return total if entries.ndim == 3 else float(total)
 
 
 def hermiticity_deviation(op: Operator) -> float:
     """Max entrywise |A - A^dagger|, over the whole batch."""
-    return float(np.max(np.abs(op.entries - np.conjugate(op.entries).swapaxes(-1, -2))))
+    return float(np.abs(op.entries - np.conjugate(op.entries).swapaxes(-1, -2)).max())
 
 
 def hermitian_eigenvalues(op: Operator) -> np.ndarray:

@@ -170,7 +170,7 @@ def measure_and_correct(
             if outcome[assignment.z_source]:
                 block = np.where(_COHERENCES, -block, block)
             acc = block if acc is None else acc + block
-    return Operator(acc)
+    return Operator(acc, copy=False)
 
 
 def run_stages_from_initial(

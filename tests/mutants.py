@@ -105,8 +105,20 @@ MUTANTS = (
     Mutant(
         "linalg-tensor-operands-swapped",
         "linalg.py",
-        "np.kron(a.entries, b.entries)",
-        "np.kron(b.entries, a.entries)",
+        "x, y = a.entries, b.entries",
+        "x, y = b.entries, a.entries",
+    ),
+    Mutant(
+        "linalg-fold-drops-conjugate",
+        "linalg.py",
+        "(a.real * b.real + a.imag * b.imag, a.real * b.imag - a.imag * b.real)",
+        "(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)",
+    ),
+    Mutant(
+        "linalg-operator-keeps-caller-array",
+        "linalg.py",
+        'order="C", copy=copy or None)',
+        'order="C", copy=None)',
     ),
     Mutant(
         "linalg-cnot-flips-control",
@@ -161,6 +173,12 @@ MUTANTS = (
         "analytic.py",
         "if not np.all(np.abs(im) <= 1e-12):",
         "if False:",
+    ),
+    Mutant(
+        "cli-trace-prints-negative-zero",
+        "cli.py",
+        "EIGENVALUE_DIGITS) + 0.0",
+        "EIGENVALUE_DIGITS)",
     ),
     Mutant(
         "cli-sweep-csv-precision",

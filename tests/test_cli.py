@@ -5,7 +5,12 @@ import hashlib
 import importlib.util
 import io
 import itertools
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -462,26 +467,30 @@ for _kind in ("depolarizing", "bitflip", "phaseflip"):
     })
 
 
-# sha256 of each output file, recorded from the per-point pipeline before the
-# batched one replaced it (x86-64, numpy 2.4 with its bundled OpenBLAS).  The
+# sha256 of each output file.  The curves entries were recorded from the
+# per-point pipeline before the batched one replaced it (x86-64, numpy 2.4
+# with its bundled OpenBLAS).  The sweep and trace entries were recorded again
+# when the fidelity became a fixed-order fold and trace's minimum eigenvalue
+# was printed at 1e-12: before that they held only under this BLAS kernel and
+# SIMD level, and TestCrossHost now checks that they hold under others.  The
 # CSV prints 17 significant digits, so any change in the last bit of a
 # fidelity changes a hash.
 GOLDEN_SHA256 = {
-    "sweep-depolarizing-default": "93b4ad5dfe0036494718d390d93ba32edf4a4076b61d20766c7c7f627e5f2608",
-    "sweep-depolarizing-complex": "9d0e33b4900de5c2298adb170ed2a9a370fa49019007dbfdd46a633bb7c98dd9",
+    "sweep-depolarizing-default": "336d5827b641903f5470faf936379170558241c1255de9069518fd43d6efb0df",
+    "sweep-depolarizing-complex": "dea86f1ba19cd018959b25a665622370bc2e41574f9841b68fdaf88811d2556c",
     "curves-depolarizing": "145839f51d7ef39376ed1905e5e71408ebc467ccb331cc9bfdda09267671666d",
-    "trace-depolarizing-p0": "2d5344aac398693555257dd7fbfa123bf0d62e9a1ed75d7d9e7b6f793b4fc355",
-    "trace-depolarizing-p0.3": "ec0ea7dcd11a4e40bf3d85f1bf7869c95ba300276bd342e7c0fc3ce5611802c6",
-    "sweep-bitflip-default": "985336a944877f8dbbe41081979301e7c358fe25b105f656bdfbf3e05efacd0c",
-    "sweep-bitflip-complex": "484dc8f81b3b449d72ee6ea18f6877662b62586c184c74ef0c5e2a353b5b2827",
+    "trace-depolarizing-p0": "069982e9df710dacd4202f9456edd6df13df6d439a26caa7d4f13e906cfe8b96",
+    "trace-depolarizing-p0.3": "b73b744163352e1985bf5d29b13081871434d79394168ed4814f8965e3afee46",
+    "sweep-bitflip-default": "543b21763f84aa066838dcd34aec444070648e2676342ff1cb89f1a863afbf90",
+    "sweep-bitflip-complex": "91175b3b6c9ecfcaddad08d1ced82accf7da3744505a45b54263e67765c0de02",
     "curves-bitflip": "b68bf71df5da7dc9ca20acd08352a33cebda4de547733d22bc047b30aacde803",
-    "trace-bitflip-p0": "96d45d2d3d802699592422a6131b11f808f7c59cf2dccbbba7142962137c6e19",
-    "trace-bitflip-p0.3": "28cff94cfa60f64c6fc67ebc22db92f44c8e624f3222308a794b4a59866910ee",
-    "sweep-phaseflip-default": "a9951ef000d2dab38e7fa00bf5451ec1b231f1716cf14483dc3e2f8f4249a562",
-    "sweep-phaseflip-complex": "a06954c3f3c1b111847a60da35453ed8de96962a5686ad024960f5b435e65e87",
+    "trace-bitflip-p0": "b1047a7940c3a4673db7dcbe4e864ee521f9bf771c2f87b85ce885464d3db26c",
+    "trace-bitflip-p0.3": "baae8bd4c99f74ce0e621a7be3fbef18a6325fa1f59fdfe7cccf9feccfab0aaf",
+    "sweep-phaseflip-default": "37084cd1ba34523125b0b76669be21aa34896151bf9c8af49b4fbcaa9b4949b8",
+    "sweep-phaseflip-complex": "46c3808f6fe309fdb32f581b0a78a719bacf67c2b053377a96fe2abbea4f7e95",
     "curves-phaseflip": "db6559f2a0f5ba65f75597e5e6416d615b8503d043b102f32a446c2e932a2412",
-    "trace-phaseflip-p0": "8580ae0573d5be638803b49e537527c135c860c603ae9b217db72c3812ce9644",
-    "trace-phaseflip-p0.3": "cb991593ba1cb416ae1205b0b7d82f977560ba492e002b0e354f5a4bfeed0a3c",
+    "trace-phaseflip-p0": "3391fa86ed9f4a4f79eda85afd2a31b2316c26ea7880acc3169759e7b6fa445f",
+    "trace-phaseflip-p0.3": "be3248c16c0dc6351d2e42af748caab05636748717a85d1937d22da619bb3e99",
 }
 
 
@@ -516,6 +525,63 @@ class TestGoldenBytes:
         }
         digests["stdout"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
         assert digests == GOLDEN_VERIFY_SHA256
+
+
+# The golden commands, and a sweep of states whose amplitudes make every
+# projector entry a rounded complex product: numpy's SIMD complex multiply
+# rounds those differently from the textbook product.
+CROSS_HOST_ARGV = GOLDEN_ARGV | {
+    "sweep-bitflip-generic": ["sweep", "--noise", "bitflip", "--normalize",
+                              "--states=0.3+0.7i,0.2-0.5i;0.1+0.9i,-0.3+0.2i"],
+}
+
+# environments that change which float kernels run: OpenBLAS's oldest x86-64
+# kernel, and numpy without its AVX2 and AVX-512 loops
+CROSS_HOST_ENV = {
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "numpy-without-avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+_CROSS_HOST_CHILD = """
+import json, sys
+from teleportsim.cli import main
+for path, argv in json.loads(sys.argv[1]).items():
+    if main(argv + ["--out", path]) != 0:
+        sys.exit(f"exit status not 0: {argv}")
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="the kernel and CPU feature names are x86-64 ones",
+)
+class TestCrossHost:
+    """The float outputs do not depend on the BLAS kernel or numpy's SIMD
+    level.  The variables are set only in a child process, which runs every
+    command; its files must equal this process's."""
+
+    @pytest.fixture(scope="class")
+    def default_bytes(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("default") / "out"
+        files = {}
+        for name, argv in CROSS_HOST_ARGV.items():
+            assert main(argv + ["--out", str(out)]) == 0
+            files[name] = out.read_bytes()
+        return files
+
+    @pytest.mark.parametrize("setting", list(CROSS_HOST_ENV))
+    def test_same_bytes(self, setting, default_bytes, tmp_path):
+        package_root = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, **CROSS_HOST_ENV[setting])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        jobs = {str(tmp_path / name): argv for name, argv in CROSS_HOST_ARGV.items()}
+        subprocess.run(
+            [sys.executable, "-c", _CROSS_HOST_CHILD, json.dumps(jobs)],
+            env=env, check=True, timeout=120,
+        )
+        differ = [name for name in CROSS_HOST_ARGV
+                  if (tmp_path / name).read_bytes() != default_bytes[name]]
+        assert differ == []
 
 
 def _run_cli(argv) -> str:
@@ -569,7 +635,8 @@ def _reference_trace_text(kind: NoiseKind, p: float, alpha: complex, beta: compl
         lines.append(f"{label} ({rho.num_qubits} qubit{'s' if rho.num_qubits > 1 else ''})")
         for row in rho.entries.tolist():
             lines.append("  " + "  ".join(f"{f'{z.real:.12g}{z.imag:+.12g}i':>32}" for z in row))
-        min_eig = hermitian_eigenvalues(rho)[0]
+        # at a resolution of 1e-12, and never -0
+        min_eig = round(float(hermitian_eigenvalues(rho)[0]), 12) + 0.0
         lines.append(f"  trace = {rho.trace().real:.12g}, min eigenvalue = {min_eig:.12g}")
     return "\n".join(lines) + "\n"
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from expanded_forms import GATES, pauli_conjugate, sort_qubits
 from teleportsim.channels import ChannelSpec, NoiseKind
@@ -21,6 +22,48 @@ from teleportsim.teleport import InputState, run_stages
 
 def proj(amplitudes) -> Operator:
     return PureState(amplitudes).projector()
+
+
+# float parts with signed zeros drawn often: a rounding or a reordering that
+# loses the sign of a zero shows in the bytes
+PARTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+
+def complex_parts(count: int):
+    """``count`` complex numbers built part by part from PARTS."""
+    return st.lists(st.tuples(PARTS, PARTS), min_size=count, max_size=count).map(
+        lambda pairs: [complex(re, im) for re, im in pairs]
+    )
+
+
+def fold_reference(amplitudes, matrix) -> float:
+    """<psi| rho |psi> in pure Python: Re(conj(psi_i) psi_j rho_ij) summed
+    left to right over (i, j) in row-major order, each product formed on
+    real pairs the textbook way."""
+    total = None
+    for i, a in enumerate(amplitudes):
+        for j, b in enumerate(amplitudes):
+            # conj(a) * b, then the real part of its product with rho_ij
+            u = a.real * b.real - (-a.imag) * b.imag
+            v = a.real * b.imag + (-a.imag) * b.real
+            z = matrix[i][j]
+            term = u * z.real - v * z.imag
+            total = term if total is None else total + term
+    return total
+
+
+@st.composite
+def hermitian_entries(draw, dim: int):
+    """A Hermitian ``dim`` x ``dim`` list of lists: the upper triangle drawn,
+    the lower one its exact conjugate, real diagonal parts with a signed
+    zero imaginary part."""
+    m = [[0j] * dim for _ in range(dim)]
+    for i in range(dim):
+        m[i][i] = complex(draw(PARTS), draw(st.sampled_from([0.0, -0.0])))
+        for j in range(i + 1, dim):
+            m[i][j] = complex(draw(PARTS), draw(PARTS))
+            m[j][i] = m[i][j].conjugate()
+    return m
 
 
 BELL = proj([2**-0.5, 0, 0, 2**-0.5])
@@ -74,6 +117,21 @@ class TestTensor:
         for r in range(8):
             for c in range(8):
                 assert rho.entries[r, c] == pytest.approx(nonzero.get((r, c), 0.0), abs=1e-15)
+
+    @given(st.sampled_from([(2, 2), (2, 4), (4, 2)]), st.data())
+    def test_equals_kron_bit_for_bit(self, dims, data):
+        a = np.array(data.draw(complex_parts(dims[0] ** 2))).reshape(dims[0], dims[0])
+        b = np.array(data.draw(complex_parts(dims[1] ** 2))).reshape(dims[1], dims[1])
+        out = tensor(Operator(a), Operator(b)).entries
+        assert out.tobytes() == np.kron(a, b).tobytes()
+        # a batch on either side: each slice is the unbatched product
+        stack = np.stack([a, a[::-1], -a])
+        left = tensor(Operator(stack), Operator(b)).entries
+        right = tensor(Operator(b), Operator(stack)).entries
+        assert left.shape == right.shape == (3,) + out.shape
+        for k in range(3):
+            assert left[k].tobytes() == np.kron(stack[k], b).tobytes()
+            assert right[k].tobytes() == np.kron(b, stack[k]).tobytes()
 
     def test_associativity(self, random_density):
         a, b, c = random_density(1), random_density(1), random_density(1)
@@ -209,6 +267,21 @@ class TestFidelity:
             with pytest.raises(ValueError, match=r"not Hermitian \(deviation nan\)"):
                 fidelity_with(psi, Operator(ent))
 
+    @given(st.sampled_from([2, 4]), st.data())
+    def test_fold_equals_pure_python_reference(self, dim, data):
+        raw = np.array(data.draw(complex_parts(dim).filter(
+            lambda v: sum(abs(z) ** 2 for z in v) > 1e-3
+        )))
+        psi = PureState(raw / np.linalg.norm(raw))
+        matrices = [data.draw(hermitian_entries(dim)) for _ in range(3)]
+        amps = psi.amplitudes.tolist()
+        want = [fold_reference(amps, m) for m in matrices]
+        got = fidelity_with(psi, Operator(matrices[0]))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want[0]).tobytes()
+        batch = fidelity_with(psi, Operator(np.array(matrices)))
+        assert batch.tobytes() == np.array(want).tobytes()
+
     def test_range_on_random_states(self, random_density, rng):
         for _ in range(10):
             rho = random_density(1)
@@ -228,6 +301,25 @@ class TestOperatorScaling:
     def test_qubit_cap_enforced(self):
         with pytest.raises(ValueError):
             Operator(np.zeros((2**11, 2**11)))
+
+    def test_caller_array_is_copied(self):
+        # C-ordered complex128 already, so only the copy keeps the two apart
+        caller = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+        op = Operator(caller)
+        assert caller.flags.writeable and not op.entries.flags.writeable
+        assert not np.shares_memory(caller, op.entries)
+        caller[0, 0] = 7.0
+        assert op.entries[0, 0] == 0.5
+
+    def test_owned_array_is_taken_over(self):
+        built = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+        op = Operator(built, copy=False)
+        assert op.entries is built and not built.flags.writeable
+        # an array of another dtype or layout is still converted into a copy
+        for other in (np.eye(2), np.eye(2, dtype=complex)[:, ::-1]):
+            op = Operator(other, copy=False)
+            assert op.entries.flags.c_contiguous and not np.shares_memory(other, op.entries)
+            assert other.flags.writeable
 
     def test_non_square_and_bad_dims_rejected(self):
         with pytest.raises(ValueError):
@@ -323,10 +415,10 @@ class TestBatchAxis:
             fidelity_with(psi, Operator(bad))
 
     def test_entries_are_c_contiguous_whatever_the_input_layout(self):
-        # A batched fidelity rounds according to the entries' memory layout,
-        # so operators store their entries C-contiguous: a bit-flip rho10
-        # copied into a (2, 2, B)-strided array of equal values gave 18 of
-        # 101 fidelities that differed in the last bit.
+        # The fidelity reads the entries as interleaved real pairs, which
+        # takes a contiguous last axis, so operators store their entries
+        # C-contiguous: a bit-flip rho10 copied into a (2, 2, B)-strided
+        # array of equal values gives the same fidelities bit for bit.
         state = InputState(0.6 + 0.8j, 0)
         grid = tuple(k / 100 for k in range(101))
         rho10 = run_stages(state, ChannelSpec(NoiseKind.BIT_FLIP, grid))["rho10"]

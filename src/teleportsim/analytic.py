@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channels import ChannelSpec, NoiseKind
-from .exact import GaussianRational, PolyP
+from .exact import PolyP
 from .linalg import Operator
 from .teleport import InputState
 
@@ -229,7 +229,7 @@ def fidelity_linear(input_state: InputState, noise: ChannelSpec):
 
 
 def linear_slope_exact(
-    kind: NoiseKind, alpha: GaussianRational, beta: GaussianRational
+    kind: NoiseKind, alpha: PolyP, beta: PolyP
 ) -> Fraction:
     """The published slope at exact Gaussian-rational amplitudes."""
     t = alpha.norm_sq() * beta.norm_sq()
@@ -237,8 +237,6 @@ def linear_slope_exact(
         return 6 * t + Fraction(9, 2)
     if kind is NoiseKind.BIT_FLIP:
         z = alpha * beta.conjugate()
-        cross = z * z + (z * z).conjugate()
-        if cross.im:
-            raise ValueError("cross term must be real")
+        cross = z * z + (z * z).conjugate()  # real: 2 Re(z^2)
         return 9 - 14 * t - 8 * cross.re
     return 32 * t

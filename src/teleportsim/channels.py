@@ -18,7 +18,6 @@ no expanded form of a layer; those live with the tests, as oracles.
 from __future__ import annotations
 
 import enum
-import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,21 +128,16 @@ def _qubit_tables(qubit: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return perm, differ
 
 
-# The last spec's branches, as (key, branches) with the branches as
+# The last spec's branches, as (spec, n, branches) with the branches as
 # :func:`_branches` returns them.  One entry, so the four layers of a run and
-# consecutive runs on one grid share them, and the module holds at most one
-# spec's sign-folded weights.
-_LAST_BRANCHES: tuple[Any, Any] = (None, None)
-
-
-def _zero_signs(p: Any) -> tuple[bool, ...]:
-    """Which zeros of ``p`` are -0.0: equal to 0.0, but not in the weights' bits."""
-    values = p if isinstance(p, tuple) else (p,)
-    return tuple(math.copysign(1.0, x) < 0 for x in values if x == 0)
+# consecutive runs with one spec object (the chunks of a ``SweepConfig``)
+# share them, and the module holds at most one spec's sign-folded weights.
+# Each command builds its own specs, so it builds its own weights too.
+_LAST_BRANCHES: tuple[Any, Any, Any] = (None, None, None)
 
 
 def _branches(spec: ChannelSpec, n: int) -> tuple:
-    """The channel's branches on ``n`` qubits, built once per spec value.
+    """The channel's branches on ``n`` qubits, built once per spec object.
 
     Returns ``(lead, w_i, w_x, has_y, tables)``: the batch shape, () or
     (B,); the I weight, a scalar or a (B, 1, 1) array; the X weight, or
@@ -155,10 +149,11 @@ def _branches(spec: ChannelSpec, n: int) -> tuple:
     in the sign of a zero.
     """
     global _LAST_BRANCHES
-    key = (spec, n, _zero_signs(spec.p))
-    if _LAST_BRANCHES[0] == key:
-        return _LAST_BRANCHES[1]
-    _LAST_BRANCHES = (None, None)  # release the old weights before building
+    # by identity: an equal spec may hold -0.0 where this one holds 0.0,
+    # which the weights' bits keep apart
+    if _LAST_BRANCHES[0] is spec and _LAST_BRANCHES[1] == n:
+        return _LAST_BRANCHES[2]
+    _LAST_BRANCHES = (None, None, None)  # release the old weights before building
     weights = {label: w for w, label in _pauli_weights(spec.kind, _complex_p(spec.p))}
     w_z = weights.get("Z")
     # depolarizing: Y and Z share the weight p/4
@@ -173,7 +168,7 @@ def _branches(spec: ChannelSpec, n: int) -> tuple:
         tables.append((perm, s_z))
     w_i = weights["I"]
     branches = (np.shape(w_i)[:1], w_i, weights.get("X"), "Y" in weights, tables)
-    _LAST_BRANCHES = (key, branches)
+    _LAST_BRANCHES = (spec, n, branches)
     return branches
 
 

@@ -7,12 +7,14 @@ is always exact, never tolerance based.  No dense matrix is built: the
 tests keep a dense pipeline over these scalars as the reference the maps
 must equal.
 
-``GaussianRational`` is a complex number with rational parts.  ``PolyP`` is
-a dense univariate polynomial in the noise probability with
-Gaussian-rational coefficients.  Both store integer numerators over one
-positive common denominator, reduced, so that the arithmetic stays in fast
-integer operations; :class:`fractions.Fraction` appears only where a value
-is built from one, or a part is read out (``re``, ``im``, ``norm_sq``).
+One number class does the arithmetic: ``PolyP``, a dense univariate
+polynomial in the noise probability with Gaussian-rational coefficients,
+stored as integer numerators over one positive common denominator,
+reduced, so that the arithmetic stays in fast integer operations.  A
+Gaussian rational, a complex number with rational parts, is a constant
+``PolyP``; ``GaussianRational`` only builds one from its two parts.
+:class:`fractions.Fraction` appears only where a value is built from one,
+or a part is read out (``re``, ``im``, ``norm_sq``).
 """
 
 from __future__ import annotations
@@ -28,12 +30,30 @@ import numpy as np
 from . import channels, teleport
 
 
-def _as_fraction(value: Any) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _ratio(value: Any) -> tuple[int, int]:
+    """``(num, den)`` of an int or a :class:`Fraction`, ``den > 0``."""
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"expected an integer or Fraction, got {type(value).__name__}")
+
+
+def _parts(value: Any) -> tuple[int, int, int]:
+    """``(re, im, den)`` of an exact constant, the value ``(re + i im) / den``.
+
+    Takes an int, a :class:`Fraction` or a :class:`PolyP` of degree at most
+    0; anything else, a non-constant polynomial included, raises
+    ``TypeError``.
+    """
+    if isinstance(value, PolyP):
+        if len(value._re) > 1:
+            raise TypeError(f"expected a constant, got the polynomial {value}")
+        if not value._re:
+            return 0, 0, 1
+        return value._re[0], value._im[0], value._den
+    num, den = _ratio(value)
+    return num, 0, den
 
 
 def _ratio_text(num: int, den: int) -> str:
@@ -44,131 +64,6 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num // g)
 
 
-class GaussianRational:
-    """Complex number with exact rational real and imaginary parts.
-
-    Stored as integers ``(re + i im) / den`` with ``den > 0`` and
-    ``gcd(re, im, den) == 1``, so equality is structural and arithmetic
-    never builds a :class:`~fractions.Fraction`.  A real value hashes like
-    the equal ``int`` or ``Fraction``.  The ``re`` and ``im`` properties give
-    the parts as fractions.
-    """
-
-    __slots__ = ("_re", "_im", "_den")
-
-    def __init__(self, re: Any = 0, im: Any = 0):
-        if type(re) is int and type(im) is int:
-            self._re, self._im, self._den = re, im, 1
-            return
-        a, b = _as_fraction(re), _as_fraction(im)
-        den = lcm(a.denominator, b.denominator)
-        # parts in lowest terms over their lcm leave no common factor
-        self._re = a.numerator * (den // a.denominator)
-        self._im = b.numerator * (den // b.denominator)
-        self._den = den
-
-    @classmethod
-    def _raw(cls, re: int, im: int, den: int) -> "GaussianRational":
-        """``(re + i im) / den`` for ``den > 0``, reduced."""
-        obj = object.__new__(cls)
-        g = gcd(re, im, den)
-        if g != 1:
-            re, im, den = re // g, im // g, den // g
-        obj._re, obj._im, obj._den = re, im, den
-        return obj
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self._re, self._den)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self._im, self._den)
-
-    @classmethod
-    def from_value(cls, value: Any) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        return cls(value)
-
-    @staticmethod
-    def _coerce(value: Any) -> "GaussianRational | None":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
-        return None
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational._raw(self._re, -self._im, self._den)
-
-    def norm_sq(self) -> Fraction:
-        return Fraction(self._re * self._re + self._im * self._im, self._den * self._den)
-
-    def __add__(self, other: Any):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d1, d2 = self._den, o._den
-        if d1 == d2:
-            return GaussianRational._raw(self._re + o._re, self._im + o._im, d1)
-        return GaussianRational._raw(
-            self._re * d2 + o._re * d1, self._im * d2 + o._im * d1, d1 * d2
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Any):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other: Any):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other: Any):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b, c, d = self._re, self._im, o._re, o._im
-        return GaussianRational._raw(a * c - b * d, a * d + b * c, self._den * o._den)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussianRational._raw(-self._re, -self._im, self._den)
-
-    def __eq__(self, other: Any):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._re == o._re and self._im == o._im and self._den == o._den
-
-    def __hash__(self):
-        if not self._im:  # equal to an int or a Fraction, so hash like one
-            return hash(Fraction(self._re, self._den))
-        return hash((self._re, self._im, self._den))
-
-    def __bool__(self):
-        return bool(self._re) or bool(self._im)
-
-    def __complex__(self):
-        # int / int is correctly rounded, as float(Fraction) is
-        return complex(self._re / self._den, self._im / self._den)
-
-    def __str__(self):
-        if not self._im:
-            return _ratio_text(self._re, self._den)
-        return f"({_ratio_text(self._re, self._den)},{_ratio_text(self._im, self._den)})"
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
 def _normalized(
     re: list, im: list, den: int
 ) -> tuple[tuple, tuple, int]:
@@ -177,7 +72,8 @@ def _normalized(
         n -= 1
     if n == 0:
         return (), (), 1
-    del re[n:], im[n:]
+    if n < len(re):
+        del re[n:], im[n:]
     if den != 1:
         g = gcd(den, *re, *im)
         if g > 1:
@@ -190,19 +86,21 @@ def _normalized(
 class PolyP:
     """Dense polynomial in the noise probability p over Gaussian rationals.
 
-    Coefficients are exposed as :class:`GaussianRational`; storage is a pair
-    of integer coefficient tuples over one positive denominator, trimmed of
-    trailing zeros and reduced, so equality is structural.  A constant
-    hashes like its coefficient, which it equals.
+    Storage is a pair of integer coefficient tuples over one positive
+    denominator, trimmed of trailing zeros and reduced, so equality is
+    structural.  Coefficients are read out as constants, polynomials of
+    degree at most 0; a constant is a Gaussian rational, with ``re``,
+    ``im``, ``norm_sq()`` and ``complex()``, and a real one equals, and
+    hashes like, the equal ``int`` or ``Fraction``.
     """
 
     __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, coefficients: Iterable[Any] = ()):
-        values = [GaussianRational.from_value(c) for c in coefficients]
-        den = lcm(*(g._den for g in values))
-        re = [g._re * (den // g._den) for g in values]
-        im = [g._im * (den // g._den) for g in values]
+        parts = [_parts(c) for c in coefficients]
+        den = lcm(*(d for _, _, d in parts))
+        re = [r * (den // d) for r, _, d in parts]
+        im = [i * (den // d) for _, i, d in parts]
         self._re, self._im, self._den = _normalized(re, im, den)
 
     @classmethod
@@ -211,13 +109,20 @@ class PolyP:
         obj._re, obj._im, obj._den = _normalized(re, im, den)
         return obj
 
+    @classmethod
+    def from_value(cls, value: Any) -> "PolyP":
+        """The constant ``value``, an int, a Fraction or a constant PolyP."""
+        re, im, den = _parts(value)
+        if isinstance(value, cls):
+            return value
+        return cls._raw([re], [im], den)
+
     @staticmethod
     def _coerce(value: Any) -> "PolyP | None":
         if isinstance(value, PolyP):
             return value
-        if isinstance(value, (int, Fraction, GaussianRational)):
-            g = GaussianRational.from_value(value)
-            return PolyP._raw([g._re], [g._im], g._den)
+        if isinstance(value, (int, Fraction)):
+            return PolyP.from_value(value)
         return None
 
     @property
@@ -226,14 +131,35 @@ class PolyP:
         return len(self._re) - 1
 
     @property
-    def coefficients(self) -> tuple[GaussianRational, ...]:
-        den = self._den
-        return tuple(GaussianRational._raw(r, i, den) for r, i in zip(self._re, self._im))
+    def coefficients(self) -> tuple[PolyP, ...]:
+        return tuple(map(self.coefficient, range(len(self._re))))
 
-    def coefficient(self, degree: int) -> GaussianRational:
+    def coefficient(self, degree: int) -> PolyP:
         if degree < 0 or degree >= len(self._re):
-            return GaussianRational()
-        return GaussianRational._raw(self._re[degree], self._im[degree], self._den)
+            return PolyP.ZERO
+        return PolyP._raw([self._re[degree]], [self._im[degree]], self._den)
+
+    @property
+    def re(self) -> Fraction:
+        """The real part of a constant."""
+        re, _, den = _parts(self)
+        return Fraction(re, den)
+
+    @property
+    def im(self) -> Fraction:
+        """The imaginary part of a constant."""
+        _, im, den = _parts(self)
+        return Fraction(im, den)
+
+    def norm_sq(self) -> Fraction:
+        """``|c|^2`` of a constant ``c``."""
+        re, im, den = _parts(self)
+        return Fraction(re * re + im * im, den * den)
+
+    def __complex__(self):
+        re, im, den = _parts(self)
+        # int / int is correctly rounded, as float(Fraction) is
+        return complex(re / den, im / den)
 
     def __bool__(self):
         return bool(self._re)
@@ -339,24 +265,22 @@ class PolyP:
         return self._re == o._re and self._im == o._im and self._den == o._den
 
     def __hash__(self):
-        if len(self._re) <= 1:  # equal to its constant coefficient
-            return hash(self.coefficient(0))
+        if len(self._re) <= 1 and not any(self._im):  # equal to an int or a Fraction
+            re, _, den = _parts(self)
+            return hash(Fraction(re, den))
         return hash((self._re, self._im, self._den))
 
-    def evaluate_at(self, p: Any) -> GaussianRational:
+    def evaluate_at(self, p: Any) -> PolyP:
         """Exact evaluation at a rational (or Gaussian-rational) point.
 
         Horner's rule on integer numerators: with ``p = (u + i v) / d``,
         ``sum_k c_k p^k = (sum_k (a_k + i b_k) (u + i v)^k d^(n-k)) / (D d^n)``
         for coefficients ``(a_k + i b_k) / D`` up to degree ``n``.
         """
-        x = GaussianRational.from_value(p)
-        u, v, d = x._re, x._im, x._den
+        u, v, d = _parts(p)
         re, im = self._re, self._im
-        if not re:
-            return GaussianRational()
-        if not u and not v:
-            return GaussianRational._raw(re[0], im[0], self._den)
+        if not re or not u and not v:  # the zero polynomial, or p = 0
+            return self.coefficient(0)
         acc_re, acc_im, scale = re[-1], im[-1], 1
         for k in range(len(re) - 2, -1, -1):
             scale *= d
@@ -364,7 +288,7 @@ class PolyP:
                 acc_re * u - acc_im * v + re[k] * scale,
                 acc_re * v + acc_im * u + im[k] * scale,
             )
-        return GaussianRational._raw(acc_re, acc_im, self._den * scale)
+        return PolyP._raw([acc_re], [acc_im], self._den * scale)
 
     def to_text(self) -> str:
         """Canonical serialization: "c0 + c1*p + c2*p^2 + ...".
@@ -403,6 +327,24 @@ class PolyP:
 
     def __repr__(self):
         return f"<PolyP {self.to_text()}>"
+
+
+class GaussianRational(PolyP):
+    """Complex number with exact rational real and imaginary parts.
+
+    A Gaussian rational is a constant :class:`PolyP`, a polynomial of
+    degree at most 0, and this class only builds one from its parts:
+    ``GaussianRational(Fraction(3, 5), Fraction(4, 5))``.  Arithmetic,
+    comparison, hashing and text are the polynomial's, so a sum or a
+    product of Gaussian rationals is a ``PolyP``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, re: Any = 0, im: Any = 0):
+        (a, da), (b, db) = _ratio(re), _ratio(im)
+        den = lcm(da, db)
+        self._re, self._im, self._den = _normalized([a * (den // da)], [b * (den // db)], den)
 
 
 PolyP.ZERO = PolyP()
@@ -558,7 +500,6 @@ def run_pipeline_symbolic(
     applied to the input's entries; its trace is the constant polynomial 1
     and every entry has degree at most 12.
     """
-    # constant polynomials: their integer arithmetic is faster than Fraction's
     a, b = PolyP([input_state.alpha]), PolyP([input_state.beta])
     vec = (a * a.conjugate(), a * b.conjugate(), b * a.conjugate(), b * b.conjugate())
     matrix = extract_transfer_map(kind)

@@ -214,9 +214,7 @@ def verify_linear_slopes() -> list[VerificationTarget]:
         derived_c1 = fpoly.coefficient(1)
         expected_c1 = GaussianRational(-linear_slope_exact(kind, alpha, beta))
         label = f"slope {kind.value} at probe ({alpha},{beta})"
-        targets.append(
-            _poly_target(label, PolyP([expected_c1]), PolyP([derived_c1]))
-        )
+        targets.append(_poly_target(label, expected_c1, derived_c1))
     return targets
 
 

@@ -8,6 +8,8 @@ Each mutant replaces one exact piece of text in one module of
 the mutant there and runs ``python -m pytest -q -x -p no:cacheprovider`` on
 the copy: a failing suite kills the mutant, a passing one lets it survive.  The unmutated copy
 runs first and must pass.  Names on the command line run only those mutants.
+A mutated copy deselects ``tests/test_mutant_list.py``, which fails on any
+copy where a mutant's old text is gone.
 
 Exit status: 2 when a mutant's old text does not occur exactly once in its
 file (checked before anything runs) or a name is unknown; 1 when the
@@ -32,6 +34,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "teleportsim"
 TIMEOUT_S = 300
+#: the tier-1 guard on this list, which every applied mutant would fail
+MATCH_GUARD = "tests/test_mutant_list.py"
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,25 @@ MUTANTS = (
         "exact.py",
         "flip = x[a] & z[b] & (x[b] ^ z[a] ^ 1)",
         "flip = x[a] & z[b] & (x[b] ^ z[a])",
+    ),
+    Mutant(
+        "exact-parts-accepts-non-constant",
+        "exact.py",
+        "        if len(value._re) > 1:\n"
+        '            raise TypeError(f"expected a constant, got the polynomial {value}")\n',
+        "",
+    ),
+    Mutant(
+        "exact-real-constant-hashes-as-tuple",
+        "exact.py",
+        "if len(self._re) <= 1 and not any(self._im):",
+        "if False:",
+    ),
+    Mutant(
+        "exact-imaginary-part-sign",
+        "exact.py",
+        "return Fraction(im, den)",
+        "return Fraction(-im, den)",
     ),
     Mutant(
         "teleport-x-flips-rows-only",
@@ -153,8 +176,8 @@ MUTANTS = (
     Mutant(
         "channels-weights-ignore-zero-sign",
         "channels.py",
-        "key = (spec, n, _zero_signs(spec.p))",
-        "key = (spec, n)",
+        "if _LAST_BRANCHES[0] is spec and",
+        "if _LAST_BRANCHES[0] == spec and",
     ),
     Mutant(
         "channels-probability-one-rejected",
@@ -213,10 +236,13 @@ def run_suite(mutant: Mutant | None) -> tuple[bool, float]:
             path = work / PACKAGE / mutant.module
             path.write_text(path.read_text().replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+        if mutant is not None:
+            command += ["--deselect", MATCH_GUARD]
         start = time.perf_counter()
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
+                command,
                 cwd=work,
                 env=env,
                 stdout=subprocess.DEVNULL,

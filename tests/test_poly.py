@@ -237,3 +237,39 @@ class TestAgainstFractionPairs:
         ):
             value = poly.evaluate_at(point)
             assert (value.re, value.im) == _ref_evaluate(ref, x)
+
+
+# --- Gaussian rationals are constant polynomials -------------------------------
+
+
+def test_gaussian_rational_is_a_constant_polyp():
+    g = GaussianRational(Fraction(3, 5), Fraction(-4, 5))
+    assert isinstance(g, PolyP) and g.degree == 0
+    assert g == PolyP([g]) == PolyP.from_value(g)
+    # it only builds a constant: arithmetic, comparison, hash and text are PolyP's
+    assert [name for name, v in vars(GaussianRational).items() if callable(v)] == ["__init__"]
+    assert type(g * g) is PolyP and type(g + 1) is PolyP
+    assert str(g) == "(3/5,-4/5)" and repr(g) == "<PolyP (3/5,-4/5)>"
+    assert str(GaussianRational(Fraction(-3, 5))) == "-3/5" and str(GaussianRational()) == "0"
+    assert (g.re, g.im, g.norm_sq()) == (Fraction(3, 5), Fraction(-4, 5), 1)
+    assert complex(g) == 0.6 - 0.8j
+    assert GaussianRational.from_value(PolyP([Fraction(1, 2)])) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda x: x.re,
+        lambda x: x.im,
+        lambda x: x.norm_sq(),
+        complex,
+        lambda x: PolyP([1, x]),
+        PolyP.from_value,
+        GaussianRational.from_value,
+        lambda x: PolyP.ONE.evaluate_at(x),
+    ],
+)
+def test_a_non_constant_is_not_a_number(read):
+    for poly in (P, PolyP([Fraction(1, 2), 0, GaussianRational(0, 1)])):
+        with pytest.raises(TypeError, match="expected a constant"):
+            read(poly)

@@ -1,14 +1,16 @@
 """The verification report: statuses, diffs, determinism, fault injection."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
 import teleportsim.verify as verify_mod
-from teleportsim.analytic import PUBLISHED
-from teleportsim.exact import PolyP
+from teleportsim.analytic import PUBLISHED, linear_slope_exact
+from teleportsim.exact import GaussianRational, PolyP
 from teleportsim.channels import NoiseKind
-from teleportsim.verify import TargetStatus, run_verification, verify_kind
+from teleportsim.teleport import InputState
+from teleportsim.verify import TargetStatus, fidelity_polynomial, run_verification, verify_kind
 
 EXPECTED_STATUS = {
     "depolarizing diagonal contraction": TargetStatus.MATCH,
@@ -108,3 +110,33 @@ def test_injected_table_fault_is_detected(monkeypatch):
     assert [d for d, _, _ in broken[0].coefficient_diffs] == [3]
     binomial = [t for t in targets if "binomial" in t.name][0]
     assert binomial.status is TargetStatus.MISMATCH
+
+
+PYTHAGOREAN_TRIPLES = (
+    (3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25),
+    (20, 21, 29), (12, 35, 37), (9, 40, 41), (28, 45, 53),
+)
+UNIT_PHASES = ((1, 0), (0, 1), (-1, 0), (0, -1))  # 1, i, -1, -i
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_slope_difference_over_the_pythagorean_family(kind):
+    """Derived minus published slope, exactly, at every state
+    ((a/c) w1, (b/c) w2): 6 Re(ab*)^2 for depolarizing, 2 Re((ab*)^2) for
+    bit flip and 0 for phase flip, with ab* from Fraction parts."""
+    for a, b, c in PYTHAGOREAN_TRIPLES:
+        for u1, v1 in UNIT_PHASES:
+            for u2, v2 in UNIT_PHASES:
+                alpha = GaussianRational(Fraction(a * u1, c), Fraction(a * v1, c))
+                beta = GaussianRational(Fraction(b * u2, c), Fraction(b * v2, c))
+                # alpha conj(beta) = (ab/c^2) (u1 + i v1)(u2 - i v2)
+                scale = Fraction(a * b, c * c)
+                re, im = scale * (u1 * u2 + v1 * v2), scale * (v1 * u2 - u1 * v2)
+                want = {
+                    NoiseKind.DEPOLARIZING: 6 * re * re,
+                    NoiseKind.BIT_FLIP: 2 * (re * re - im * im),
+                    NoiseKind.PHASE_FLIP: 0,
+                }[kind]
+                derived = fidelity_polynomial(kind, InputState(alpha, beta)).coefficient(1)
+                published = GaussianRational(linear_slope_exact(kind, alpha, beta))
+                assert derived + published == want, (kind, alpha, beta)

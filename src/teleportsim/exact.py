@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
+from operator import mul
 from typing import Any, Iterable
 
 import numpy as np
@@ -429,6 +430,10 @@ def _noise_factors(kind: "channels.NoiseKind") -> dict[str, PolyP]:
     }
 
 
+#: Each kind's X, Y and Z noise factors, built once per process.
+_NOISE_FACTORS = {kind: _noise_factors(kind) for kind in channels.NoiseKind}
+
+
 _BASIS_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -458,16 +463,18 @@ def extract_transfer_map(
     """
     if assignment is None:
         assignment = teleport.DEFAULT_ASSIGNMENT
-    factors = _noise_factors(kind)
+    factors = _NOISE_FACTORS[kind]
     terms = [(PolyP.ONE, "I", "I")]
     for label in "XYZ":
         pulled = _pull_back(label, assignment)
         if pulled is not None:
             sign, exponents, p1 = pulled
-            c = PolyP.ONE
+            # one power per distinct factor: the labels of a kind share them
+            powers: dict[PolyP, int] = {}
             for factor_label, e in exponents.items():
-                if e:
-                    c = c * factors[factor_label] ** e
+                factor = factors[factor_label]
+                powers[factor] = powers.get(factor, 0) + e
+            c = reduce(mul, [factor**e for factor, e in powers.items()])
             terms.append((c if sign > 0 else -c, label, p1))
     matrix = np.full((4, 4), PolyP.ZERO, dtype=object)
     for c, label, p1 in terms:

@@ -92,9 +92,8 @@ class VerificationReport:
 
 def _poly_target(name: str, expected: PolyP, derived: PolyP) -> VerificationTarget:
     if expected == derived:
-        return VerificationTarget(
-            name, TargetStatus.MATCH, expected.to_text(), derived.to_text()
-        )
+        text = expected.to_text()
+        return VerificationTarget(name, TargetStatus.MATCH, text, text)
     diffs = []
     for degree in range(max(expected.degree, derived.degree) + 1):
         e = expected.coefficient(degree)
@@ -110,9 +109,12 @@ def _poly_target(name: str, expected: PolyP, derived: PolyP) -> VerificationTarg
     )
 
 
+# the expected forms that no input changes, built once per process, from
+# the survival weight 1 - p and the flip-channel transfer eigenvalue 1 - 2p
 _ONE = PolyP.ONE
-_Q = _ONE - P          # survival weight 1 - p
-_R = _ONE - PolyP([0, 2])  # flip-channel transfer eigenvalue 1 - 2p
+_Q9, _Q12 = (_ONE - P) ** 9, (_ONE - P) ** 12
+_MIXING = (_ONE - _Q9) * Fraction(1, 2)
+_R8 = (_ONE - PolyP([0, 2])) ** 8
 
 
 def _published_targets_for(
@@ -121,13 +123,9 @@ def _published_targets_for(
     """(name, expected, derived) triples for the published-form targets."""
     if kind is NoiseKind.DEPOLARIZING:
         return [
-            ("depolarizing diagonal contraction", _Q**9, matrix[0, 0] - matrix[0, 3]),
-            (
-                "depolarizing mixing term",
-                (_ONE - _Q**9) * Fraction(1, 2),
-                matrix[0, 3],
-            ),
-            ("depolarizing coherence keep", _Q**12, matrix[1, 1]),
+            ("depolarizing diagonal contraction", _Q9, matrix[0, 0] - matrix[0, 3]),
+            ("depolarizing mixing term", _MIXING, matrix[0, 3]),
+            ("depolarizing coherence keep", _Q12, matrix[1, 1]),
             ("depolarizing coherence swap", PolyP.ZERO, matrix[1, 2]),
         ]
     if kind is NoiseKind.BIT_FLIP:
@@ -154,7 +152,7 @@ def verify_kind(kind: NoiseKind) -> list[VerificationTarget]:
     if kind is NoiseKind.PHASE_FLIP:
         targets.insert(
             1,
-            _poly_target("phaseflip u6 binomial structure (1-2p)^8", PUBLISHED.u6, _R**8),
+            _poly_target("phaseflip u6 binomial structure (1-2p)^8", PUBLISHED.u6, _R8),
         )
     elif kind is NoiseKind.BIT_FLIP:
         at_zero = [matrix[r, c].evaluate_at(0) for r in range(4) for c in range(4)]

@@ -98,6 +98,18 @@ MUTANTS = (
         "return Fraction(-im, den)",
     ),
     Mutant(
+        "exact-factor-exponents-wrong-labels",
+        "exact.py",
+        "for factor_label, e in exponents.items():",
+        'for factor_label, e in zip("ZYX", exponents.values()):',
+    ),
+    Mutant(
+        "verify-hoisted-target-eighth-power",
+        "verify.py",
+        "_Q9, _Q12 = (_ONE - P) ** 9,",
+        "_Q9, _Q12 = (_ONE - P) ** 8,",
+    ),
+    Mutant(
         "teleport-x-flips-rows-only",
         "teleport.py",
         "block = block[..., ::-1, ::-1]",

@@ -71,13 +71,26 @@ def test_conjugate_distributes_over_product():
     assert f.conjugate().conjugate() == f
 
 
-def test_power_matches_repeated_multiplication():
-    base = ONE - PolyP([0, 2])
+# Gaussian-rational, zero, negative and non-unit-denominator coefficients
+LINEAR_COEFFICIENTS = (
+    0,
+    1,
+    -2,
+    Fraction(-3, 7),
+    GaussianRational(Fraction(2, 3), Fraction(-5, 4)),
+    GaussianRational(0, -2),
+)
+
+
+@pytest.mark.parametrize("a", LINEAR_COEFFICIENTS)
+@pytest.mark.parametrize("b", LINEAR_COEFFICIENTS)
+def test_power_matches_repeated_multiplication(a, b):
+    # a noise factor of the transfer maps is a base a + b p
+    base = PolyP([a, b])
     acc = ONE
-    for _ in range(8):
+    for e in range(14):
+        assert base**e == acc, e
         acc = acc * base
-    assert base**8 == acc
-    assert base**0 == ONE
     with pytest.raises(ValueError):
         base**-1
 

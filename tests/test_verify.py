@@ -3,11 +3,13 @@
 import dataclasses
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import teleportsim.verify as verify_mod
+from pauli_table import PAULI_TRANSFER, binomial_power, bloch
 from teleportsim.analytic import PUBLISHED, linear_slope_exact
-from teleportsim.exact import GaussianRational, PolyP
+from teleportsim.exact import GaussianRational, PolyP, extract_transfer_map
 from teleportsim.channels import NoiseKind
 from teleportsim.teleport import InputState
 from teleportsim.verify import TargetStatus, fidelity_polynomial, run_verification, verify_kind
@@ -119,24 +121,72 @@ PYTHAGOREAN_TRIPLES = (
 UNIT_PHASES = ((1, 0), (0, 1), (-1, 0), (0, -1))  # 1, i, -1, -i
 
 
+def pythagorean_parts():
+    """(re alpha, im alpha, re beta, im beta) of every state ((a/c) w1, (b/c) w2)."""
+    for a, b, c in PYTHAGOREAN_TRIPLES:
+        for u1, v1 in UNIT_PHASES:
+            for u2, v2 in UNIT_PHASES:
+                yield (Fraction(a * u1, c), Fraction(a * v1, c),
+                       Fraction(b * u2, c), Fraction(b * v2, c))
+
+
 @pytest.mark.parametrize("kind", list(NoiseKind))
 def test_slope_difference_over_the_pythagorean_family(kind):
     """Derived minus published slope, exactly, at every state
     ((a/c) w1, (b/c) w2): 6 Re(ab*)^2 for depolarizing, 2 Re((ab*)^2) for
     bit flip and 0 for phase flip, with ab* from Fraction parts."""
-    for a, b, c in PYTHAGOREAN_TRIPLES:
-        for u1, v1 in UNIT_PHASES:
-            for u2, v2 in UNIT_PHASES:
-                alpha = GaussianRational(Fraction(a * u1, c), Fraction(a * v1, c))
-                beta = GaussianRational(Fraction(b * u2, c), Fraction(b * v2, c))
-                # alpha conj(beta) = (ab/c^2) (u1 + i v1)(u2 - i v2)
-                scale = Fraction(a * b, c * c)
-                re, im = scale * (u1 * u2 + v1 * v2), scale * (v1 * u2 - u1 * v2)
-                want = {
-                    NoiseKind.DEPOLARIZING: 6 * re * re,
-                    NoiseKind.BIT_FLIP: 2 * (re * re - im * im),
-                    NoiseKind.PHASE_FLIP: 0,
-                }[kind]
-                derived = fidelity_polynomial(kind, InputState(alpha, beta)).coefficient(1)
-                published = GaussianRational(linear_slope_exact(kind, alpha, beta))
-                assert derived + published == want, (kind, alpha, beta)
+    for ar, ai, br, bi in pythagorean_parts():
+        alpha, beta = GaussianRational(ar, ai), GaussianRational(br, bi)
+        re, im = ar * br + ai * bi, ai * br - ar * bi  # alpha conj(beta)
+        want = {
+            NoiseKind.DEPOLARIZING: 6 * re * re,
+            NoiseKind.BIT_FLIP: 2 * (re * re - im * im),
+            NoiseKind.PHASE_FLIP: 0,
+        }[kind]
+        derived = fidelity_polynomial(kind, InputState(alpha, beta)).coefficient(1)
+        published = GaussianRational(linear_slope_exact(kind, alpha, beta))
+        assert derived + published == want, (kind, alpha, beta)
+
+
+# A slope at p = 0 is a linear form in (rx^2, ry^2, rz^2), held as its three
+# rational coefficients; a constant c is held as c (rx^2 + ry^2 + rz^2),
+# which is c on the Bloch sphere of a pure input.
+RX2, RY2, RZ2 = np.identity(3, dtype=int).astype(object) * Fraction(1)
+SPHERE = RX2 + RY2 + RZ2
+# |alpha|^2 |beta|^2 = (1 - rz^2)/4, and 2 Re((alpha beta*)^2) = (rx^2 - ry^2)/2
+T = (SPHERE - RZ2) / 4
+CROSS = (RX2 - RY2) / 2
+PUBLISHED_SLOPE = {  # analytic.linear_slope_exact, in Bloch components
+    NoiseKind.DEPOLARIZING: 6 * T + Fraction(9, 2) * SPHERE,
+    NoiseKind.BIT_FLIP: 9 * SPHERE - 14 * T - 8 * CROSS,
+    NoiseKind.PHASE_FLIP: 32 * T,
+}
+# derived minus published slope: 6 Re(ab*)^2, 2 Re((ab*)^2) and 0, with
+# alpha conj(beta) = (rx - i ry)/2
+SLOPE_DIFFERENCE = {
+    NoiseKind.DEPOLARIZING: 6 * RX2 / 4,
+    NoiseKind.BIT_FLIP: CROSS,
+    NoiseKind.PHASE_FLIP: 0 * SPHERE,
+}
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind))
+def test_bloch_factors_give_the_slope_differences_as_identities(kind):
+    """The map's Bloch factors are the Pauli table's monomials, and the slope
+    differences hold as identities in rx^2, ry^2 and rz^2."""
+    m = extract_transfer_map(kind)
+    factors = (m[1, 1] + m[1, 2], m[1, 1] - m[1, 2], m[0, 0] - m[0, 3])
+    base, exponents = PAULI_TRANSFER[kind.value]
+    assert factors == tuple(PolyP(binomial_power(base, e)) for e in exponents)
+    # F = (1 + lx rx^2 + ly ry^2 + lz rz^2)/2, so dF/dp at 0 takes half of
+    # each factor's linear coefficient
+    derived = np.array([f.coefficient(1).re / 2 for f in factors], dtype=object)
+    assert list(derived + PUBLISHED_SLOPE[kind]) == list(SLOPE_DIFFERENCE[kind])
+    # the Bloch form is the fidelity, and the published form in Bloch
+    # components is linear_slope_exact, on every state of the family
+    for ar, ai, br, bi in pythagorean_parts():
+        alpha, beta = GaussianRational(ar, ai), GaussianRational(br, bi)
+        r2 = [ri * ri for ri in bloch(ar, ai, br, bi)]
+        bloch_form = (1 + sum((f * x for f, x in zip(factors, r2)), PolyP.ZERO)) * Fraction(1, 2)
+        assert bloch_form == fidelity_polynomial(kind, InputState(alpha, beta)), (alpha, beta)
+        assert np.dot(PUBLISHED_SLOPE[kind], r2) == linear_slope_exact(kind, alpha, beta)

@@ -149,11 +149,15 @@ def _branches(spec: ChannelSpec, n: int) -> tuple:
     in the sign of a zero.
     """
     global _LAST_BRANCHES
-    # by identity: an equal spec may hold -0.0 where this one holds 0.0,
-    # which the weights' bits keep apart
-    if _LAST_BRANCHES[0] is spec and _LAST_BRANCHES[1] == n:
-        return _LAST_BRANCHES[2]
-    _LAST_BRANCHES = (None, None, None)  # release the old weights before building
+    # one read of the entry, so that a swap between reads cannot pair this
+    # spec with another's weights; by identity: an equal spec may hold -0.0
+    # where this one holds 0.0, which the weights' bits keep apart
+    last_spec, last_n, branches = _LAST_BRANCHES
+    if last_spec is spec and last_n == n:
+        return branches
+    # release the old weights before building
+    _LAST_BRANCHES = (None, None, None)
+    del branches
     weights = {label: w for w, label in _pauli_weights(spec.kind, _complex_p(spec.p))}
     w_z = weights.get("Z")
     # depolarizing: Y and Z share the weight p/4

@@ -84,7 +84,8 @@ def parse_states(text: str) -> list[tuple[complex, complex]]:
 @dataclass(frozen=True)
 class SweepConfig:
     kind: NoiseKind
-    states: tuple[tuple[complex, complex], ...]
+    #: checked where they enter, so the config does not check them again
+    states: tuple[InputState, ...]
     p_start: float = 0.0
     p_end: float = 1.0
     steps: int = 101
@@ -141,11 +142,10 @@ def run_sweep(config: SweepConfig) -> str:
     header = ["p", "state_label"] + [f"f_{name}" for name in names] + ["abs_diff"] * with_diff
     lines = [",".join(header)]
     grid = config.grid()
-    for alpha, beta in config.states:
-        state = InputState(alpha, beta)
+    for state in config.states:
         # one format call per row: p, the label (float reprs, so no `%`),
         # then the value columns
-        row = "%.17g," + state_label(alpha, beta) + ",%.17g" * (len(header) - 2)
+        row = "%.17g," + state_label(state.alpha, state.beta) + ",%.17g" * (len(header) - 2)
         columns = _grid_columns(state, config.chunks, functions)
         if with_diff:
             # numeric and analytic come first, in ALL_COLUMNS order
@@ -164,30 +164,26 @@ def _write_or_fail(path: str, text: str) -> int:
     return 0
 
 
-def _states_from_args(args) -> list[tuple[complex, complex]]:
+def _states_from_args(args) -> list[InputState]:
+    """The checked input states of the state flags; an unnormalized pair
+    raises with its deviation unless --normalize rescales it."""
     if args.states is not None:
         if args.alpha is not None or args.beta is not None:
             raise ValueError("--states cannot be combined with --alpha or --beta")
-        states = parse_states(args.states)
+        pairs = parse_states(args.states)
     elif args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:
             raise ValueError("--alpha and --beta must be given together")
-        states = [(parse_amplitude(args.alpha), parse_amplitude(args.beta))]
+        pairs = [(parse_amplitude(args.alpha), parse_amplitude(args.beta))]
     else:
-        states = [(complex(a), complex(b)) for a, b in DEFAULT_STATES]
-    out = []
-    for a, b in states:
-        if args.normalize:
-            st = InputState.normalized(a, b)
-            out.append((complex(st.alpha), complex(st.beta)))
-        else:
-            InputState(a, b)  # norm check; raises with the deviation
-            out.append((a, b))
-    return out
+        pairs = [(complex(a), complex(b)) for a, b in DEFAULT_STATES]
+    make = InputState.normalized if args.normalize else InputState
+    return [make(a, b) for a, b in pairs]
 
 
-def cmd_sweep(args) -> int:
-    config = SweepConfig(
+def _sweep_config(args) -> SweepConfig:
+    """The grid, states and columns of `sweep` or `curves` flags."""
+    return SweepConfig(
         kind=NoiseKind(args.noise),
         states=tuple(_states_from_args(args)),
         p_start=args.p_start,
@@ -195,7 +191,10 @@ def cmd_sweep(args) -> int:
         steps=args.steps,
         columns=tuple(args.columns.split(",")),
     )
-    csv_text = run_sweep(config)
+
+
+def cmd_sweep(args) -> int:
+    csv_text = run_sweep(_sweep_config(args))
     if args.out:
         return _write_or_fail(args.out, csv_text)
     sys.stdout.write(csv_text)
@@ -206,10 +205,10 @@ def cmd_trace(args) -> int:
     states = _states_from_args(args)
     if len(states) != 1:
         raise ValueError("trace works on exactly one input state")
-    alpha, beta = states[0]
-    state = InputState(alpha, beta)
+    (state,) = states
     stages = run_stages(state, ChannelSpec(NoiseKind(args.noise), args.p))
-    lines = [f"stage trace: noise={args.noise} p={args.p:.17g} state={state_label(alpha, beta)}"]
+    state_text = state_label(state.alpha, state.beta)
+    lines = [f"stage trace: noise={args.noise} p={args.p:.17g} state={state_text}"]
     for label, rho in stages.items():
         lines.append("")
         lines.append(f"{label} ({rho.num_qubits} qubit{'s' if rho.num_qubits > 1 else ''})")
@@ -242,19 +241,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    config = SweepConfig(
-        kind=NoiseKind(args.noise),
-        states=tuple(_states_from_args(args)),
-        p_start=args.p_start,
-        p_end=args.p_end,
-        steps=args.steps,
-    )
+    config = _sweep_config(args)
     grid = config.grid()
     series = []
-    for alpha, beta in config.states:
-        state = InputState(alpha, beta)
+    for state in config.states:
         (fidelities,) = _grid_columns(state, config.chunks, [teleport_fidelity])
-        series.append((state_label(alpha, beta), list(zip(grid, fidelities))))
+        series.append((state_label(state.alpha, state.beta), list(zip(grid, fidelities))))
     svg = render_line_chart(
         title=f"teleportation fidelity under {config.kind.value} noise",
         x_label="noise probability p",
@@ -325,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_flags(sp)
     _add_grid_flags(sp)
     sp.add_argument("--out", default="curves.svg", help="output SVG path")
-    sp.set_defaults(func=cmd_curves)
+    # no --columns flag: a chart draws the numeric fidelity only
+    sp.set_defaults(func=cmd_curves, columns="numeric")
 
     return parser
 

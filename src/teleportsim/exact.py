@@ -110,20 +110,13 @@ class PolyP:
         obj._re, obj._im, obj._den = _normalized(re, im, den)
         return obj
 
-    @classmethod
-    def from_value(cls, value: Any) -> "PolyP":
-        """The constant ``value``, an int, a Fraction or a constant PolyP."""
-        re, im, den = _parts(value)
-        if isinstance(value, cls):
-            return value
-        return cls._raw([re], [im], den)
-
     @staticmethod
     def _coerce(value: Any) -> "PolyP | None":
         if isinstance(value, PolyP):
             return value
         if isinstance(value, (int, Fraction)):
-            return PolyP.from_value(value)
+            num, den = _ratio(value)
+            return PolyP._raw([num], [0], den)
         return None
 
     @property

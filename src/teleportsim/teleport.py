@@ -28,11 +28,10 @@ STAGE_LABELS = tuple(f"rho{k}" for k in range(1, 11))
 
 def _exact_norm_sq(alpha: Any, beta: Any):
     """Exact |alpha|^2 + |beta|^2, or None when the amplitudes are floats."""
-    from .exact import GaussianRational  # deferred: exact imports this module
+    from .exact import PolyP  # deferred: exact imports this module
 
     try:
-        a = GaussianRational.from_value(alpha)
-        b = GaussianRational.from_value(beta)
+        a, b = PolyP([alpha]), PolyP([beta])
     except TypeError:
         return None
     return a.conjugate() * a + b.conjugate() * b

@@ -188,8 +188,19 @@ MUTANTS = (
     Mutant(
         "channels-weights-ignore-zero-sign",
         "channels.py",
-        "if _LAST_BRANCHES[0] is spec and",
-        "if _LAST_BRANCHES[0] == spec and",
+        "if last_spec is spec and",
+        "if last_spec == spec and",
+    ),
+    Mutant(
+        "channels-cache-read-per-field",
+        "channels.py",
+        "    last_spec, last_n, branches = _LAST_BRANCHES\n"
+        "    if last_spec is spec and last_n == n:\n"
+        "        return branches\n",
+        # the later ``del branches`` needs the local
+        "    if _LAST_BRANCHES[0] is spec and _LAST_BRANCHES[1] == n:\n"
+        "        return _LAST_BRANCHES[2]\n"
+        "    branches = None\n",
     ),
     Mutant(
         "channels-probability-one-rejected",
@@ -218,8 +229,28 @@ MUTANTS = (
     Mutant(
         "cli-sweep-csv-precision",
         "cli.py",
-        'row = "%.17g," + state_label(alpha, beta) + ",%.17g"',
-        'row = "%.16g," + state_label(alpha, beta) + ",%.17g"',
+        'row = "%.17g," + state_label(state.alpha, state.beta) + ",%.17g"',
+        'row = "%.16g," + state_label(state.alpha, state.beta) + ",%.17g"',
+    ),
+    Mutant(
+        "cli-normalize-ignored",
+        "cli.py",
+        "make = InputState.normalized if args.normalize else InputState",
+        "make = InputState",
+    ),
+    Mutant(
+        "verify-fallback-after-marginal-targets",
+        "verify.py",
+        "    published_mismatch = any(t.status is TargetStatus.MISMATCH for t in targets)\n"
+        "    targets += verify_marginal_factorization()\n",
+        "    targets += verify_marginal_factorization()\n"
+        "    published_mismatch = any(t.status is TargetStatus.MISMATCH for t in targets)\n",
+    ),
+    Mutant(
+        "exact-coerce-drops-denominator",
+        "exact.py",
+        "return PolyP._raw([num], [0], den)",
+        "return PolyP._raw([num], [0], 1)",
     ),
 )
 

@@ -27,6 +27,7 @@ from expanded_forms import (
     pauli_conjugate,
     sort_qubits,
 )
+from teleportsim import channels
 from teleportsim.channels import (
     ChannelSpec,
     NoiseKind,
@@ -286,6 +287,28 @@ class TestWeightRetention:
             tracemalloc.stop()
         # the slack covers the last spec's probabilities and its I and X weights
         assert held <= 3 * 101 * 64 * 16 + 32_768
+
+
+class TestWeightCache:
+    def test_entry_is_read_once(self, monkeypatch, random_density):
+        """The cached entry is read in one step.  An entry whose indexing
+        swaps in another spec's entry, as another thread could between two
+        reads, changes no layer."""
+        rho = random_density(3)
+        spec_a = ChannelSpec(NoiseKind.DEPOLARIZING, 0.1)
+        spec_b = ChannelSpec(NoiseKind.DEPOLARIZING, 0.9)
+        want = apply_layer(spec_a, rho)
+        entry_a = channels._LAST_BRANCHES
+        apply_layer(spec_b, rho)
+        entry_b = channels._LAST_BRANCHES
+
+        class Swapping(tuple):
+            def __getitem__(self, index):
+                monkeypatch.setattr(channels, "_LAST_BRANCHES", entry_b)
+                return tuple.__getitem__(self, index)
+
+        monkeypatch.setattr(channels, "_LAST_BRANCHES", Swapping(entry_a))
+        assert np.array_equal(apply_layer(spec_a, rho).entries, want.entries)
 
 
 class TestExpandedForms:

@@ -11,12 +11,13 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from teleportsim import cli, exact, teleport
 from teleportsim.analytic import fidelity_closed, fidelity_linear
@@ -82,24 +83,27 @@ class TestAmplitudeGrammar:
             parse_states("1,0,0.5")
 
 
+BASIS_ZERO = InputState(1 + 0j, 0j)
+
+
 class TestSweep:
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SweepConfig(NoiseKind.BIT_FLIP, ((1, 0),), p_start=0.5, p_end=0.2)
+            SweepConfig(NoiseKind.BIT_FLIP, (BASIS_ZERO,), p_start=0.5, p_end=0.2)
         with pytest.raises(ValueError):
-            SweepConfig(NoiseKind.BIT_FLIP, ((1, 0),), steps=1)
+            SweepConfig(NoiseKind.BIT_FLIP, (BASIS_ZERO,), steps=1)
         with pytest.raises(ValueError):
-            SweepConfig(NoiseKind.BIT_FLIP, ((1, 0),), columns=("bogus",))
+            SweepConfig(NoiseKind.BIT_FLIP, (BASIS_ZERO,), columns=("bogus",))
 
     def test_header_and_shape(self):
-        config = SweepConfig(NoiseKind.PHASE_FLIP, ((1 + 0j, 0j),), steps=3)
+        config = SweepConfig(NoiseKind.PHASE_FLIP, (BASIS_ZERO,), steps=3)
         lines = run_sweep(config).splitlines()
         assert lines[0] == "p,state_label,f_numeric,f_analytic,f_linear,abs_diff"
         assert len(lines) == 4
 
     def test_zero_noise_rows_are_exactly_one(self):
         config = SweepConfig(
-            NoiseKind.DEPOLARIZING, ((1 + 0j, 0j), (0.6 + 0j, 0.8 + 0j)), steps=2
+            NoiseKind.DEPOLARIZING, (BASIS_ZERO, InputState(0.6 + 0j, 0.8 + 0j)), steps=2
         )
         rows = [l.split(",") for l in run_sweep(config).splitlines()[1:]]
         for row in rows:
@@ -108,14 +112,14 @@ class TestSweep:
 
     def test_depolarizing_endpoint_is_classical_limit(self):
         config = SweepConfig(
-            NoiseKind.DEPOLARIZING, ((2**-0.5 + 0j, 2**-0.5 + 0j),), steps=2
+            NoiseKind.DEPOLARIZING, (InputState(2**-0.5 + 0j, 2**-0.5 + 0j),), steps=2
         )
         last = run_sweep(config).splitlines()[-1].split(",")
         assert last[0] == "1"
         assert float(last[2]) == pytest.approx(0.5, abs=1e-12)
 
     def test_phaseflip_basis_state_constant_and_diff_tiny(self):
-        config = SweepConfig(NoiseKind.PHASE_FLIP, ((1 + 0j, 0j),), steps=11)
+        config = SweepConfig(NoiseKind.PHASE_FLIP, (BASIS_ZERO,), steps=11)
         for row in run_sweep(config).splitlines()[1:]:
             cols = row.split(",")
             assert float(cols[2]) == pytest.approx(1.0, abs=1e-12)
@@ -123,7 +127,7 @@ class TestSweep:
 
     def test_column_selection(self):
         config = SweepConfig(
-            NoiseKind.PHASE_FLIP, ((1 + 0j, 0j),), steps=2, columns=("linear",)
+            NoiseKind.PHASE_FLIP, (BASIS_ZERO,), steps=2, columns=("linear",)
         )
         lines = run_sweep(config).splitlines()
         assert lines[0] == "p,state_label,f_linear"
@@ -201,20 +205,20 @@ class TestSweep:
         assert not out.exists()
 
     def test_max_steps_is_accepted(self):
-        config = SweepConfig(NoiseKind.BIT_FLIP, ((1, 0),), steps=MAX_STEPS)
+        config = SweepConfig(NoiseKind.BIT_FLIP, (BASIS_ZERO,), steps=MAX_STEPS)
         assert len(config.grid()) == MAX_STEPS
 
     def test_grid_range_edges(self):
-        SweepConfig(NoiseKind.BIT_FLIP, ((1, 0),), p_start=0.0, p_end=1.0)
-        SweepConfig(NoiseKind.BIT_FLIP, ((1, 0),), p_start=-0.0, p_end=0.0)
+        SweepConfig(NoiseKind.BIT_FLIP, (BASIS_ZERO,), p_start=0.0, p_end=1.0)
+        SweepConfig(NoiseKind.BIT_FLIP, (BASIS_ZERO,), p_start=-0.0, p_end=0.0)
         # the grid decides, not its end: this p_end is above 1, its grid is not
         argv = ["sweep", "--noise", "bitflip", "--p-start", "0.04267581793069375",
                 "--p-end", "1.0000000000000002", "--steps", "142"]
         assert _run_cli(argv).splitlines()[-1].startswith("1,")
         with pytest.raises(ValueError, match=r"^noise probability 1.0000000000000002 outside"):
-            SweepConfig(NoiseKind.BIT_FLIP, ((1, 0),), p_end=1 + 2**-52)
+            SweepConfig(NoiseKind.BIT_FLIP, (BASIS_ZERO,), p_end=1 + 2**-52)
         with pytest.raises(ValueError, match=r"^noise probability -5e-324 outside"):
-            SweepConfig(NoiseKind.BIT_FLIP, ((1, 0),), p_start=-5e-324)
+            SweepConfig(NoiseKind.BIT_FLIP, (BASIS_ZERO,), p_start=-5e-324)
 
     def test_unnormalized_rejected_without_flag(self, capsys):
         assert main(["sweep", "--noise", "bitflip", "--states", "1,1"]) == 2
@@ -352,6 +356,110 @@ class TestBadInputs:
         assert message in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+@st.composite
+def amplitude_pair(draw):
+    """``(alpha, beta, good, good_normalized)``: a pair of complex
+    amplitudes and whether each command accepts it without and with
+    --normalize."""
+    parts = draw(st.tuples(*[st.floats(-1, 1)] * 4).filter(
+        lambda parts: math.fsum(x * x for x in parts) > 1e-6
+    ))
+    norm = math.sqrt(math.fsum(x * x for x in parts))
+    alpha, beta = complex(*parts[:2]) / norm, complex(*parts[2:]) / norm
+    case = draw(st.sampled_from(
+        ["unit", "subnormal", "unnormalized", "zero", "underflow", "overflow", "nonfinite"]
+    ))
+    if case == "unit":
+        return alpha, beta, True, True
+    if case == "subnormal":
+        # subnormal imaginary parts on a real unit pair leave its norm alone
+        theta = draw(st.floats(0, 2 * math.pi))
+        return complex(math.cos(theta), 5e-324), complex(math.sin(theta), -5e-324), True, True
+    if case == "unnormalized":
+        factor = draw(st.sampled_from([1e-3, 0.5, 2.0, 1e3]))
+        return alpha * factor, beta * factor, False, True
+    if case == "zero":
+        return 0j, 0j, False, False
+    if case == "underflow":
+        # the squared norm underflows to zero
+        return complex(5e-324), draw(st.sampled_from([0j, complex(0, 5e-324)])), False, False
+    if case == "overflow":
+        return complex(1e200, 0), beta, False, False
+    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    parts = [alpha.real, alpha.imag, beta.real, beta.imag]
+    parts[draw(st.integers(0, 3))] = bad
+    return complex(*parts[:2]), complex(*parts[2:]), False, False
+
+
+STATE_COMMANDS = {
+    "sweep": ["sweep", "--noise", "bitflip", "--steps", "2"],
+    "curves": ["curves", "--noise", "phaseflip", "--steps", "2"],
+    "trace": ["trace", "--noise", "depolarizing", "--p", "0.1"],
+}
+
+
+class TestStateBoundary:
+    """Amplitude text is checked once, where it enters: a bad state exits 2
+    with an error line and writes nothing; a good one runs."""
+
+    @settings(max_examples=150)
+    @given(
+        command=st.sampled_from(list(STATE_COMMANDS)),
+        pairs=st.lists(amplitude_pair(), min_size=1, max_size=3),
+        flags=st.booleans(),
+        normalize=st.booleans(),
+    )
+    def test_bad_states_exit_2_and_good_ones_run(self, command, pairs, flags, normalize):
+        if command == "trace":
+            pairs = pairs[:1]
+        argv = list(STATE_COMMANDS[command]) + ["--normalize"] * normalize
+        if flags and len(pairs) == 1:
+            ((alpha, beta, _, _),) = pairs
+            argv += [f"--alpha={_exact_text(alpha)}", f"--beta={_exact_text(beta)}"]
+        else:
+            argv.append("--states=" + ";".join(
+                f"{_exact_text(alpha)},{_exact_text(beta)}" for alpha, beta, _, _ in pairs
+            ))
+        good = all(pair[3 if normalize else 2] for pair in pairs)
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            with contextlib.redirect_stderr(err):
+                code = main(argv + ["--out", str(out)])
+            written = out.exists()
+        assert "Traceback" not in err.getvalue()
+        if good:
+            assert (code, err.getvalue(), written) == (0, "", True)
+        else:
+            assert code == 2 and not written
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+class TestStatesCheckedOnce:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--noise", "bitflip", "--steps", "3"],
+            ["sweep", "--noise", "bitflip", "--steps", "3", "--normalize"],
+            ["curves", "--noise", "phaseflip", "--steps", "3"],
+            ["trace", "--noise", "depolarizing", "--p", "0.2"],
+        ],
+        ids=["sweep", "sweep-normalize", "curves", "trace"],
+    )
+    def test_one_input_state_per_state(self, argv, monkeypatch, tmp_path):
+        built = []
+        check = InputState.__post_init__
+
+        def counting_check(state):
+            built.append(state)
+            check(state)
+
+        monkeypatch.setattr(InputState, "__post_init__", counting_check)
+        states = "0.6,0+0.8i" if argv[0] == "trace" else "1,0;0.6,0+0.8i;0.5+0.5i,0.5-0.5i"
+        assert main(argv + ["--states", states, "--out", str(tmp_path / "out")]) == 0
+        assert len(built) == states.count(";") + 1
 
 
 class TestTrace:
@@ -607,8 +715,7 @@ def _reference_sweep_csv(config: SweepConfig) -> str:
     lines = [",".join(header + ["abs_diff"] * with_diff)]
     grid = config.grid()
     spec = ChannelSpec(config.kind, grid)
-    for alpha, beta in config.states:
-        state = InputState(alpha, beta)
+    for state in config.states:
         computed = {
             "numeric": teleport_fidelity(state, spec).tolist(),
             "analytic": fidelity_closed(state, spec).tolist(),
@@ -620,7 +727,7 @@ def _reference_sweep_csv(config: SweepConfig) -> str:
                 [abs(a - b) for a, b in zip(computed["numeric"], computed["analytic"])]
             )
         for p, *values in zip(grid, *columns):
-            fields = [f"{p:.17g}", state_label(alpha, beta)]
+            fields = [f"{p:.17g}", state_label(state.alpha, state.beta)]
             lines.append(",".join(fields + [f"{v:.17g}" for v in values]))
     return "\n".join(lines) + "\n"
 
@@ -666,10 +773,8 @@ class TestFormatting:
         grid = ["--p-start", "0.1", "--p-end", "0.9", "--steps", "7"]
         argv = ["sweep", "--noise", kind.value, "--columns", columns, *grid,
                 "--states", SIGNED_ZERO_STATES]
-        config = SweepConfig(
-            kind, tuple(parse_states(SIGNED_ZERO_STATES)), 0.1, 0.9, 7,
-            tuple(columns.split(",")),
-        )
+        states = tuple(InputState(a, b) for a, b in parse_states(SIGNED_ZERO_STATES))
+        config = SweepConfig(kind, states, 0.1, 0.9, 7, tuple(columns.split(",")))
         text = _run_cli(argv)
         assert "-0.0+0.6i" in text
         _assert_same_text(text, _reference_sweep_csv(config))

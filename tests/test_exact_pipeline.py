@@ -154,8 +154,7 @@ class TestTransferMap:
         for kind in NoiseKind:
             matrix = dense_transfer_map(kind)
             for probe in (PROBE_REAL, PROBE_IMAG):
-                a = GaussianRational.from_value(probe.alpha)
-                b = GaussianRational.from_value(probe.beta)
+                a, b = PolyP([probe.alpha]), PolyP([probe.beta])
                 vec = (a * a.conjugate(), a * b.conjugate(), b * a.conjugate(), b * b.conjugate())
                 direct = run_pipeline_symbolic(probe, kind)
                 flat = [direct.entries[0, 0], direct.entries[0, 1], direct.entries[1, 0], direct.entries[1, 1]]
@@ -196,8 +195,7 @@ def _entries_equal(a, b):
 
 
 def _apply_map(matrix, state):
-    a = GaussianRational.from_value(state.alpha)
-    b = GaussianRational.from_value(state.beta)
+    a, b = PolyP([state.alpha]), PolyP([state.beta])
     vec = (a * a.conjugate(), a * b.conjugate(), b * a.conjugate(), b * b.conjugate())
     out = np.full((2, 2), PolyP.ZERO, dtype=object)
     for row, (r, c) in enumerate(_BASIS_PAIRS):

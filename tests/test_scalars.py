@@ -78,9 +78,9 @@ def test_gaussian_rational_field_ops():
     assert a * a.conjugate() == GaussianRational(a.norm_sq())
     assert a + (-a) == GaussianRational()
     assert complex(a) == 0.6 + 0.8j
-    assert GaussianRational.from_value(Fraction(2, 3)) == GaussianRational(Fraction(2, 3))
+    assert PolyP([Fraction(2, 3)]) == GaussianRational(Fraction(2, 3))
     with pytest.raises(TypeError):
-        GaussianRational.from_value(0.5)
+        PolyP([0.5])
 
 
 def test_gaussian_rational_immutability_and_hash():
@@ -123,8 +123,8 @@ def test_gaussian_rational_matches_fraction_pairs(x, y):
     assert _parts(-gx) == (-a, -b)
     assert _parts(gx.conjugate()) == (a, -b)
     assert gx.norm_sq() == a * a + b * b
-    assert _parts(GaussianRational.from_value(x[0])) == (a, 0)
-    assert GaussianRational.from_value(gx) is gx
+    assert _parts(PolyP([x[0]])) == (a, 0)
+    assert PolyP([gx]) == gx
     assert (gx == gy) == ((a, b) == (c, d))
     assert (gx == x[0]) == ((a, b) == (x[0], 0))
     assert str(gx) == (str(a) if not b else f"({a},{b})")

@@ -345,8 +345,7 @@ class TestBatchedPipeline:
     def test_sweep_longer_than_one_chunk_equals_per_point(self, kind):
         # --steps 2500 runs three batches of at most 1024 points
         state = random_states(13, 1)[0]
-        alpha, beta = complex(state.alpha), complex(state.beta)
-        config = SweepConfig(kind, ((alpha, beta),), steps=2500)
+        config = SweepConfig(kind, (state,), steps=2500)
         rows = [row.split(",") for row in run_sweep(config).splitlines()[1:]]
         assert len(rows) == 2500 > cli.BATCH_POINTS
         grid = config.grid()
@@ -360,13 +359,16 @@ class TestBatchedPipeline:
 
     def test_chunk_boundaries_do_not_change_bytes(self, monkeypatch):
         # the three complex states of the golden sweeps
-        states = ((0.6, 0.8j), (0.6 + 0.8j, 0), (0.5 + 0.5j, 0.5 - 0.5j))
+        pairs = ((0.6, 0.8j), (0.6 + 0.8j, 0), (0.5 + 0.5j, 0.5 - 0.5j))
+        states = tuple(InputState(a, b) for a, b in pairs)
         for kind in NoiseKind:
-            config = SweepConfig(kind, states, steps=101)
-            monkeypatch.setattr(cli, "BATCH_POINTS", 1024)
-            whole = run_sweep(config)
-            # chunks of 10 leave a last batch of one point; chunks of 1 are
-            # all one-point batches, which broadcast their weights apart
-            for points in (1, 10):
+            # a config cuts its grid into chunks when it is built; chunks of
+            # 10 leave a last batch of one point; chunks of 1 are all
+            # one-point batches, which broadcast their weights apart
+            texts = []
+            for points in (1024, 1, 10):
                 monkeypatch.setattr(cli, "BATCH_POINTS", points)
-                assert run_sweep(config) == whole
+                config = SweepConfig(kind, states, steps=101)
+                assert len(config.chunks) == -(-101 // points)
+                texts.append(run_sweep(config))
+            assert texts[1:] == texts[:1] * 2

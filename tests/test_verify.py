@@ -11,7 +11,7 @@ from pauli_table import PAULI_TRANSFER, binomial_power, bloch
 from teleportsim.analytic import PUBLISHED, linear_slope_exact
 from teleportsim.exact import GaussianRational, PolyP, extract_transfer_map
 from teleportsim.channels import NoiseKind
-from teleportsim.teleport import InputState
+from teleportsim.teleport import DEFAULT_ASSIGNMENT, InputState
 from teleportsim.verify import TargetStatus, fidelity_polynomial, run_verification, verify_kind
 
 EXPECTED_STATUS = {
@@ -79,6 +79,39 @@ def test_depolarizing_coherence_diff_details(verification_report):
 def test_fallback_note_present(verification_report):
     assert any("correction assignment used" in n for n in verification_report.notes)
     assert any("fallback exercised" in n for n in verification_report.notes)
+
+
+def _stub_targets(monkeypatch, published_status, marginal_status):
+    """Stub the three target builders: every per-kind and slope target has
+    ``published_status``, and one marginal-factorization target, under a
+    name that says nothing of its group, has ``marginal_status``."""
+
+    def target(name, status):
+        return verify_mod.VerificationTarget(name, status, "expected", "derived")
+
+    monkeypatch.setattr(
+        verify_mod, "verify_kind", lambda kind: [target(f"{kind.value} form", published_status)]
+    )
+    monkeypatch.setattr(
+        verify_mod, "verify_linear_slopes", lambda: [target("slope", TargetStatus.MATCH)]
+    )
+    monkeypatch.setattr(
+        verify_mod, "verify_marginal_factorization",
+        lambda: [target("shortcut drift", marginal_status)],
+    )
+
+
+def test_fallback_is_decided_by_the_published_targets(monkeypatch):
+    # a marginal-factorization mismatch, whatever its name, calls for no
+    # other correction assignment
+    _stub_targets(monkeypatch, TargetStatus.MATCH, TargetStatus.MISMATCH)
+    report = run_verification()
+    assert report.has_mismatch and report.targets[-1].name == "shortcut drift"
+    assert report.notes == (f"correction assignment used: {DEFAULT_ASSIGNMENT.describe()}",)
+    # a published-form mismatch does, and no assignment reproduces these
+    _stub_targets(monkeypatch, TargetStatus.MISMATCH, TargetStatus.MATCH)
+    monkeypatch.setattr(verify_mod, "_published_forms_match", lambda assignment: False)
+    assert "fallback exercised" in run_verification().notes[-1]
 
 
 def test_report_is_deterministic(verification_report):

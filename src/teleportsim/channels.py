@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .linalg import Operator
+from .linalg import Operator, _out_array
 
 # unused here, but perfbench/tracer.py wraps these bindings
 from .linalg import conjugate_by, tensor  # noqa: F401
@@ -176,16 +176,18 @@ def _branches(spec: ChannelSpec, n: int) -> tuple:
     return branches
 
 
-def _apply_pauli_channel(spec: ChannelSpec, rho: Operator, qubits: range) -> Operator:
+def _apply_pauli_channel(
+    spec: ChannelSpec, rho: Operator, qubits: range, out: np.ndarray | None = None
+) -> Operator:
     """Apply the channel to each of ``qubits`` in turn; one new operator.
 
     Per qubit, the branches are summed in order, ``((I + X) + Y) + Z``, in
-    one accumulator updated in place, with the products in two more
-    buffers: the Z product, and the X-flipped entries scaled in place to the
-    X product.  The Y product is the X-flipped Z product, since the flip
-    leaves the sign-folded weight unchanged; taking it so keeps one buffer
-    fewer alive than scaling the flipped entries twice.  Works on a batch
-    along the leading axis too.
+    one accumulator updated in place (``out``, when given), with the
+    products in two more buffers: the Z product, and the X-flipped entries
+    scaled in place to the X product.  The Y product is the X-flipped Z
+    product, since the flip leaves the sign-folded weight unchanged; taking
+    it so keeps one buffer fewer alive than scaling the flipped entries
+    twice.  Works on a batch along the leading axis too.
     """
     lead, w_i, w_x, has_y, tables = _branches(spec, rho.num_qubits)
     src = rho.entries
@@ -193,7 +195,7 @@ def _apply_pauli_channel(spec: ChannelSpec, rho: Operator, qubits: range) -> Ope
         # an unbatched input under a batched spec: one matrix per probability
         src = np.broadcast_to(src, np.broadcast_shapes(src.shape, lead + (1, 1)))
     shape, flat = src.shape, src.shape[:-2] + (-1,)
-    acc = np.empty(shape, src.dtype)
+    acc = _out_array(out, shape)
     flip = None if w_x is None else np.empty(shape, src.dtype)
     prod = None if tables[0][1] is None else np.empty(shape, src.dtype)
     for qubit in qubits:
@@ -224,11 +226,12 @@ def apply_to_qubit(spec: ChannelSpec, rho: Operator, qubit: int) -> Operator:
     return _apply_pauli_channel(spec, rho, range(qubit, qubit + 1))
 
 
-def apply_layer(spec: ChannelSpec, rho: Operator) -> Operator:
+def apply_layer(spec: ChannelSpec, rho: Operator, *, out: np.ndarray | None = None) -> Operator:
     """Apply the channel independently to every qubit.
 
     Single-qubit channels on distinct qubits commute, so the sequential
-    order is irrelevant.
+    order is irrelevant.  ``out``, a C-ordered complex128 array of the
+    result's shape apart from ``rho``, becomes the result's entries, frozen.
     """
-    return _apply_pauli_channel(spec, rho, range(1, rho.num_qubits + 1))
+    return _apply_pauli_channel(spec, rho, range(1, rho.num_qubits + 1), out)
 

@@ -84,7 +84,7 @@ def parse_states(text: str) -> list[tuple[complex, complex]]:
 @dataclass(frozen=True)
 class SweepConfig:
     kind: NoiseKind
-    #: checked where they enter, so the config does not check them again
+    #: checked where they enter; the config checks only their type
     states: tuple[InputState, ...]
     p_start: float = 0.0
     p_end: float = 1.0
@@ -107,6 +107,9 @@ class SweepConfig:
         for col in self.columns:
             if col not in ALL_COLUMNS:
                 raise ValueError(f"unknown column {col!r}")
+        for state in self.states:
+            if not isinstance(state, InputState):
+                raise ValueError(f"state {state!r} is not an InputState")
         span = self.p_end - self.p_start
         grid = [self.p_start + span * i / (self.steps - 1) for i in range(self.steps)]
         # in grid order, so ChannelSpec names the first bad grid point

@@ -148,9 +148,18 @@ def _cnot_permutation(control: int, target: int, n: int) -> np.ndarray:
     return perm
 
 
-def _hadamard_conjugate(entries: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """H rho H on ``qubit``: the butterfly (a + b, a - b) on the qubit's row
-    bit, then on its column bit, then the factor 1/2.
+def _out_array(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """A new C-ordered complex128 array of ``shape``, or ``out`` checked to be one."""
+    if out is None:
+        return np.empty(shape, np.complex128)
+    if out.shape != shape or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-ordered complex128 {shape}, got {out.dtype} {out.shape}")
+    return out
+
+
+def _hadamard_conjugate(entries: np.ndarray, qubit: int, n: int, out: np.ndarray) -> np.ndarray:
+    """H rho H on ``qubit`` into ``out``: the butterfly (a + b, a - b) on
+    the qubit's row bit, then on its column bit, then the factor 1/2.
 
     The reshapes split the row (then the column) index into the bits above
     the qubit, the qubit's bit and the bits below it, so the halves are
@@ -163,34 +172,39 @@ def _hadamard_conjugate(entries: np.ndarray, qubit: int, n: int) -> np.ndarray:
     np.add(rows[..., 0, :, :], rows[..., 1, :, :], out=mid[..., 0, :, :])
     np.subtract(rows[..., 0, :, :], rows[..., 1, :, :], out=mid[..., 1, :, :])
     cols = mid.reshape(lead + (dim, high, 2, low))
-    out = np.empty_like(cols)
-    np.add(cols[..., 0, :], cols[..., 1, :], out=out[..., 0, :])
-    np.subtract(cols[..., 0, :], cols[..., 1, :], out=out[..., 1, :])
-    out = out.reshape(lead + (dim, dim))
+    halves = out.reshape(cols.shape)
+    np.add(cols[..., 0, :], cols[..., 1, :], out=halves[..., 0, :])
+    np.subtract(cols[..., 0, :], cols[..., 1, :], out=halves[..., 1, :])
     np.add(out, 0j, out=out)
     return np.multiply(out, complex(0.5), out=out)
 
 
-def conjugate_by(rho: Operator, gate: tuple[str, tuple[int, ...]]) -> Operator:
+def conjugate_by(
+    rho: Operator, gate: tuple[str, tuple[int, ...]], *, out: np.ndarray | None = None
+) -> Operator:
     """Return U rho U^dagger for a Clifford ``gate``: ``("H", (qubit,))`` or
     ``("CNOT", (control, target))``, as in :data:`teleportsim.teleport.CIRCUIT`.
 
     No matrix product: a CNOT permutes the rows and the columns, and H is a
     butterfly on its qubit's row and column bits.  The ``+ 0j`` turns a
     -0.0 part into +0.0, as the zero products of a dense U rho U^dagger do,
-    so the bits equal that product's.
+    so the bits equal that product's.  ``out``, a C-ordered complex128
+    array of ``rho``'s shape apart from ``rho``, becomes the result's
+    entries, frozen.
     """
     name, qubits = gate
     n = rho.num_qubits
     if not all(1 <= q <= n for q in qubits):
         raise ValueError(f"gate {gate} acts outside qubits 1..{n}")
+    entries = rho.entries
+    out = _out_array(out, entries.shape)
     if name == "H" and len(qubits) == 1:
-        return Operator(_hadamard_conjugate(rho.entries, qubits[0], n), copy=False)
+        return Operator(_hadamard_conjugate(entries, qubits[0], n, out), copy=False)
     if name == "CNOT" and len(qubits) == 2 and qubits[0] != qubits[1]:
-        entries = rho.entries
-        flat = entries.reshape(entries.shape[:-2] + (-1,))
-        permuted = flat.take(_cnot_permutation(*qubits, n), axis=-1).reshape(entries.shape)
-        return Operator(permuted + 0j, copy=False)
+        flat, perm = entries.shape[:-2] + (-1,), _cnot_permutation(*qubits, n)
+        entries.reshape(flat).take(perm, axis=-1, out=out.reshape(flat), mode="clip")
+        out += 0j
+        return Operator(out, copy=False)
     raise ValueError(f"unknown gate {gate}; expected ('H', (q,)) or ('CNOT', (c, t))")
 
 

@@ -138,6 +138,12 @@ MUTANTS = (
         "np.diag([0, 1, 0, 0])",
     ),
     Mutant(
+        "teleport-noise-layer-shares-gate-slot",
+        "teleport.py",
+        "rho = apply_layer(noise, rho, out=block[2 * k])",
+        "rho = apply_layer(noise, rho, out=block[2 * k - 1])",
+    ),
+    Mutant(
         "linalg-tensor-operands-swapped",
         "linalg.py",
         "x, y = a.entries, b.entries",
@@ -165,6 +171,12 @@ MUTANTS = (
         "linalg-hadamard-keeps-negative-zero",
         "linalg.py",
         "    np.add(out, 0j, out=out)\n",
+        "",
+    ),
+    Mutant(
+        "linalg-cnot-keeps-negative-zero",
+        "linalg.py",
+        "        out += 0j\n",
         "",
     ),
     Mutant(

@@ -94,6 +94,9 @@ class TestSweep:
             SweepConfig(NoiseKind.BIT_FLIP, (BASIS_ZERO,), steps=1)
         with pytest.raises(ValueError):
             SweepConfig(NoiseKind.BIT_FLIP, (BASIS_ZERO,), columns=("bogus",))
+        # a raw (alpha, beta) pair is named where it enters, not in the state loop
+        with pytest.raises(ValueError, match=r"state \(1, 0\) is not an InputState"):
+            SweepConfig(NoiseKind.BIT_FLIP, (BASIS_ZERO, (1, 0)), steps=3)
 
     def test_header_and_shape(self):
         config = SweepConfig(NoiseKind.PHASE_FLIP, (BASIS_ZERO,), steps=3)

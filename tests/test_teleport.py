@@ -1,25 +1,37 @@
 """The staged pipeline: initial state, gate/noise ladder, measurement, fidelity."""
 
 import cmath
+import gc
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from expanded_forms import GATES
+from test_channels import random_operator
 from teleportsim import cli
 from teleportsim.analytic import fidelity_closed, fidelity_linear
-from teleportsim.channels import ChannelSpec, NoiseKind
+from teleportsim.channels import ChannelSpec, NoiseKind, apply_layer
 from teleportsim.cli import SweepConfig, run_sweep
 from teleportsim.exact import GaussianRational
 from teleportsim.linalg import (
     Operator,
+    conjugate_by,
     hermitian_eigenvalues,
     hermiticity_deviation,
 )
 from teleportsim.teleport import (
     ALTERNATE_ASSIGNMENTS,
+    CIRCUIT,
     STAGE_LABELS,
     CorrectionAssignment,
     InputState,
@@ -158,9 +170,12 @@ class TestRunStages:
                     assert on[label].entries.tobytes() == off[label].entries.tobytes()
 
     def test_disabled_noise_stages_collapse(self):
-        stages = run_stages_from_initial(build_initial(PROBES[1]), depolarizing(0.7), False)
-        for a, b in (("rho3", "rho2"), ("rho5", "rho4"), ("rho7", "rho6"), ("rho9", "rho8")):
-            assert stages[a] is stages[b]
+        # a batched spec adds no batch axis when its layers are off
+        for p in (0.7, GRID_101):
+            stages = run_stages_from_initial(build_initial(PROBES[1]), depolarizing(p), False)
+            for a, b in (("rho3", "rho2"), ("rho5", "rho4"), ("rho7", "rho6"), ("rho9", "rho8")):
+                assert stages[a] is stages[b]
+            assert stages["rho9"].entries.shape == (8, 8)
 
     def test_stage_labels_and_shapes(self):
         stages = run_stages(PROBES[0], depolarizing(0.2))
@@ -372,3 +387,145 @@ class TestBatchedPipeline:
                 assert len(config.chunks) == -(-101 // points)
                 texts.append(run_sweep(config))
             assert texts[1:] == texts[:1] * 2
+
+
+def ladder_reference(rho1, noise):
+    """The gate/noise ladder from ``out=None`` calls: each stage in a new array."""
+    rho = rho1
+    stages = {"rho1": rho}
+    for k, gate in enumerate(CIRCUIT):
+        stages[f"rho{2 * k + 2}"] = rho = conjugate_by(rho, gate)
+        stages[f"rho{2 * k + 3}"] = rho = apply_layer(noise, rho)
+    stages["rho10"] = measure_and_correct(rho)
+    return stages
+
+
+#: one stage of a 101-point run, in bytes
+STAGE_BYTES = len(GRID_101) * 64 * 16
+
+
+class TestStageBlock:
+    """rho3..rho9 are written in place into one block per run; every stage
+    keeps the bytes of a ladder whose calls each build a new array."""
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    @pytest.mark.parametrize(
+        "case", ["scalar", "101-point", "batched-rho1", "batched-both", "one-slice-rho1",
+                 "signed-zeros"],
+    )
+    def test_stages_equal_the_new_array_ladder(self, kind, case, rng):
+        state = random_states(31, 1)[0]
+        initials = [build_initial(s).entries for s in random_states(32, 5)]
+        rho1, p = {
+            "scalar": (build_initial(state), 0.3),
+            "101-point": (build_initial(state), GRID_101),
+            "batched-rho1": (Operator(initials), 0.3),
+            "batched-both": (Operator(initials), (0.0, 0.1, 0.5, 0.9, 1.0)),
+            # one slice broadcasts against the spec's batch
+            "one-slice-rho1": (Operator(initials[:1]), GRID_101),
+            "signed-zeros": (random_operator(rng, 3, 3, zeros=True), (0.0, -0.0, 0.3)),
+        }[case]
+        noise = ChannelSpec(kind, p)
+        stages = run_stages_from_initial(rho1, noise)
+        want = ladder_reference(rho1, noise)
+        assert tuple(stages) == STAGE_LABELS
+        for label in STAGE_LABELS:
+            assert stages[label].entries.shape == want[label].entries.shape, label
+            assert stages[label].entries.tobytes() == want[label].entries.tobytes(), label
+        block = stages["rho3"].entries.base
+        assert block.shape[0] == 7
+        assert all(stages[label].entries.base is block for label in STAGE_LABELS[2:9])
+
+    @pytest.mark.parametrize("gate", GATES, ids=str)
+    def test_conjugate_by_into_out(self, gate, rng):
+        for batch in (None, 3):
+            rho = random_operator(rng, 3, batch, zeros=True)
+            out = np.full(rho.entries.shape, complex(math.nan, math.nan))
+            got = conjugate_by(rho, gate, out=out)
+            assert got.entries is out and not out.flags.writeable
+            assert out.tobytes() == conjugate_by(rho, gate).entries.tobytes()
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_apply_layer_into_out(self, kind, rng):
+        for batch in (None, 3):
+            for p in (0.3, -0.0, (0.0, -0.0, 0.3)):
+                noise = ChannelSpec(kind, p)
+                rho = random_operator(rng, 3, batch, zeros=True)
+                want = apply_layer(noise, rho).entries
+                out = np.full(want.shape, complex(math.nan, math.nan))
+                got = apply_layer(noise, rho, out=out)
+                assert got.entries is out and not out.flags.writeable
+                assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((8, 8)),
+            np.empty((8, 8), np.complex64),
+            np.empty((8, 16), complex)[:, ::2],
+            np.empty((3, 8, 8), complex),  # broadcasts, but is not rho's shape
+            np.empty((4, 4), complex),
+        ],
+        ids=["float64", "complex64", "strided", "batched", "4x4"],
+    )
+    def test_wrong_out_raises(self, out):
+        rho = build_initial(PROBES[2])
+        with pytest.raises(ValueError, match="out must be C-ordered complex128"):
+            conjugate_by(rho, CIRCUIT[0], out=out)
+        with pytest.raises(ValueError, match="out must be C-ordered complex128"):
+            conjugate_by(rho, CIRCUIT[1], out=out)
+        with pytest.raises(ValueError, match="out must be C-ordered complex128"):
+            apply_layer(depolarizing(0.3), rho, out=out)
+        # under a batched spec the result has the batch axis
+        with pytest.raises(ValueError, match="out must be C-ordered complex128"):
+            apply_layer(depolarizing(GRID_101), rho, out=np.empty((8, 8), complex))
+
+    def test_peak_memory_of_one_101_point_run(self):
+        state = InputState(0.6, 0.8j)
+        noise = depolarizing(GRID_101)
+        teleport_fidelity(state, noise)  # the spec's weights and the index tables
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            teleport_fidelity(state, noise)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # measured: 1,144,657 B with numpy 2.4.6; the slack is one more stage
+        assert peak <= 1_144_657 + STAGE_BYTES
+
+
+# 20 in-process sweeps per kind after two warm-ups, each one's minor page
+# faults read around the call; prints the mean per kind
+_FAULTS_CHILD = """
+import contextlib, io, json, resource, sys
+from teleportsim.cli import main
+means = {}
+for kind in ("depolarizing", "bitflip", "phaseflip"):
+    faults = []
+    for _ in range(22):
+        with contextlib.redirect_stdout(io.StringIO()):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert main(["sweep", "--noise", kind, "--steps", "101", "--states", sys.argv[1]]) == 0
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    means[kind] = sum(faults[2:]) / 20
+print(json.dumps(means))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's heap trimming")
+def test_sweeps_do_not_fault_the_heap_back_in():
+    """A run's one large block raises glibc's trim threshold when it is
+    first freed, so later runs reuse the heap: with a new array per stage,
+    each under the 128 KiB mmap threshold, glibc trimmed the heap after
+    every run and the next one faulted it back in (510-871 faults a sweep)."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    package_root = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    states = "0.6,0+0.8i;0.6+0.8i,0;0.5+0.5i,0.5-0.5i"
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_CHILD, states], env=env,
+                          check=True, timeout=120, capture_output=True, text=True)
+    means = json.loads(proc.stdout)
+    assert all(mean <= 20 for mean in means.values()), means

@@ -1,6 +1,6 @@
 """Density-matrix simulation and exact verification of noisy teleportation."""
 
-from .analytic import PUBLISHED, fidelity_closed, fidelity_linear, linear_slope, rho10_closed
+from .analytic import PUBLISHED, fidelity_closed, fidelity_linear, linear_slope
 from .channels import ChannelSpec, NoiseKind, apply_layer, apply_to_qubit
 from .exact import GaussianRational, P, PolyP, extract_transfer_map, run_pipeline_symbolic
 from .linalg import (

@@ -18,7 +18,6 @@ import numpy as np
 
 from .channels import ChannelSpec, NoiseKind
 from .exact import PolyP
-from .linalg import Operator
 from .teleport import InputState
 
 
@@ -168,22 +167,9 @@ def _closed_entries(kind: NoiseKind, a: complex, b: complex, grid: np.ndarray) -
     return [(aa, 0.0), _mul(u6, coh), _mul(u6, coh_c), (dd, 0.0)]
 
 
-def rho10_closed(input_state: InputState, noise: ChannelSpec) -> Operator:
-    """The published single-qubit output state under ``noise``.
-
-    A batch spec gives a batched operator, one 2x2 slice per probability.
-    """
-    grid, scalar = _probabilities(noise)
-    entries = _closed_entries(noise.kind, *_amplitudes(input_state), grid)
-    out = np.empty((grid.size, 2, 2), dtype=complex)
-    for (i, j), (re, im) in zip(((0, 0), (0, 1), (1, 0), (1, 1)), entries):
-        out.real[:, i, j] = re
-        out.imag[:, i, j] = im
-    return Operator(out[0] if scalar else out)
-
-
 def fidelity_closed(input_state: InputState, noise: ChannelSpec):
-    """<psi| rho10_closed |psi> expanded to a real number.
+    """<psi| rho |psi> for the published output state rho, expanded to a
+    real number.
 
     A float for a scalar ``p``; an array for a batch spec, each value bit
     for bit the scalar one.

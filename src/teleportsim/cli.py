@@ -110,8 +110,11 @@ class SweepConfig:
         for state in self.states:
             if not isinstance(state, InputState):
                 raise ValueError(f"state {state!r} is not an InputState")
+        # the ends are the values given: a computed last point can round
+        # above p_end, and so above 1
         span = self.p_end - self.p_start
-        grid = [self.p_start + span * i / (self.steps - 1) for i in range(self.steps)]
+        grid = [self.p_start + span * i / (self.steps - 1) for i in range(self.steps - 1)]
+        grid.append(self.p_end)
         # in grid order, so ChannelSpec names the first bad grid point
         chunks = tuple(
             ChannelSpec(self.kind, grid[start : start + BATCH_POINTS])

@@ -23,8 +23,6 @@ import numpy as np
 from .channels import ChannelSpec, apply_layer
 from .linalg import Operator, PureState, conjugate_by, fidelity_with, tensor
 
-STAGE_LABELS = tuple(f"rho{k}" for k in range(1, 11))
-
 
 def _exact_norm_sq(alpha: Any, beta: Any):
     """Exact |alpha|^2 + |beta|^2, or None when the amplitudes are floats."""
@@ -180,7 +178,7 @@ def run_stages_from_initial(
 ) -> dict[str, Operator]:
     """Run the gate/noise ladder from an arbitrary three-qubit initial state.
 
-    Returns the ten stages keyed in :data:`STAGE_LABELS` order.  With a
+    Returns the ten stages, keyed ``rho1``..``rho10`` in order.  With a
     batched ``noise`` spec the stages from rho3 on carry the batch axis.
     The gates and noise layers write rho3..rho9 into one block, ``rho<j>``
     into slot ``j - 3``.  A 101-point block (0.7 MB) is above glibc's mmap

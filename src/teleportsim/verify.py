@@ -58,12 +58,6 @@ class VerificationReport:
     def has_mismatch(self) -> bool:
         return any(t.status is TargetStatus.MISMATCH for t in self.targets)
 
-    def find(self, name: str) -> VerificationTarget:
-        for t in self.targets:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
     def to_text(self) -> str:
         lines = ["verification report", "==================="]
         for t in self.targets:

@@ -34,3 +34,11 @@ def verification_report():
     from teleportsim.verify import run_verification
 
     return run_verification()
+
+
+def find_target(report, name):
+    """The target of ``report`` called ``name``; KeyError if there is none."""
+    for t in report.targets:
+        if t.name == name:
+            return t
+    raise KeyError(name)

@@ -1,4 +1,4 @@
-"""Expanded forms of the noise layers, kept as test oracles.
+"""Expanded forms of the noise layers, and other test oracles.
 
 The package applies a channel to every qubit with one per-qubit kernel
 (``channels.apply_layer``).  The forms below re-derive the same layer by a
@@ -15,7 +15,10 @@ conjugations, on gates written out here with numpy:
   ``linalg.conjugate_by``, which applies the circuit's gates by index maps;
 - :func:`pauli_conjugate` conjugates by one Pauli on any qubit of n, the
   general form of the noise kernel's flips and of the 2x2 corrections in
-  ``teleport.measure_and_correct``.
+  ``teleport.measure_and_correct``;
+- :func:`rho10_closed` assembles the published output state from the
+  entries that ``analytic.fidelity_closed`` contracts, so the state itself
+  can be checked.
 """
 
 import itertools
@@ -24,8 +27,10 @@ from typing import Any
 
 import numpy as np
 
+from teleportsim.analytic import _amplitudes, _closed_entries, _probabilities
 from teleportsim.channels import ChannelSpec, NoiseKind, _complex_p, _pauli_weights, _qubit_tables
 from teleportsim.linalg import Operator, partial_trace, tensor
+from teleportsim.teleport import InputState
 
 # complex constants: -one and -i carry a -0.0 part, and the bits of every
 # conjugated state depend on it
@@ -203,3 +208,18 @@ def flip_sum_expansion(spec: ChannelSpec, rho: Operator) -> Operator:
         branch = dense_conjugate(rho, string) * weight
         acc = branch if acc is None else acc + branch
     return Operator(acc)
+
+
+def rho10_closed(input_state: InputState, noise: ChannelSpec) -> Operator:
+    """The published single-qubit output state under ``noise``, from
+    ``analytic._closed_entries``.
+
+    A batch spec gives a batched operator, one 2x2 slice per probability.
+    """
+    grid, scalar = _probabilities(noise)
+    entries = _closed_entries(noise.kind, *_amplitudes(input_state), grid)
+    out = np.empty((grid.size, 2, 2), dtype=complex)
+    for (i, j), (re, im) in zip(((0, 0), (0, 1), (1, 0), (1, 1)), entries):
+        out.real[:, i, j] = re
+        out.imag[:, i, j] = im
+    return Operator(out[0] if scalar else out)

@@ -245,6 +245,19 @@ MUTANTS = (
         'row = "%.16g," + state_label(state.alpha, state.beta) + ",%.17g"',
     ),
     Mutant(
+        "cli-grid-end-computed",
+        "cli.py",
+        "range(self.steps - 1)]\n        grid.append(self.p_end)\n",
+        "range(self.steps)]\n",
+    ),
+    Mutant(
+        "guard-unused-public-name",
+        "charts.py",
+        "def _escape(text: str) -> str:",
+        "def escape_all(texts):\n    return [_escape(t) for t in texts]\n\n\n"
+        "def _escape(text: str) -> str:",
+    ),
+    Mutant(
         "cli-normalize-ignored",
         "cli.py",
         "make = InputState.normalized if args.normalize else InputState",

@@ -28,6 +28,7 @@ from teleportsim.analytic import (
     linear_slope,
     linear_slope_exact,
 )
+from conftest import find_target
 from expanded_forms import depolarizing_subset_expansion, flip_sum_expansion
 from pauli_table import PAULI_TRANSFER, binomial_power, bloch
 from teleportsim.channels import ChannelSpec, NoiseKind, apply_layer
@@ -188,7 +189,7 @@ def test_criterion_4_bitflip_comparison_complete(verification_report):
     }
     for name in expected_targets:
         try:
-            t = verification_report.find(name)
+            t = find_target(verification_report, name)
         except KeyError:
             failures.append(f"missing comparison target {name}")
             continue
@@ -198,7 +199,7 @@ def test_criterion_4_bitflip_comparison_complete(verification_report):
             failures.append(f"{name}: mismatch without coefficient diffs")
         if not t.expected or not t.derived:
             failures.append(f"{name}: comparison not recorded")
-    u3 = verification_report.find("bitflip u3 standalone")
+    u3 = find_target(verification_report, "bitflip u3 standalone")
     if u3.status is not TargetStatus.NOT_IDENTIFIABLE:
         failures.append("u3 target must be NotIdentifiable")
     if "1/4*p - 1/4*p^2" not in u3.expected:
@@ -342,8 +343,8 @@ def test_criterion_7_channel_form_equivalences(rng):
 
 def test_criterion_8_marginal_factorization_discrepancy(verification_report):
     failures = []
-    product = verification_report.find("factorized marginal form on a product state")
-    entangled = verification_report.find("factorized marginal form on an entangled state")
+    product = find_target(verification_report, "factorized marginal form on a product state")
+    entangled = find_target(verification_report, "factorized marginal form on an entangled state")
     if product.status is not TargetStatus.MATCH:
         failures.append("factorized form must agree on product states within 1e-14")
     dev = float(entangled.derived.split("deviation")[1].split()[0])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from expanded_forms import rho10_closed
 from teleportsim import analytic
 from teleportsim.analytic import (
     PUBLISHED,
@@ -13,7 +14,6 @@ from teleportsim.analytic import (
     fidelity_linear,
     linear_slope,
     linear_slope_exact,
-    rho10_closed,
 )
 from teleportsim.channels import ChannelSpec, NoiseKind
 from teleportsim.exact import GaussianRational, P, PolyP

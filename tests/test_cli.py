@@ -86,6 +86,17 @@ class TestAmplitudeGrammar:
 BASIS_ZERO = InputState(1 + 0j, 0j)
 
 
+def grid_bound():
+    """A --p-start or --p-end value: a k/100 decimal or a full-mantissa float
+    of [0, 1], or a value just or far outside it, or a non-finite one."""
+    outside = st.sampled_from([-5e-324, 1 + 2**-52, math.nan, math.inf, -math.inf])
+    return st.one_of(
+        st.integers(0, 100).map(lambda k: k / 100),
+        st.floats(0, 1),
+        outside | st.floats(-10, 10),
+    )
+
+
 class TestSweep:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -211,17 +222,80 @@ class TestSweep:
         config = SweepConfig(NoiseKind.BIT_FLIP, (BASIS_ZERO,), steps=MAX_STEPS)
         assert len(config.grid()) == MAX_STEPS
 
-    def test_grid_range_edges(self):
+    def test_grid_range_edges(self, capsys):
         SweepConfig(NoiseKind.BIT_FLIP, (BASIS_ZERO,), p_start=0.0, p_end=1.0)
         SweepConfig(NoiseKind.BIT_FLIP, (BASIS_ZERO,), p_start=-0.0, p_end=0.0)
-        # the grid decides, not its end: this p_end is above 1, its grid is not
+        # the grid ends at p_end itself, so a p_end above 1 is rejected by
+        # the value typed, even where a computed last point would round to 1
         argv = ["sweep", "--noise", "bitflip", "--p-start", "0.04267581793069375",
                 "--p-end", "1.0000000000000002", "--steps", "142"]
-        assert _run_cli(argv).splitlines()[-1].startswith("1,")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: noise probability 1.0000000000000002 outside [0, 1]\n"
+        )
         with pytest.raises(ValueError, match=r"^noise probability 1.0000000000000002 outside"):
             SweepConfig(NoiseKind.BIT_FLIP, (BASIS_ZERO,), p_end=1 + 2**-52)
         with pytest.raises(ValueError, match=r"^noise probability -5e-324 outside"):
             SweepConfig(NoiseKind.BIT_FLIP, (BASIS_ZERO,), p_start=-5e-324)
+
+    @pytest.mark.parametrize("command", ["sweep", "curves"])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--p-start", "0.08", "--p-end", "1", "--steps", "11"],
+            ["--p-start", "0.19", "--steps", "11"],
+            ["--p-start", "0.2", "--steps", "7"],
+        ],
+        ids=["0.08-to-1", "0.19-default-end", "0.2-default-end"],
+    )
+    def test_grid_ending_at_one_runs(self, command, grid, tmp_path, capsys):
+        # a last point computed as p_start + span * (steps-1) / (steps-1)
+        # rounds to 1.0000000000000002 on these grids
+        out = tmp_path / "out"
+        assert main([command, "--noise", "bitflip", *grid, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        if command == "sweep":
+            assert out.read_text().splitlines()[-1].split(",")[0] == "1"
+
+    @settings(max_examples=80)
+    @given(
+        p_start=grid_bound(),
+        p_end=grid_bound(),
+        steps=st.integers(2, 60),
+        ordered=st.booleans(),
+        columns=st.sampled_from(
+            [",".join(c) for r in (1, 2, 3) for c in itertools.combinations(ALL_COLUMNS, r)]
+            + ["", "bogus", "numeric,bogus"]
+        ),
+    )
+    def test_grid_flags(self, p_start, p_end, steps, ordered, columns):
+        # a bad grid exits 2 with one error line and writes nothing; a good
+        # one starts at --p-start, ends at --p-end and stays between them
+        if ordered and p_start > p_end:
+            p_start, p_end = p_end, p_start
+        argv = ["sweep", "--noise", "depolarizing", "--states", "0.6,0.8",
+                f"--p-start={p_start!r}", f"--p-end={p_end!r}", f"--steps={steps}",
+                f"--columns={columns}"]
+        good = (
+            0 <= p_start <= p_end <= 1
+            and all(column in ALL_COLUMNS for column in columns.split(","))
+        )
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.csv"
+            with contextlib.redirect_stderr(err):
+                code = main(argv + ["--out", str(out)])
+            text = out.read_text() if out.exists() else None
+        assert "Traceback" not in err.getvalue()
+        if not good:
+            assert code == 2 and text is None
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            return
+        assert (code, err.getvalue()) == (0, "")
+        grid = [float(row.split(",")[0]) for row in text.splitlines()[1:]]
+        assert len(grid) == steps
+        assert grid[0] == p_start and grid[-1] == p_end
+        assert all(p_start <= p <= p_end for p in grid)
 
     def test_unnormalized_rejected_without_flag(self, capsys):
         assert main(["sweep", "--noise", "bitflip", "--states", "1,1"]) == 2

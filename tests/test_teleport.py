@@ -32,7 +32,6 @@ from teleportsim.linalg import (
 from teleportsim.teleport import (
     ALTERNATE_ASSIGNMENTS,
     CIRCUIT,
-    STAGE_LABELS,
     CorrectionAssignment,
     InputState,
     build_initial,
@@ -41,6 +40,8 @@ from teleportsim.teleport import (
     run_stages_from_initial,
     teleport_fidelity,
 )
+
+STAGE_LABELS = tuple(f"rho{k}" for k in range(1, 11))
 
 PROBES = [
     InputState(1, 0),

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import teleportsim.verify as verify_mod
+from conftest import find_target
 from pauli_table import PAULI_TRANSFER, binomial_power, bloch
 from teleportsim.analytic import PUBLISHED, linear_slope_exact
 from teleportsim.exact import GaussianRational, PolyP, extract_transfer_map
@@ -46,7 +47,7 @@ def test_every_planned_target_appears_exactly_once(verification_report):
 
 def test_target_statuses(verification_report):
     for name, status in EXPECTED_STATUS.items():
-        assert verification_report.find(name).status is status, name
+        assert find_target(verification_report, name).status is status, name
 
 
 def test_mismatches_carry_coefficient_diffs(verification_report):
@@ -61,13 +62,13 @@ def test_mismatches_carry_coefficient_diffs(verification_report):
 
 
 def test_published_bitflip_diagonal_confirmed(verification_report):
-    t = verification_report.find("bitflip diagonal keep 4(u1+u3)")
+    t = find_target(verification_report, "bitflip diagonal keep 4(u1+u3)")
     assert t.expected == t.derived
     assert "256*p^9" in t.expected
 
 
 def test_depolarizing_coherence_diff_details(verification_report):
-    t = verification_report.find("depolarizing coherence keep")
+    t = find_target(verification_report, "depolarizing coherence keep")
     degrees = [d for d, _, _ in t.coefficient_diffs]
     assert degrees == list(range(1, 13))
     exp_by_degree = dict((d, e) for d, e, _ in t.coefficient_diffs)
@@ -129,7 +130,7 @@ def test_machine_format_shape(verification_report):
 
 def test_find_unknown_target_raises(verification_report):
     with pytest.raises(KeyError):
-        verification_report.find("no such target")
+        find_target(verification_report, "no such target")
 
 
 def test_injected_table_fault_is_detected(monkeypatch):

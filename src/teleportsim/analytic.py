@@ -190,6 +190,16 @@ def fidelity_closed(input_state: InputState, noise: ChannelSpec):
     return float(re[0]) if scalar else re
 
 
+def _slope(kind: NoiseKind, t, cross):
+    """The published slope from ``t = |a|^2 |b|^2`` and ``cross = 2 Re((a b*)^2)``:
+    a float from floats, a Fraction from Fractions."""
+    if kind is NoiseKind.DEPOLARIZING:
+        return 6 * t + Fraction(9, 2)
+    if kind is NoiseKind.BIT_FLIP:
+        return 9 - 14 * t - 8 * cross
+    return 32 * t
+
+
 def linear_slope(kind: NoiseKind, input_state: InputState) -> float:
     """Magnitude of the published first-order fidelity decay coefficient.
 
@@ -198,13 +208,8 @@ def linear_slope(kind: NoiseKind, input_state: InputState) -> float:
     published closed form.
     """
     a, b = _amplitudes(input_state)
-    t = abs(a) ** 2 * abs(b) ** 2
-    if kind is NoiseKind.DEPOLARIZING:
-        return 6 * t + 4.5
-    if kind is NoiseKind.BIT_FLIP:
-        cross = (a * b.conjugate()) ** 2 + (b * a.conjugate()) ** 2
-        return 9 - 14 * t - 8 * cross.real
-    return 32 * t
+    z = a * b.conjugate()
+    return _slope(kind, abs(a) ** 2 * abs(b) ** 2, 2 * (z * z).real)
 
 
 def fidelity_linear(input_state: InputState, noise: ChannelSpec):
@@ -218,11 +223,5 @@ def linear_slope_exact(
     kind: NoiseKind, alpha: PolyP, beta: PolyP
 ) -> Fraction:
     """The published slope at exact Gaussian-rational amplitudes."""
-    t = alpha.norm_sq() * beta.norm_sq()
-    if kind is NoiseKind.DEPOLARIZING:
-        return 6 * t + Fraction(9, 2)
-    if kind is NoiseKind.BIT_FLIP:
-        z = alpha * beta.conjugate()
-        cross = z * z + (z * z).conjugate()  # real: 2 Re(z^2)
-        return 9 - 14 * t - 8 * cross.re
-    return 32 * t
+    z = alpha * beta.conjugate()
+    return _slope(kind, alpha.norm_sq() * beta.norm_sq(), 2 * (z * z).re)

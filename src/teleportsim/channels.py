@@ -21,12 +21,11 @@ import enum
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
 
-from .linalg import Operator, _out_array
+from .linalg import Operator, _out_array, _pauli_tables
 
 # unused here, but perfbench/tracer.py wraps these bindings
 from .linalg import conjugate_by, tensor  # noqa: F401
@@ -113,21 +112,6 @@ def _pauli_weights(
     return [(w_keep, "I"), (w_pauli, "X"), (w_pauli, "Y"), (w_pauli, "Z")]
 
 
-@lru_cache(maxsize=None)
-def _qubit_tables(qubit: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For ``qubit`` of ``n``: the flattened X-flip permutation of a matrix's
-    entries, and the mask of entries whose row and column bits differ."""
-    bit = 1 << (n - qubit)
-    index = np.arange(1 << n)
-    flipped = index ^ bit
-    perm = (flipped[:, None] * (1 << n) + flipped).ravel()
-    set_bit = (index & bit) != 0
-    differ = set_bit[:, None] != set_bit[None, :]
-    perm.setflags(write=False)
-    differ.setflags(write=False)
-    return perm, differ
-
-
 # The last spec's branches, as (spec, n, branches) with the branches as
 # :func:`_branches` returns them.  One entry, so the four layers of a run and
 # consecutive runs with one spec object (the chunks of a ``SweepConfig``)
@@ -164,7 +148,7 @@ def _branches(spec: ChannelSpec, n: int) -> tuple:
     assert weights.get("Y", w_z) is w_z
     tables = []
     for qubit in range(1, n + 1):
-        perm, differ = _qubit_tables(qubit, n)
+        perm, differ = _pauli_tables(qubit, n)
         s_z = None
         if w_z is not None:
             s_z = np.where(differ, -w_z, w_z)

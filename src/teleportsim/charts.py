@@ -16,6 +16,8 @@ MARGIN_TOP = 50
 MARGIN_BOTTOM = 70
 
 COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
+X_LABEL = "noise probability p"
+Y_LABEL = "fidelity"
 
 
 def _escape(text: str) -> str:
@@ -28,10 +30,7 @@ def _escape(text: str) -> str:
 
 
 def render_line_chart(
-    title: str,
-    x_label: str,
-    y_label: str,
-    series: Sequence[tuple[str, Sequence[tuple[float, float]]]],
+    title: str, series: Sequence[tuple[str, Sequence[tuple[float, float]]]]
 ) -> str:
     """Render labelled (x, y) polylines with axes, grid, and a legend."""
     if not series or not any(points for _, points in series):
@@ -114,12 +113,12 @@ def render_line_chart(
 
     lines.append(
         f'<text x="{(plot_left + plot_right) / 2:.1f}" y="{HEIGHT - 20}" '
-        f'text-anchor="middle" font-size="14" font-family="sans-serif">{_escape(x_label)}</text>'
+        f'text-anchor="middle" font-size="14" font-family="sans-serif">{_escape(X_LABEL)}</text>'
     )
     mid_y = (plot_top + plot_bottom) / 2
     lines.append(
         f'<text x="22" y="{mid_y:.1f}" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif" transform="rotate(-90 22 {mid_y:.1f})">{_escape(y_label)}</text>'
+        f'font-family="sans-serif" transform="rotate(-90 22 {mid_y:.1f})">{_escape(Y_LABEL)}</text>'
     )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -188,23 +188,24 @@ def _states_from_args(args) -> list[InputState]:
 
 
 def _sweep_config(args) -> SweepConfig:
-    """The grid, states and columns of `sweep` or `curves` flags."""
-    return SweepConfig(
-        kind=NoiseKind(args.noise),
-        states=tuple(_states_from_args(args)),
-        p_start=args.p_start,
-        p_end=args.p_end,
-        steps=args.steps,
-        columns=tuple(args.columns.split(",")),
-    )
+    """The config of `sweep` or `curves` flags; a grid or column flag that
+    is not given keeps the config's default."""
+    flags = vars(args)
+    names = ("p_start", "p_end", "steps", "columns")
+    given = {name: flags[name] for name in names if name in flags}
+    return SweepConfig(NoiseKind(args.noise), tuple(_states_from_args(args)), **given)
+
+
+def _write_out(path: str | None, text: str) -> int:
+    """Write ``text`` to ``path``, or to stdout without one."""
+    if not path:
+        sys.stdout.write(text)
+        return 0
+    return _write_or_fail(path, text)
 
 
 def cmd_sweep(args) -> int:
-    csv_text = run_sweep(_sweep_config(args))
-    if args.out:
-        return _write_or_fail(args.out, csv_text)
-    sys.stdout.write(csv_text)
-    return 0
+    return _write_out(args.out, run_sweep(_sweep_config(args)))
 
 
 def cmd_trace(args) -> int:
@@ -224,11 +225,7 @@ def cmd_trace(args) -> int:
             lines.append(row_fmt % tuple(["%.12g%+.12gi" % (z.real, z.imag) for z in row]))
         min_eig = round(float(hermitian_eigenvalues(rho)[0]), EIGENVALUE_DIGITS) + 0.0
         lines.append("  trace = %.12g, min eigenvalue = %.12g" % (rho.trace().real, min_eig))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        return _write_or_fail(args.out, text)
-    sys.stdout.write(text)
-    return 0
+    return _write_out(args.out, "\n".join(lines) + "\n")
 
 
 def cmd_verify(args) -> int:
@@ -250,15 +247,11 @@ def cmd_curves(args) -> int:
     config = _sweep_config(args)
     grid = config.grid()
     series = []
+    # the numeric fidelity only: curves has no --columns flag and reads none
     for state in config.states:
         (fidelities,) = _grid_columns(state, config.chunks, [teleport_fidelity])
         series.append((state_label(state.alpha, state.beta), list(zip(grid, fidelities))))
-    svg = render_line_chart(
-        title=f"teleportation fidelity under {config.kind.value} noise",
-        x_label="noise probability p",
-        y_label="fidelity",
-        series=series,
-    )
+    svg = render_line_chart(f"teleportation fidelity under {config.kind.value} noise", series)
     return _write_or_fail(args.out, svg)
 
 
@@ -277,9 +270,10 @@ def _add_state_flags(sp) -> None:
 
 
 def _add_grid_flags(sp) -> None:
-    sp.add_argument("--p-start", type=float, default=0.0)
-    sp.add_argument("--p-end", type=float, default=1.0)
-    sp.add_argument("--steps", type=int, default=101)
+    # a flag not given is absent from the namespace: SweepConfig's default holds
+    sp.add_argument("--p-start", type=float, default=argparse.SUPPRESS)
+    sp.add_argument("--p-end", type=float, default=argparse.SUPPRESS)
+    sp.add_argument("--steps", type=int, default=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(sp)
     sp.add_argument(
         "--columns",
-        default=",".join(ALL_COLUMNS),
+        type=lambda text: tuple(text.split(",")),
+        default=argparse.SUPPRESS,
         help="comma-separated subset of numeric,analytic,linear",
     )
     sp.add_argument("--out", help="output CSV path (default: stdout)")
@@ -323,8 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_flags(sp)
     _add_grid_flags(sp)
     sp.add_argument("--out", default="curves.svg", help="output SVG path")
-    # no --columns flag: a chart draws the numeric fidelity only
-    sp.set_defaults(func=cmd_curves, columns="numeric")
+    sp.set_defaults(func=cmd_curves)
 
     return parser
 

@@ -137,15 +137,25 @@ def partial_trace(rho: Operator, keep: Sequence[int]) -> Operator:
 
 
 @lru_cache(maxsize=None)
-def _cnot_permutation(control: int, target: int, n: int) -> np.ndarray:
-    """The flattened index map of a CNOT conjugation on ``n`` qubits: the
-    target bit of the row and of the column index flips where the control
-    bit is set."""
+def _pauli_tables(
+    target: int, n: int, control: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """For ``target`` of ``n`` qubits: the flattened permutation of a
+    matrix's entries under X on ``target``, which flips the target bit of
+    the row and of the column index (only where the ``control`` bit is
+    set, when one is given: a CNOT), and the mask of the entries that Z on
+    ``target`` negates, those whose row and column target bits differ."""
+    bit = 1 << (n - target)
     index = np.arange(1 << n)
-    mapped = np.where(index & (1 << (n - control)), index ^ (1 << (n - target)), index)
-    perm = (mapped[:, None] * (1 << n) + mapped).ravel()
+    flipped = index ^ bit
+    if control is not None:
+        flipped = np.where(index & (1 << (n - control)), flipped, index)
+    perm = (flipped[:, None] * (1 << n) + flipped).ravel()
+    set_bit = (index & bit) != 0
+    differ = set_bit[:, None] != set_bit[None, :]
     perm.setflags(write=False)
-    return perm
+    differ.setflags(write=False)
+    return perm, differ
 
 
 def _out_array(out: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
@@ -201,7 +211,8 @@ def conjugate_by(
     if name == "H" and len(qubits) == 1:
         return Operator(_hadamard_conjugate(entries, qubits[0], n, out), copy=False)
     if name == "CNOT" and len(qubits) == 2 and qubits[0] != qubits[1]:
-        flat, perm = entries.shape[:-2] + (-1,), _cnot_permutation(*qubits, n)
+        perm, _ = _pauli_tables(qubits[1], n, qubits[0])
+        flat = entries.shape[:-2] + (-1,)
         entries.reshape(flat).take(perm, axis=-1, out=out.reshape(flat), mode="clip")
         out += 0j
         return Operator(out, copy=False)

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .channels import ChannelSpec, apply_layer
-from .linalg import Operator, PureState, conjugate_by, fidelity_with, tensor
+from .linalg import Operator, PureState, _pauli_tables, conjugate_by, fidelity_with, tensor
 
 
 def _exact_norm_sq(alpha: Any, beta: Any):
@@ -136,11 +136,6 @@ def build_initial(input_state: InputState) -> Operator:
     return tensor(psi.projector(), ancilla)
 
 
-# The entries of a 2x2 block whose row and column differ: Z negates them.
-_COHERENCES = np.array([[False, True], [True, False]])
-_COHERENCES.setflags(write=False)
-
-
 def measure_and_correct(
     rho9: Operator, assignment: CorrectionAssignment | None = None
 ) -> Operator:
@@ -165,7 +160,7 @@ def measure_and_correct(
             if outcome[assignment.x_source]:
                 block = block[..., ::-1, ::-1]
             if outcome[assignment.z_source]:
-                block = np.where(_COHERENCES, -block, block)
+                block = np.where(_pauli_tables(1, 1)[1], -block, block)
             acc = block if acc is None else acc + block
     return Operator(acc, copy=False)
 

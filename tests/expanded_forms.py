@@ -28,8 +28,8 @@ from typing import Any
 import numpy as np
 
 from teleportsim.analytic import _amplitudes, _closed_entries, _probabilities
-from teleportsim.channels import ChannelSpec, NoiseKind, _complex_p, _pauli_weights, _qubit_tables
-from teleportsim.linalg import Operator, partial_trace, tensor
+from teleportsim.channels import ChannelSpec, NoiseKind, _complex_p, _pauli_weights
+from teleportsim.linalg import Operator, _pauli_tables, partial_trace, tensor
 from teleportsim.teleport import InputState
 
 # complex constants: -one and -i carry a -0.0 part, and the bits of every
@@ -117,7 +117,7 @@ def pauli_conjugate(entries: np.ndarray, label: str, qubit: int, n: int) -> np.n
     and Y does both.  Works on a batch of matrices along the leading axis
     too.
     """
-    perm, differ = _qubit_tables(qubit, n)
+    perm, differ = _pauli_tables(qubit, n)
     if label in ("X", "Y"):
         lead = entries.shape[:-2]
         entries = entries.reshape(lead + (-1,)).take(perm, axis=-1).reshape(entries.shape)

@@ -118,8 +118,8 @@ MUTANTS = (
     Mutant(
         "teleport-z-negates-diagonal",
         "teleport.py",
-        "_COHERENCES = np.array([[False, True], [True, False]])",
-        "_COHERENCES = np.array([[True, False], [False, True]])",
+        "block = np.where(_pauli_tables(1, 1)[1], -block, block)",
+        "block = np.where(~_pauli_tables(1, 1)[1], -block, block)",
     ),
     Mutant(
         "teleport-x-z-sources-swapped",
@@ -164,8 +164,14 @@ MUTANTS = (
     Mutant(
         "linalg-cnot-flips-control",
         "linalg.py",
-        "index ^ (1 << (n - target))",
-        "index ^ (1 << (n - control))",
+        "perm, _ = _pauli_tables(qubits[1], n, qubits[0])",
+        "perm, _ = _pauli_tables(qubits[0], n, qubits[1])",
+    ),
+    Mutant(
+        "linalg-z-mask-on-equal-bits",
+        "linalg.py",
+        "differ = set_bit[:, None] != set_bit[None, :]",
+        "differ = set_bit[:, None] == set_bit[None, :]",
     ),
     Mutant(
         "linalg-hadamard-keeps-negative-zero",
@@ -223,8 +229,14 @@ MUTANTS = (
     Mutant(
         "analytic-depolarizing-slope",
         "analytic.py",
-        "return 6 * t + 4.5",
-        "return 6 * t + 4.25",
+        "return 6 * t + Fraction(9, 2)",
+        "return 6 * t + Fraction(17, 4)",
+    ),
+    Mutant(
+        "analytic-bitflip-cross-coefficient",
+        "analytic.py",
+        "return 9 - 14 * t - 8 * cross",
+        "return 9 - 14 * t - 4 * cross",
     ),
     Mutant(
         "analytic-imaginary-check-dropped",
@@ -258,6 +270,30 @@ MUTANTS = (
         "def _escape(text: str) -> str:",
     ),
     Mutant(
+        "cli-output-ignores-out",
+        "cli.py",
+        "    if not path:\n        sys.stdout.write(text)",
+        "    if True:\n        sys.stdout.write(text)",
+    ),
+    Mutant(
+        "cli-grid-flag-ignored",
+        "cli.py",
+        'names = ("p_start", "p_end", "steps", "columns")',
+        'names = ("p_start", "p_end", "columns")',
+    ),
+    Mutant(
+        "cli-default-steps",
+        "cli.py",
+        "steps: int = 101",
+        "steps: int = 100",
+    ),
+    Mutant(
+        "charts-x-label",
+        "charts.py",
+        'X_LABEL = "noise probability p"',
+        'X_LABEL = "noise probability"',
+    ),
+    Mutant(
         "cli-normalize-ignored",
         "cli.py",
         "make = InputState.normalized if args.normalize else InputState",
@@ -270,6 +306,18 @@ MUTANTS = (
         "    targets += verify_marginal_factorization()\n",
         "    targets += verify_marginal_factorization()\n"
         "    published_mismatch = any(t.status is TargetStatus.MISMATCH for t in targets)\n",
+    ),
+    Mutant(
+        "verify-alternate-note-names-default",
+        "verify.py",
+        'f"assignment {matched.describe()}; targets',
+        'f"assignment {DEFAULT_ASSIGNMENT.describe()}; targets',
+    ),
+    Mutant(
+        "guard-public-method-named-like-a-local",
+        "exact.py",
+        "    def norm_sq(self) -> Fraction:",
+        "    def den(self) -> int:\n        return self._den\n\n    def norm_sq(self) -> Fraction:",
     ),
     Mutant(
         "exact-coerce-drops-denominator",

@@ -1,5 +1,6 @@
 """The published closed forms: table invariants, limits, slopes, residual order."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -189,9 +190,9 @@ class TestLinearApproximation:
         b=st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False),
     )
     def test_bitflip_cross_term_is_exactly_real(self, a, b):
-        # linear_slope's cross term, as it computes it: the two products are
-        # exact float conjugates, so their squares' imaginary parts cancel to
-        # 0.0 and the slope needs no check on them
+        # reference_linear_slope's cross term, as it computes it: the two
+        # products are exact float conjugates, so their squares' imaginary
+        # parts cancel to 0.0 and its real part is the whole term
         cross = (a * b.conjugate()) ** 2 + (b * a.conjugate()) ** 2
         assert cross.imag == 0.0
 
@@ -367,3 +368,59 @@ class TestGridForms:
         fidelity_closed(NAMED_STATES[8], ChannelSpec(NoiseKind.BIT_FLIP, grid[:-1]))
         with pytest.raises(ValueError, match="imaginary part above 1e-12"):
             fidelity_closed(NAMED_STATES[8], ChannelSpec(NoiseKind.BIT_FLIP, grid))
+
+
+# The published slopes as the package wrote them before one formula served
+# the float and the exact route.  Both must keep these values.
+
+
+def reference_linear_slope(kind, input_state):
+    a, b = complex(input_state.alpha), complex(input_state.beta)
+    t = abs(a) ** 2 * abs(b) ** 2
+    if kind is NoiseKind.DEPOLARIZING:
+        return 6 * t + 4.5
+    if kind is NoiseKind.BIT_FLIP:
+        cross = (a * b.conjugate()) ** 2 + (b * a.conjugate()) ** 2
+        return 9 - 14 * t - 8 * cross.real
+    return 32 * t
+
+
+def reference_linear_slope_exact(kind, alpha, beta):
+    t = alpha.norm_sq() * beta.norm_sq()
+    if kind is NoiseKind.DEPOLARIZING:
+        return 6 * t + Fraction(9, 2)
+    if kind is NoiseKind.BIT_FLIP:
+        z = alpha * beta.conjugate()
+        cross = z * z + (z * z).conjugate()
+        return 9 - 14 * t - 8 * cross.re
+    return 32 * t
+
+
+@st.composite
+def part_states(draw):
+    """Float states from four drawn parts, signed zeros and subnormals among
+    them, rescaled to unit norm."""
+    parts = draw(st.tuples(*[st.floats(-1, 1)] * 4).filter(
+        lambda parts: math.fsum(x * x for x in parts) > 1e-6
+    ))
+    return InputState.normalized(complex(*parts[:2]), complex(*parts[2:]))
+
+
+class TestSlopeReference:
+    @given(kind=st.sampled_from(list(NoiseKind)), state=input_states | part_states())
+    def test_float_slope_keeps_the_reference_bits(self, kind, state):
+        slope = linear_slope(kind, state)
+        assert type(slope) is float
+        assert slope.hex() == reference_linear_slope(kind, state).hex()
+
+    @given(
+        kind=st.sampled_from(list(NoiseKind)),
+        parts=st.tuples(*[st.fractions(max_denominator=60)] * 4),
+    )
+    def test_exact_slope_equals_the_reference_fractions(self, kind, parts):
+        # on any Gaussian-rational amplitudes, normalized or not: both sides
+        # are polynomials in the parts
+        alpha, beta = GaussianRational(*parts[:2]), GaussianRational(*parts[2:])
+        slope = linear_slope_exact(kind, alpha, beta)
+        assert type(slope) is Fraction
+        assert slope == reference_linear_slope_exact(kind, alpha, beta)

@@ -434,6 +434,57 @@ class TestBadInputs:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @settings(max_examples=60)
+    @given(
+        text=st.one_of(
+            st.floats(0, 1).map(repr),
+            st.floats(allow_nan=False).filter(lambda p: not 0 <= p <= 1).map(repr),
+            st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-0.0", "1_0", " 0.5 "]),
+            st.text(st.characters(codec="ascii", exclude_categories=["Cc"]), max_size=6),
+        )
+    )
+    def test_trace_p(self, text):
+        # a --p that argparse or the spec rejects exits 2 with one error
+        # line and writes nothing; a probability runs and names itself
+        try:
+            p = float(text)
+        except ValueError:
+            p = None
+        code, err, written = _run_with_out(TRACE_P + [f"--p={text}"])
+        assert "Traceback" not in err
+        if p is None or not 0 <= p <= 1:
+            assert code == 2 and written is None
+            assert sum("error: " in line for line in err.splitlines()) == 1
+            return
+        assert (code, err) == (0, "")
+        assert written.splitlines()[0].startswith(f"stage trace: noise=bitflip p={p:.17g} ")
+
+    @settings(max_examples=40)
+    @given(
+        command=st.sampled_from(["sweep", "curves"]),
+        steps=st.integers(max_value=1) | st.integers(min_value=MAX_STEPS + 1),
+    )
+    def test_steps_out_of_range(self, command, steps):
+        # the count is checked before any grid is built, however large it is
+        code, err, written = _run_with_out([command, "--noise", "bitflip", f"--steps={steps}"])
+        bound = "at least 2" if steps < 2 else f"at most {MAX_STEPS}"
+        assert (code, err, written) == (2, f"error: steps must be {bound}, got {steps}\n", None)
+
+
+def _run_with_out(argv: list[str]) -> tuple[int, str, str | None]:
+    """``main(argv + ["--out", path])`` in a fresh directory: the exit code,
+    argparse's included, the stderr text and the file written, or None."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+        written = out.read_text() if out.exists() else None
+    return code, err.getvalue(), written
+
 
 @st.composite
 def amplitude_pair(draw):

@@ -12,7 +12,7 @@ from pauli_table import PAULI_TRANSFER, binomial_power, bloch
 from teleportsim.analytic import PUBLISHED, linear_slope_exact
 from teleportsim.exact import GaussianRational, PolyP, extract_transfer_map
 from teleportsim.channels import NoiseKind
-from teleportsim.teleport import DEFAULT_ASSIGNMENT, InputState
+from teleportsim.teleport import ALTERNATE_ASSIGNMENTS, DEFAULT_ASSIGNMENT, InputState
 from teleportsim.verify import TargetStatus, fidelity_polynomial, run_verification, verify_kind
 
 EXPECTED_STATUS = {
@@ -113,6 +113,21 @@ def test_fallback_is_decided_by_the_published_targets(monkeypatch):
     _stub_targets(monkeypatch, TargetStatus.MISMATCH, TargetStatus.MATCH)
     monkeypatch.setattr(verify_mod, "_published_forms_match", lambda assignment: False)
     assert "fallback exercised" in run_verification().notes[-1]
+
+
+@pytest.mark.parametrize("alternate", ALTERNATE_ASSIGNMENTS, ids=lambda a: a.describe())
+def test_note_names_the_one_alternate_that_reproduces_the_published_forms(
+    monkeypatch, alternate
+):
+    _stub_targets(monkeypatch, TargetStatus.MISMATCH, TargetStatus.MATCH)
+    monkeypatch.setattr(
+        verify_mod, "_published_forms_match", lambda assignment: assignment == alternate
+    )
+    assert run_verification().notes == (
+        f"correction assignment used: {DEFAULT_ASSIGNMENT.describe()}",
+        "published forms are reproduced under the alternate correction assignment "
+        f"{alternate.describe()}; targets above retain the default",
+    )
 
 
 def test_report_is_deterministic(verification_report):

@@ -194,7 +194,7 @@ def _slope(kind: NoiseKind, t, cross):
     """The published slope from ``t = |a|^2 |b|^2`` and ``cross = 2 Re((a b*)^2)``:
     a float from floats, a Fraction from Fractions."""
     if kind is NoiseKind.DEPOLARIZING:
-        return 6 * t + Fraction(9, 2)
+        return (12 * t + 9) / 2
     if kind is NoiseKind.BIT_FLIP:
         return 9 - 14 * t - 8 * cross
     return 32 * t

@@ -29,6 +29,23 @@ def _escape(text: str) -> str:
     )
 
 
+def _line(x1, y1, x2, y2, stroke: str, width) -> str:
+    return (
+        f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+        f'stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
+def _text(x, y, size: int, text: str, anchor: str = "", transform: str = "") -> str:
+    """A text element; the anchor and the transform are left out when empty."""
+    anchor = anchor and f' text-anchor="{anchor}"'
+    transform = transform and f' transform="{transform}"'
+    return (
+        f'<text x="{x}" y="{y}"{anchor} font-size="{size}" '
+        f'font-family="sans-serif"{transform}>{_escape(text)}</text>'
+    )
+
+
 def render_line_chart(
     title: str, series: Sequence[tuple[str, Sequence[tuple[float, float]]]]
 ) -> str:
@@ -57,41 +74,22 @@ def render_line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-        f'<text x="{WIDTH / 2:.1f}" y="28" text-anchor="middle" font-size="18" '
-        f'font-family="sans-serif">{_escape(title)}</text>',
+        _text(f"{WIDTH / 2:.1f}", 28, 18, title, "middle"),
     ]
 
     ticks = 5
     for k in range(ticks + 1):
         yv = y_min + (y_max - y_min) * k / ticks
         y = py(yv)
-        lines.append(
-            f'<line x1="{plot_left}" y1="{y:.2f}" x2="{plot_right}" y2="{y:.2f}" '
-            'stroke="#dddddd" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{plot_left - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-size="12" font-family="sans-serif">{yv:.2f}</text>'
-        )
+        lines.append(_line(plot_left, f"{y:.2f}", plot_right, f"{y:.2f}", "#dddddd", 1))
+        lines.append(_text(plot_left - 8, f"{y + 4:.2f}", 12, f"{yv:.2f}", "end"))
         xv = x_min + (x_max - x_min) * k / ticks
-        x = px(xv)
-        lines.append(
-            f'<line x1="{x:.2f}" y1="{plot_bottom}" x2="{x:.2f}" y2="{plot_bottom + 5}" '
-            'stroke="#000000" stroke-width="1"/>'
-        )
-        lines.append(
-            f'<text x="{x:.2f}" y="{plot_bottom + 20}" text-anchor="middle" '
-            f'font-size="12" font-family="sans-serif">{xv:.3g}</text>'
-        )
+        x = f"{px(xv):.2f}"
+        lines.append(_line(x, plot_bottom, x, plot_bottom + 5, "#000000", 1))
+        lines.append(_text(x, plot_bottom + 20, 12, f"{xv:.3g}", "middle"))
 
-    lines.append(
-        f'<line x1="{plot_left}" y1="{plot_bottom}" x2="{plot_right}" y2="{plot_bottom}" '
-        'stroke="#000000" stroke-width="1.5"/>'
-    )
-    lines.append(
-        f'<line x1="{plot_left}" y1="{plot_top}" x2="{plot_left}" y2="{plot_bottom}" '
-        'stroke="#000000" stroke-width="1.5"/>'
-    )
+    lines.append(_line(plot_left, plot_bottom, plot_right, plot_bottom, "#000000", 1.5))
+    lines.append(_line(plot_left, plot_top, plot_left, plot_bottom, "#000000", 1.5))
 
     legend_x = plot_right + 18
     legend_y = plot_top + 14
@@ -102,23 +100,11 @@ def render_line_chart(
             f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{coords}"/>'
         )
         ly = legend_y + idx * 22
-        lines.append(
-            f'<line x1="{legend_x}" y1="{ly}" x2="{legend_x + 22}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        lines.append(
-            f'<text x="{legend_x + 28}" y="{ly + 4}" font-size="12" '
-            f'font-family="sans-serif">{_escape(label)}</text>'
-        )
+        lines.append(_line(legend_x, ly, legend_x + 22, ly, color, 2))
+        lines.append(_text(legend_x + 28, ly + 4, 12, label))
 
-    lines.append(
-        f'<text x="{(plot_left + plot_right) / 2:.1f}" y="{HEIGHT - 20}" '
-        f'text-anchor="middle" font-size="14" font-family="sans-serif">{_escape(X_LABEL)}</text>'
-    )
-    mid_y = (plot_top + plot_bottom) / 2
-    lines.append(
-        f'<text x="22" y="{mid_y:.1f}" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif" transform="rotate(-90 22 {mid_y:.1f})">{_escape(Y_LABEL)}</text>'
-    )
+    lines.append(_text(f"{(plot_left + plot_right) / 2:.1f}", HEIGHT - 20, 14, X_LABEL, "middle"))
+    mid_y = f"{(plot_top + plot_bottom) / 2:.1f}"
+    lines.append(_text(22, mid_y, 14, Y_LABEL, "middle", f"rotate(-90 22 {mid_y})"))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .analytic import fidelity_closed, fidelity_linear
@@ -160,16 +161,6 @@ def run_sweep(config: SweepConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_or_fail(path: str, text: str) -> int:
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _states_from_args(args) -> list[InputState]:
     """The checked input states of the state flags; an unnormalized pair
     raises with its deviation unless --normalize rescales it."""
@@ -197,11 +188,18 @@ def _sweep_config(args) -> SweepConfig:
 
 
 def _write_out(path: str | None, text: str) -> int:
-    """Write ``text`` to ``path``, or to stdout without one."""
-    if not path:
+    """Write ``text`` to the file ``path``, or to stdout when it is None;
+    a file that cannot be written is reported, with exit status 1."""
+    if path is None:
         sys.stdout.write(text)
         return 0
-    return _write_or_fail(path, text)
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -230,16 +228,13 @@ def cmd_trace(args) -> int:
 
 def cmd_verify(args) -> int:
     report = run_verification()
-    base = args.out or "verification_report"
-    status = _write_or_fail(base + ".txt", report.to_text())
-    status = status or _write_or_fail(base + ".tsv", report.to_machine())
+    status = _write_out(args.out + ".txt", report.to_text())
+    status = status or _write_out(args.out + ".tsv", report.to_machine())
     if status:
         return status
-    counts = {}
-    for t in report.targets:
-        counts[t.status.value] = counts.get(t.status.value, 0) + 1
+    counts = Counter(t.status.value for t in report.targets)
     summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-    print(f"verification: {summary}; report written to {base}.txt / {base}.tsv")
+    print(f"verification: {summary}; report written to {args.out}.txt / {args.out}.tsv")
     return 1 if report.has_mismatch else 0
 
 
@@ -252,7 +247,7 @@ def cmd_curves(args) -> int:
         (fidelities,) = _grid_columns(state, config.chunks, [teleport_fidelity])
         series.append((state_label(state.alpha, state.beta), list(zip(grid, fidelities))))
     svg = render_line_chart(f"teleportation fidelity under {config.kind.value} noise", series)
-    return _write_or_fail(args.out, svg)
+    return _write_out(args.out, svg)
 
 
 def _add_state_flags(sp) -> None:
@@ -308,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument(
         "--out",
-        help="report base path; writes BASE.txt and BASE.tsv "
-        "(default: verification_report)",
+        default="verification_report",
+        help="report base path; writes BASE.txt and BASE.tsv (default: %(default)s)",
     )
     sp.set_defaults(func=cmd_verify)
 
@@ -326,6 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # every command has --out, and an empty one names no file
+    if args.out == "":
+        print("error: --out is empty", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except ValueError as exc:

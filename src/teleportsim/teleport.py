@@ -25,14 +25,13 @@ from .linalg import Operator, PureState, _pauli_tables, conjugate_by, fidelity_w
 
 
 def _exact_norm_sq(alpha: Any, beta: Any):
-    """Exact |alpha|^2 + |beta|^2, or None when the amplitudes are floats."""
+    """Exact |alpha|^2 + |beta|^2, a Fraction, or None when the amplitudes are floats."""
     from .exact import PolyP  # deferred: exact imports this module
 
     try:
-        a, b = PolyP([alpha]), PolyP([beta])
+        return PolyP([alpha]).norm_sq() + PolyP([beta]).norm_sq()
     except TypeError:
         return None
-    return a.conjugate() * a + b.conjugate() * b
 
 
 def _require_finite(alpha: Any, beta: Any) -> None:

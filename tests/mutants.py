@@ -229,8 +229,14 @@ MUTANTS = (
     Mutant(
         "analytic-depolarizing-slope",
         "analytic.py",
-        "return 6 * t + Fraction(9, 2)",
-        "return 6 * t + Fraction(17, 4)",
+        "return (12 * t + 9) / 2",
+        "return (12 * t + 8) / 2",
+    ),
+    Mutant(
+        "analytic-depolarizing-slope-not-halved",
+        "analytic.py",
+        "return (12 * t + 9) / 2",
+        "return 12 * t + 9",
     ),
     Mutant(
         "analytic-bitflip-cross-coefficient",
@@ -272,8 +278,44 @@ MUTANTS = (
     Mutant(
         "cli-output-ignores-out",
         "cli.py",
-        "    if not path:\n        sys.stdout.write(text)",
+        "    if path is None:\n        sys.stdout.write(text)",
         "    if True:\n        sys.stdout.write(text)",
+    ),
+    Mutant(
+        "cli-write-error-exits-0",
+        "cli.py",
+        'file=sys.stderr)\n        return 1\n    return 0',
+        'file=sys.stderr)\n        return 0\n    return 0',
+    ),
+    Mutant(
+        "cli-empty-out-accepted",
+        "cli.py",
+        'if args.out == "":',
+        "if False:",
+    ),
+    Mutant(
+        "cli-verify-default-base",
+        "cli.py",
+        'default="verification_report",',
+        'default="verification-report",',
+    ),
+    Mutant(
+        "charts-text-drops-transform",
+        "charts.py",
+        'font-family="sans-serif"{transform}>',
+        'font-family="sans-serif">',
+    ),
+    Mutant(
+        "charts-line-fixed-width",
+        "charts.py",
+        'stroke-width="{width}"/>',
+        'stroke-width="1"/>',
+    ),
+    Mutant(
+        "teleport-exact-norm-drops-beta",
+        "teleport.py",
+        "return PolyP([alpha]).norm_sq() + PolyP([beta]).norm_sq()",
+        "return PolyP([alpha]).norm_sq()",
     ),
     Mutant(
         "cli-grid-flag-ignored",

@@ -763,6 +763,56 @@ class TestGoldenBytes:
         assert digests == GOLDEN_VERIFY_SHA256
 
 
+OUT_COMMANDS = {
+    "sweep": ["sweep", "--noise", "bitflip", "--steps", "2"],
+    "trace": ["trace", "--noise", "bitflip", "--p", "0.1", "--alpha", "1", "--beta", "0"],
+    "curves": ["curves", "--noise", "bitflip", "--steps", "2"],
+    "verify": ["verify"],
+}
+
+
+class TestOutFlag:
+    """One --out rule and one writer for every command."""
+
+    @pytest.mark.parametrize("command", list(OUT_COMMANDS))
+    def test_empty_out_exits_2_and_writes_nothing(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(OUT_COMMANDS[command] + ["--out="]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert [line.startswith("error: ") for line in captured.err.splitlines()] == [True]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_verify_default_base(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify"]) == 1
+        names = ("verification_report.txt", "verification_report.tsv")
+        assert {p.name for p in tmp_path.iterdir()} == set(names)
+        digests = {
+            golden: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for golden, name in zip(("report.txt", "report.tsv"), names)
+        }
+        assert digests.items() <= GOLDEN_VERIFY_SHA256.items()
+        assert capsys.readouterr().out.endswith(
+            "report written to verification_report.txt / verification_report.tsv\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command,directory",
+        [("sweep", "out"), ("trace", "out"), ("curves", "out"),
+         ("verify", "out.txt"), ("verify", "out.tsv")],
+    )
+    def test_directory_out_exits_1(self, command, directory, tmp_path, capsys):
+        # a directory where the file would go: the write fails, not the run
+        (tmp_path / directory).mkdir()
+        assert main(OUT_COMMANDS[command] + ["--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {tmp_path / directory}: ")
+        assert len(captured.err.splitlines()) == 1
+
+
 # The golden commands, and a sweep of states whose amplitudes make every
 # projector entry a rounded complex product: numpy's SIMD complex multiply
 # rounds those differently from the textbook product.

@@ -5,10 +5,10 @@ from .channels import ChannelSpec, NoiseKind, apply_layer, apply_to_qubit
 from .exact import GaussianRational, P, PolyP, extract_transfer_map, run_pipeline_symbolic
 from .linalg import (
     Operator,
-    PureState,
     conjugate_by,
     fidelity_with,
     partial_trace,
+    projector,
     tensor,
 )
 from .teleport import (

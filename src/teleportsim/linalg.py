@@ -69,33 +69,15 @@ class Operator:
         return f"<{type(self).__name__} {self.num_qubits} qubit(s)>"
 
 
-class PureState:
-    """State vector of 2**n complex amplitudes."""
-
-    __slots__ = ("num_qubits", "amplitudes")
-
-    def __init__(self, amplitudes: Any):
-        amps = np.array(amplitudes, dtype=np.complex128)
-        if amps.ndim != 1:
-            raise ValueError("amplitudes must be a flat vector")
-        dim = amps.shape[0]
-        n = dim.bit_length() - 1
-        if dim != 2**n or n < 1:
-            raise ValueError(f"amplitude count {dim} is not a power of two >= 2")
-        norm_sq = sum((a.conjugate() * a for a in amps), 0j)
-        if not abs(norm_sq - 1.0) <= 1e-9:  # a nan norm fails too
-            raise ValueError(f"state norm^2 deviates from 1 by {abs(norm_sq - 1.0):.3e}")
-        self.num_qubits = n
-        self.amplitudes = _freeze(amps)
-
-    def projector(self) -> Operator:
-        """|psi><psi|, each entry psi_i conj(psi_j) formed from float products
-        as the textbook complex product forms it: numpy's SIMD complex
-        multiply rounds differently at different SIMD levels."""
-        pairs = [(a.real, a.imag) for a in self.amplitudes.tolist()]
-        return Operator(
-            [[complex(ar * br + ai * bi, ai * br - ar * bi) for br, bi in pairs] for ar, ai in pairs]
-        )
+def projector(amplitudes: Sequence[Any]) -> Operator:
+    """|psi><psi| of the amplitudes psi, norm unchecked, each entry
+    psi_i conj(psi_j) formed from float products as the textbook complex
+    product forms it: numpy's SIMD complex multiply rounds differently at
+    different SIMD levels."""
+    pairs = [(a.real, a.imag) for a in map(complex, amplitudes)]
+    return Operator(
+        [[complex(ar * br + ai * bi, ai * br - ar * bi) for br, bi in pairs] for ar, ai in pairs]
+    )
 
 
 def tensor(a: Operator, b: Operator) -> Operator:
@@ -219,9 +201,9 @@ def conjugate_by(
     raise ValueError(f"unknown gate {gate}; expected ('H', (q,)) or ('CNOT', (c, t))")
 
 
-def fidelity_with(psi: PureState, rho: Operator) -> Any:
-    """Overlap <psi| rho |psi>: a real float, or a (B,) float array for a
-    batched ``rho``.
+def fidelity_with(amplitudes: Sequence[Any], rho: Operator) -> Any:
+    """Overlap <psi| rho |psi> of the amplitudes psi, norm unchecked: a real
+    float, or a (B,) float array for a batched ``rho``.
 
     A fold in a fixed order with no matrix product, so the value does not
     depend on the BLAS kernel, the SIMD level or the batch: the terms
@@ -229,15 +211,14 @@ def fidelity_with(psi: PureState, rho: Operator) -> Any:
     u_ij + i v_ij = conj(psi_i) psi_j, are added left to right over (i, j)
     in row-major order.  Each slice of a batch equals its unbatched value.
     """
-    if psi.num_qubits != rho.num_qubits:
+    amps = [complex(a) for a in amplitudes]
+    if len(amps) != rho.dim:
         raise ValueError(
-            f"dimension mismatch: state on {psi.num_qubits} qubits, "
-            f"operator on {rho.num_qubits}"
+            f"dimension mismatch: {len(amps)} amplitudes, operator of dimension {rho.dim}"
         )
     dev = hermiticity_deviation(rho)
     if not dev <= 1e-9:  # a nan deviation fails too
         raise ValueError(f"operator is not Hermitian (deviation {dev:.3e})")
-    amps = psi.amplitudes.tolist()
     uv = np.array(
         [(a.real * b.real + a.imag * b.imag, a.real * b.imag - a.imag * b.real)
          for a in amps for b in amps]

@@ -21,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from .channels import ChannelSpec, apply_layer
-from .linalg import Operator, PureState, _pauli_tables, conjugate_by, fidelity_with, tensor
+from .linalg import Operator, _pauli_tables, conjugate_by, fidelity_with, projector, tensor
 
 
 def _exact_norm_sq(alpha: Any, beta: Any):
@@ -130,9 +130,8 @@ def build_initial(input_state: InputState) -> Operator:
     The only nonzero entries sit at index pairs (0,0), (0,4), (4,0), (4,4):
     |a|^2, a b*, b a*, |b|^2.
     """
-    psi = PureState([complex(input_state.alpha), complex(input_state.beta)])
     ancilla = Operator(np.diag([1, 0, 0, 0]))
-    return tensor(psi.projector(), ancilla)
+    return tensor(projector([input_state.alpha, input_state.beta]), ancilla)
 
 
 def measure_and_correct(
@@ -210,5 +209,4 @@ def teleport_fidelity(input_state: InputState, noise: ChannelSpec) -> Any:
     :func:`teleportsim.verify.fidelity_polynomial`.
     """
     rho10 = run_stages(input_state, noise)["rho10"]
-    psi = PureState([complex(input_state.alpha), complex(input_state.beta)])
-    return fidelity_with(psi, rho10)
+    return fidelity_with([input_state.alpha, input_state.beta], rho10)

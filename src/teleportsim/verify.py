@@ -25,10 +25,10 @@ from .channels import ChannelSpec, NoiseKind, apply_layer
 from .exact import GaussianRational, P, PolyP, extract_transfer_map, run_pipeline_symbolic
 from .linalg import (
     Operator,
-    PureState,
     fidelity_with,  # unused here, but perfbench/tracer.py wraps this binding
     max_entry_delta,
     partial_trace,
+    projector,
     tensor,
 )
 from .teleport import ALTERNATE_ASSIGNMENTS, DEFAULT_ASSIGNMENT, CorrectionAssignment, InputState
@@ -227,15 +227,15 @@ def _product_of_noisy_marginals(rho: Operator, p: float) -> Operator:
 
 def _bell_pair_state() -> Operator:
     amp = 2**-0.5
-    bell = PureState([amp, 0, 0, amp]).projector()
-    qubit3 = PureState([1, 0]).projector()
+    bell = projector([amp, 0, 0, amp])
+    qubit3 = projector([1, 0])
     return tensor(bell, qubit3)
 
 
 def _plus_product_state() -> Operator:
-    plus = PureState([2**-0.5, 2**-0.5]).projector()
+    plus = projector([2**-0.5, 2**-0.5])
     mixed = Operator([[0.3, 0], [0, 0.7]])
-    zero = PureState([1, 0]).projector()
+    zero = projector([1, 0])
     return tensor(tensor(plus, mixed), zero)
 
 

@@ -192,6 +192,24 @@ MUTANTS = (
         "order = [q - 1 for q in sorted(keep)]",
     ),
     Mutant(
+        "linalg-projector-conjugates-imaginary",
+        "linalg.py",
+        "complex(ar * br + ai * bi, ai * br - ar * bi)",
+        "complex(ar * br + ai * bi, ar * bi - ai * br)",
+    ),
+    Mutant(
+        "linalg-fidelity-skips-dimension-check",
+        "linalg.py",
+        "if len(amps) != rho.dim:",
+        "if False:",
+    ),
+    Mutant(
+        "teleport-initial-amplitudes-swapped",
+        "teleport.py",
+        "projector([input_state.alpha, input_state.beta])",
+        "projector([input_state.beta, input_state.alpha])",
+    ),
+    Mutant(
         "channels-bool-in-batch-accepted",
         "channels.py",
         "if not isinstance(values, np.ndarray) and _BOOLS & set(map(type, values)):",

@@ -39,11 +39,11 @@ from teleportsim.channels import (
 from teleportsim.exact import GaussianRational, P, PolyP
 from teleportsim.linalg import (
     Operator,
-    PureState,
     conjugate_by,
     hermitian_eigenvalues,
     max_entry_delta,
     partial_trace,
+    projector,
     tensor,
 )
 from teleportsim.teleport import (
@@ -97,7 +97,7 @@ class TestKrausOperators:
             assert np.max(np.abs(out.entries - expected)) <= 1e-15
 
     def test_phaseflip_scales_off_diagonals(self):
-        plus = PureState([2**-0.5, 2**-0.5]).projector()
+        plus = projector([2**-0.5, 2**-0.5])
         p = 0.3
         out = apply_to_qubit(spec(NoiseKind.PHASE_FLIP, p), plus, 1)
         assert out.entries[0, 0] == pytest.approx(0.5)
@@ -179,7 +179,7 @@ class TestProbabilityBatch:
 class TestApplyToQubit:
     def test_single_qubit_embedding(self, random_density):
         sigma = random_density(2)
-        zero = PureState([1, 0]).projector()
+        zero = projector([1, 0])
         rho = tensor(zero, sigma)
         p = 0.3
         out = apply_to_qubit(spec(NoiseKind.BIT_FLIP, p), rho, 1)
@@ -211,7 +211,7 @@ class TestApplyLayer:
 
     def test_bitflip_layer_binomial_weights(self):
         p = 0.3
-        rho = PureState([1, 0, 0, 0, 0, 0, 0, 0]).projector()
+        rho = projector([1, 0, 0, 0, 0, 0, 0, 0])
         out = apply_layer(spec(NoiseKind.BIT_FLIP, p), rho)
         for idx in range(8):
             k = bin(idx).count("1")
@@ -232,7 +232,7 @@ class TestApplyLayer:
         assert max_entry_delta(ij, ji) <= 1e-14
 
     def test_complete_positivity_witness(self):
-        bell = PureState([2**-0.5, 0, 0, 2**-0.5]).projector()
+        bell = projector([2**-0.5, 0, 0, 2**-0.5])
         for kind in NoiseKind:
             for p in (0.1, 0.5, 0.9):
                 out = apply_to_qubit(spec(kind, p), bell, 1)

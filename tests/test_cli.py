@@ -36,6 +36,7 @@ from teleportsim.channels import ChannelSpec, NoiseKind
 from teleportsim.exact import GaussianRational
 from teleportsim.linalg import hermitian_eigenvalues
 from teleportsim.teleport import InputState, run_stages, teleport_fidelity
+from test_teleport import EDGE_STATE
 
 
 class TestAmplitudeGrammar:
@@ -497,9 +498,21 @@ def amplitude_pair(draw):
     norm = math.sqrt(math.fsum(x * x for x in parts))
     alpha, beta = complex(*parts[:2]) / norm, complex(*parts[2:]) / norm
     case = draw(st.sampled_from(
-        ["unit", "subnormal", "unnormalized", "zero", "underflow", "overflow", "nonfinite"]
+        ["unit", "edge", "subnormal", "unnormalized", "zero", "underflow", "overflow",
+         "nonfinite"]
     ))
     if case == "unit":
+        return alpha, beta, True, True
+    if case == "edge":
+        # |a|^2 + |b|^2 = 1 +- 1e-9 (1 +- 1e-6), where rounding decides the
+        # verdict: the boundary's own verdict is the one every command follows
+        deviation = draw(st.sampled_from([-1e-9, 1e-9])) * (1 + draw(st.floats(-1e-6, 1e-6)))
+        scale = math.sqrt(1 + deviation)
+        alpha, beta = alpha * scale, beta * scale
+        try:
+            InputState(alpha, beta)
+        except ValueError:
+            return alpha, beta, False, True
         return alpha, beta, True, True
     if case == "subnormal":
         # subnormal imaginary parts on a real unit pair leave its norm alone
@@ -563,6 +576,17 @@ class TestStateBoundary:
         else:
             assert code == 2 and not written
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize("command", list(STATE_COMMANDS))
+    def test_state_at_the_norm_edge_runs(self, command, tmp_path):
+        alpha, beta = EDGE_STATE
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(list(STATE_COMMANDS[command]) + [
+                f"--alpha={_exact_text(alpha)}", f"--beta={_exact_text(beta)}",
+                "--out", str(tmp_path / "out"),
+            ])
+        assert (code, err.getvalue(), (tmp_path / "out").exists()) == (0, "", True)
 
 
 class TestStatesCheckedOnce:

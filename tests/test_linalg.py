@@ -8,20 +8,16 @@ from expanded_forms import GATES, pauli_conjugate, sort_qubits
 from teleportsim.channels import ChannelSpec, NoiseKind
 from teleportsim.linalg import (
     Operator,
-    PureState,
     conjugate_by,
     fidelity_with,
     hermitian_eigenvalues,
     hermiticity_deviation,
     max_entry_delta,
     partial_trace,
+    projector,
     tensor,
 )
 from teleportsim.teleport import InputState, run_stages
-
-
-def proj(amplitudes) -> Operator:
-    return PureState(amplitudes).projector()
 
 
 # float parts with signed zeros drawn often: a rounding or a reordering that
@@ -66,7 +62,7 @@ def hermitian_entries(draw, dim: int):
     return m
 
 
-BELL = proj([2**-0.5, 0, 0, 2**-0.5])
+BELL = projector([2**-0.5, 0, 0, 2**-0.5])
 
 
 def brute_force_partial_trace(rho: Operator, keep) -> np.ndarray:
@@ -105,14 +101,14 @@ class TestTensor:
         assert np.array_equal(i4.entries, np.eye(4))
 
     def test_basis_projectors(self):
-        out = tensor(proj([1, 0]), proj([0, 1]))
+        out = tensor(projector([1, 0]), projector([0, 1]))
         expected = np.zeros((4, 4))
         expected[1, 1] = 1
         assert np.array_equal(out.entries, expected)
 
     def test_initial_product_structure(self):
         alpha, beta = 0.6, 0.8
-        rho = tensor(proj([alpha, beta]), proj([1, 0, 0, 0]))
+        rho = tensor(projector([alpha, beta]), projector([1, 0, 0, 0]))
         nonzero = {(0, 0): alpha**2, (0, 4): alpha * beta, (4, 0): alpha * beta, (4, 4): beta**2}
         for r in range(8):
             for c in range(8):
@@ -146,8 +142,8 @@ class TestPartialTrace:
         assert np.allclose(out.entries, np.eye(2) / 2, atol=1e-15)
 
     def test_product_factor_recovery(self):
-        psi = proj([0.6, 0.8j])
-        rho = tensor(psi, proj([1, 0, 0, 0]))
+        psi = projector([0.6, 0.8j])
+        rho = tensor(psi, projector([1, 0, 0, 0]))
         out = partial_trace(rho, keep=[1])
         assert np.allclose(out.entries, psi.entries, atol=1e-15)
 
@@ -190,12 +186,12 @@ class TestConjugateBy:
         assert max_entry_delta(out, rho) == 0.0
 
     def test_hadamard_on_zero(self):
-        out = conjugate_by(proj([1, 0]), ("H", (1,)))
+        out = conjugate_by(projector([1, 0]), ("H", (1,)))
         assert np.allclose(out.entries, np.full((2, 2), 0.5), atol=1e-16)
 
     def test_hand_expanded_second_qubit_hadamard(self):
         # (alpha, beta) = (1, 0): H on qubit 2 gives |0>|+><+|<0| x |0><0|
-        rho1 = tensor(proj([1, 0]), proj([1, 0, 0, 0]))
+        rho1 = tensor(projector([1, 0]), projector([1, 0, 0, 0]))
         out = conjugate_by(rho1, ("H", (2,)))
         expected = np.zeros((8, 8))
         for r in (0, 2):
@@ -205,7 +201,7 @@ class TestConjugateBy:
 
     def test_hand_expanded_cnot(self):
         # CNOT(1 -> 3) maps |1 0 0> to |1 0 1>: basis index 4 to 5
-        out = conjugate_by(proj([0, 0, 0, 0, 1, 0, 0, 0]), ("CNOT", (1, 3)))
+        out = conjugate_by(projector([0, 0, 0, 0, 1, 0, 0, 0]), ("CNOT", (1, 3)))
         expected = np.zeros((8, 8))
         expected[5, 5] = 1
         assert np.array_equal(out.entries, expected)
@@ -239,20 +235,21 @@ class TestConjugateBy:
 
 class TestFidelity:
     def test_self_fidelity_is_one(self):
-        psi = PureState([0.6, 0.8j])
-        assert fidelity_with(psi, psi.projector()) == pytest.approx(1.0, abs=1e-15)
+        psi = [0.6, 0.8j]
+        assert fidelity_with(psi, projector(psi)) == pytest.approx(1.0, abs=1e-15)
 
     def test_maximally_mixed_gives_half(self):
-        psi = PureState([2**-0.5, -(2**-0.5)])
+        psi = [2**-0.5, -(2**-0.5)]
         assert fidelity_with(psi, Operator(np.eye(2) / 2)) == pytest.approx(0.5)
 
     def test_dimension_mismatch(self):
-        psi = PureState([1, 0])
-        with pytest.raises(ValueError):
-            fidelity_with(psi, BELL)
+        with pytest.raises(
+            ValueError, match="dimension mismatch: 2 amplitudes, operator of dimension 4"
+        ):
+            fidelity_with([1, 0], BELL)
 
     def test_non_hermitian_rejected(self):
-        psi = PureState([1, 0])
+        psi = [1, 0]
         bad = Operator([[1, 1], [0, 0]])
         with pytest.raises(ValueError):
             fidelity_with(psi, bad)
@@ -272,10 +269,9 @@ class TestFidelity:
         raw = np.array(data.draw(complex_parts(dim).filter(
             lambda v: sum(abs(z) ** 2 for z in v) > 1e-3
         )))
-        psi = PureState(raw / np.linalg.norm(raw))
+        psi = (raw / np.linalg.norm(raw)).tolist()
         matrices = [data.draw(hermitian_entries(dim)) for _ in range(3)]
-        amps = psi.amplitudes.tolist()
-        want = [fold_reference(amps, m) for m in matrices]
+        want = [fold_reference(psi, m) for m in matrices]
         got = fidelity_with(psi, Operator(matrices[0]))
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want[0]).tobytes()
@@ -287,7 +283,7 @@ class TestFidelity:
             rho = random_density(1)
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             v /= np.linalg.norm(v)
-            f = fidelity_with(PureState(v), rho)
+            f = fidelity_with(v, rho)
             assert -1e-12 <= f <= 1 + 1e-12
 
 
@@ -342,15 +338,11 @@ class TestSortQubits:
             sort_qubits(random_density(2), [1, 1])
 
 
-def test_pure_state_validation():
-    with pytest.raises(ValueError):
-        PureState([1, 1])
-    with pytest.raises(ValueError):
-        PureState([[1, 0], [0, 1]])
-    # a nan amplitude makes a nan norm, which must fail the check too
-    for amps in ([float("nan"), 0], [1, complex(0, float("nan"))]):
-        with pytest.raises(ValueError, match="deviates from 1 by nan"):
-            PureState(amps)
+def test_projector_amplitude_count():
+    # the dense layer checks no norm; an amplitude count that is not a power
+    # of two fails Operator's check
+    with pytest.raises(ValueError, match="dimension 3 is not a power of two >= 2"):
+        projector([1, 0, 0])
 
 
 def test_min_eigenvalue_helper(random_density):
@@ -405,7 +397,7 @@ class TestBatchAxis:
     def test_fidelity_per_slice(self, random_density, rng):
         rho = self.stack(random_density, 1, size=7)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        psi = PureState(v / np.linalg.norm(v))
+        psi = v / np.linalg.norm(v)
         got = fidelity_with(psi, rho)
         assert got.shape == (7,)
         assert got.tolist() == [fidelity_with(psi, Operator(e)) for e in rho.entries]
@@ -428,5 +420,5 @@ class TestBatchAxis:
         copy = Operator(strided)
         assert copy.entries.flags.c_contiguous
         assert copy.entries.tobytes() == rho10.entries.tobytes()
-        psi = PureState([0.6 + 0.8j, 0])
+        psi = [0.6 + 0.8j, 0]
         assert fidelity_with(psi, copy).tobytes() == fidelity_with(psi, rho10).tobytes()

@@ -50,6 +50,13 @@ PROBES = [
     InputState(2**-0.5, 2**-0.5),
 ]
 
+# |alpha|^2 + |beta|^2 is 1 - 1e-9 to within rounding, and InputState
+# accepts the pair: a state at the edge of the norm rule
+EDGE_STATE = (
+    complex(-0.6614031090352607, -0.09401017392363022),
+    complex(0.01646068468846674, -0.7439335060453499),
+)
+
 
 def depolarizing(p):
     return ChannelSpec(NoiseKind.DEPOLARIZING, p)
@@ -274,6 +281,14 @@ class TestTeleportFidelity:
             for probe in PROBES:
                 f = teleport_fidelity(probe, ChannelSpec(kind, 0.0))
                 assert f == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_state_at_the_norm_edge_runs(self, kind):
+        # the boundary accepts the state, so no later layer may reject it
+        state = InputState(*EDGE_STATE)
+        assert run_stages(state, ChannelSpec(kind, 0.1))["rho10"].num_qubits == 1
+        fidelities = teleport_fidelity(state, ChannelSpec(kind, (0.0, 0.1)))
+        assert fidelities[0] == pytest.approx(1.0, abs=1e-8)
 
     def test_depolarizing_classical_limit(self):
         for probe in PROBES:

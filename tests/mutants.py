@@ -306,6 +306,24 @@ MUTANTS = (
         'file=sys.stderr)\n        return 0\n    return 0',
     ),
     Mutant(
+        "cli-write-truncates-to-zero",
+        "cli.py",
+        "flags & ~os.O_TRUNC, 0o666",
+        "flags, 0o666",
+    ),
+    Mutant(
+        "cli-write-keeps-stale-tail",
+        "cli.py",
+        "                fh.truncate()",
+        "                pass",
+    ),
+    Mutant(
+        "cli-write-cuts-devices",
+        "cli.py",
+        "if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):",
+        "if True:",
+    ),
+    Mutant(
         "cli-empty-out-accepted",
         "cli.py",
         'if args.out == "":',

@@ -9,9 +9,11 @@ import json
 import math
 import os
 import platform
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -794,6 +796,25 @@ OUT_COMMANDS = {
     "verify": ["verify"],
 }
 
+# each command that writes a file: its golden argv, exit status, and the
+# sha256 of each file it writes, by the suffix added to --out
+REWRITES = {
+    "sweep": (GOLDEN_ARGV["sweep-bitflip-complex"], 0,
+              {"": GOLDEN_SHA256["sweep-bitflip-complex"]}),
+    "trace": (GOLDEN_ARGV["trace-bitflip-p0.3"], 0, {"": GOLDEN_SHA256["trace-bitflip-p0.3"]}),
+    "curves": (GOLDEN_ARGV["curves-bitflip"], 0, {"": GOLDEN_SHA256["curves-bitflip"]}),
+    "verify": (["verify"], 1, {".txt": GOLDEN_VERIFY_SHA256["report.txt"],
+                               ".tsv": GOLDEN_VERIFY_SHA256["report.tsv"]}),
+}
+
+
+def _rewrite(command: str, out: Path) -> dict[str, str]:
+    """Run ``command`` with ``--out out``; the sha256 of each file written."""
+    argv, status, digests = REWRITES[command]
+    assert main(argv + ["--out", str(out)]) == status
+    return {suffix: hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest()
+            for suffix in digests}
+
 
 class TestOutFlag:
     """One --out rule and one writer for every command."""
@@ -835,6 +856,81 @@ class TestOutFlag:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot write {tmp_path / directory}: ")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("size", [1 << 20, 16], ids=["longer", "shorter"])
+    @pytest.mark.parametrize("command", list(REWRITES))
+    def test_rewrite_leaves_no_stale_bytes(self, command, size, tmp_path):
+        # an existing file is overwritten in place and cut to the new length
+        out = tmp_path / "out"
+        digests = REWRITES[command][2]
+        for suffix in digests:
+            Path(f"{out}{suffix}").write_bytes(b"x" * size)
+        assert _rewrite(command, out) == digests
+
+    @pytest.mark.parametrize("command", list(REWRITES))
+    def test_symlink_out_written_through(self, command, tmp_path):
+        out = tmp_path / "out"
+        digests = REWRITES[command][2]
+        for suffix in digests:
+            target = tmp_path / f"target{suffix}"
+            target.write_bytes(b"x" * (1 << 20))
+            Path(f"{out}{suffix}").symlink_to(target)
+        assert _rewrite(command, out) == digests
+        for suffix in digests:
+            assert Path(f"{out}{suffix}").readlink() == tmp_path / f"target{suffix}"
+            assert (tmp_path / f"target{suffix}").read_bytes() == Path(f"{out}{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("command", list(REWRITES))
+    def test_existing_mode_kept(self, command, tmp_path):
+        out = tmp_path / "out"
+        digests = REWRITES[command][2]
+        for suffix in digests:
+            Path(f"{out}{suffix}").write_bytes(b"x" * (1 << 20))
+            os.chmod(f"{out}{suffix}", 0o600)
+        assert _rewrite(command, out) == digests
+        for suffix in digests:
+            assert stat.S_IMODE(os.stat(f"{out}{suffix}").st_mode) == 0o600
+
+    # verify writes BASE.txt and BASE.tsv, so it cannot name a device
+    @pytest.mark.parametrize("command", ["sweep", "trace", "curves"])
+    def test_dev_null_out_exits_0(self, command, capsys):
+        # a character device has no length to cut: ftruncate would fail
+        assert main(REWRITES[command][0] + ["--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_out_gets_the_bytes(self, tmp_path):
+        fifo = tmp_path / "out"
+        os.mkfifo(fifo)
+        received = []
+        # opening either end blocks until the other end opens
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(REWRITES["sweep"][0] + ["--out", str(fifo)]) == 0
+        reader.join(timeout=60)
+        assert [hashlib.sha256(data).hexdigest() for data in received] == [
+            GOLDEN_SHA256["sweep-bitflip-complex"]
+        ]
+
+    @pytest.mark.parametrize("command", list(REWRITES))
+    def test_one_open_per_file_without_truncation(self, command, tmp_path, monkeypatch):
+        # truncating an allocated file to zero stalls ext4 on every rewrite,
+        # so an existing file is opened once and never with O_TRUNC
+        out = tmp_path / "out"
+        digests = REWRITES[command][2]
+        for suffix in digests:
+            Path(f"{out}{suffix}").write_bytes(b"x" * (1 << 20))
+        calls = []
+        real_open = os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            calls.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        assert _rewrite(command, out) == digests
+        assert [path for path, _ in calls] == [f"{out}{suffix}" for suffix in digests]
+        assert [flags & os.O_TRUNC for _, flags in calls] == [0] * len(digests)
 
 
 # The golden commands, and a sweep of states whose amplitudes make every

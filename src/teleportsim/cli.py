@@ -190,8 +190,8 @@ def _sweep_config(args) -> SweepConfig:
 
 
 def _open_untruncated(path: str, flags: int) -> int:
-    """``open``'s own flags and mode, less O_TRUNC.  On ext4, truncating a
-    file whose blocks are allocated to zero stalls for some 40-70 ms, and
+    """``open``'s own flags and mode, less O_TRUNC.  On ext4, truncating to
+    zero a file whose blocks are allocated stalls for some 40-70 ms, and
     the rewrite allocates them again at close, so every rewrite stalls."""
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 

@@ -816,6 +816,15 @@ def _rewrite(command: str, out: Path) -> dict[str, str]:
             for suffix in digests}
 
 
+def _prefill(command: str, out: Path, size: int = 1 << 20) -> dict[str, str]:
+    """Fill each file ``command`` writes at ``out`` with ``size`` stale bytes;
+    the digests the files must have after the command runs."""
+    digests = REWRITES[command][2]
+    for suffix in digests:
+        Path(f"{out}{suffix}").write_bytes(b"x" * size)
+    return digests
+
+
 class TestOutFlag:
     """One --out rule and one writer for every command."""
 
@@ -862,9 +871,7 @@ class TestOutFlag:
     def test_rewrite_leaves_no_stale_bytes(self, command, size, tmp_path):
         # an existing file is overwritten in place and cut to the new length
         out = tmp_path / "out"
-        digests = REWRITES[command][2]
-        for suffix in digests:
-            Path(f"{out}{suffix}").write_bytes(b"x" * size)
+        digests = _prefill(command, out, size)
         assert _rewrite(command, out) == digests
 
     @pytest.mark.parametrize("command", list(REWRITES))
@@ -878,14 +885,12 @@ class TestOutFlag:
         assert _rewrite(command, out) == digests
         for suffix in digests:
             assert Path(f"{out}{suffix}").readlink() == tmp_path / f"target{suffix}"
-            assert (tmp_path / f"target{suffix}").read_bytes() == Path(f"{out}{suffix}").read_bytes()
 
     @pytest.mark.parametrize("command", list(REWRITES))
     def test_existing_mode_kept(self, command, tmp_path):
         out = tmp_path / "out"
-        digests = REWRITES[command][2]
+        digests = _prefill(command, out)
         for suffix in digests:
-            Path(f"{out}{suffix}").write_bytes(b"x" * (1 << 20))
             os.chmod(f"{out}{suffix}", 0o600)
         assert _rewrite(command, out) == digests
         for suffix in digests:
@@ -917,9 +922,7 @@ class TestOutFlag:
         # truncating an allocated file to zero stalls ext4 on every rewrite,
         # so an existing file is opened once and never with O_TRUNC
         out = tmp_path / "out"
-        digests = REWRITES[command][2]
-        for suffix in digests:
-            Path(f"{out}{suffix}").write_bytes(b"x" * (1 << 20))
+        digests = _prefill(command, out)
         calls = []
         real_open = os.open
 

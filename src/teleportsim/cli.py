@@ -10,6 +10,7 @@ mask a typo in the amplitudes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import stat
@@ -286,6 +287,7 @@ def _add_grid_flags(sp) -> None:
     sp.add_argument("--steps", type=int, default=argparse.SUPPRESS)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="teleportsim",
@@ -304,14 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of numeric,analytic,linear",
     )
     sp.add_argument("--out", help="output CSV path (default: stdout)")
-    sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("trace", help="dump the ten intermediate states")
     sp.add_argument("--noise", required=True, choices=[k.value for k in NoiseKind])
     sp.add_argument("--p", type=float, required=True)
     _add_state_flags(sp)
     sp.add_argument("--out", help="output path (default: stdout)")
-    sp.set_defaults(func=cmd_trace)
 
     sp = sub.add_parser(
         "verify", help="compare derived polynomials against the published forms"
@@ -321,27 +321,26 @@ def build_parser() -> argparse.ArgumentParser:
         default="verification_report",
         help="report base path; writes BASE.txt and BASE.tsv (default: %(default)s)",
     )
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("curves", help="fidelity-vs-p chart as SVG")
     sp.add_argument("--noise", required=True, choices=[k.value for k in NoiseKind])
     _add_state_flags(sp)
     _add_grid_flags(sp)
     sp.add_argument("--out", default="curves.svg", help="output SVG path")
-    sp.set_defaults(func=cmd_curves)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # looked up on each call, so that a patched module binding takes effect
+    commands = dict(sweep=cmd_sweep, trace=cmd_trace, verify=cmd_verify, curves=cmd_curves)
+    args = build_parser().parse_args(argv)
     # every command has --out, and an empty one names no file
     if args.out == "":
         print("error: --out is empty", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -336,6 +336,28 @@ MUTANTS = (
         'default="verification-report",',
     ),
     Mutant(
+        "cli-parser-rebuilt-per-call",
+        "cli.py",
+        "@functools.cache\ndef build_parser()",
+        "def build_parser()",
+    ),
+    Mutant(
+        "cli-dispatch-bound-at-build",
+        "cli.py",
+        "    return parser\n\n\n"
+        "def main(argv=None) -> int:\n"
+        "    # looked up on each call, so that a patched module binding takes effect\n"
+        "    commands = dict(sweep=cmd_sweep, trace=cmd_trace, verify=cmd_verify, curves=cmd_curves)\n"
+        "    args = build_parser().parse_args(argv)\n",
+        "    parser.commands = dict(\n"
+        "        sweep=cmd_sweep, trace=cmd_trace, verify=cmd_verify, curves=cmd_curves\n"
+        "    )\n"
+        "    return parser\n\n\n"
+        "def main(argv=None) -> int:\n"
+        "    commands = build_parser().commands\n"
+        "    args = build_parser().parse_args(argv)\n",
+    ),
+    Mutant(
         "charts-text-drops-transform",
         "charts.py",
         'font-family="sans-serif"{transform}>',

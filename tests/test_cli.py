@@ -936,6 +936,60 @@ class TestOutFlag:
         assert [flags & os.O_TRUNC for _, flags in calls] == [0] * len(digests)
 
 
+class TestParserReuse:
+    """One parser serves every call in a process: no call's flags, defaults
+    or errors reach the next, and the command runs as bound on ``cli`` at
+    call time."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_golden_bytes_twice_interleaved(self, tmp_path):
+        for round_ in range(2):
+            for command, (_, _, digests) in REWRITES.items():
+                assert _rewrite(command, tmp_path / f"{command}-{round_}") == digests
+
+    @pytest.mark.parametrize("command", list(REWRITES))
+    def test_usage_error_and_help_leave_no_trace(self, command, tmp_path, capsys):
+        digests = REWRITES[command][2]
+        assert _rewrite(command, tmp_path / "before") == digests
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--noise", "bogus"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        assert _rewrite(command, tmp_path / "after") == digests
+
+    def test_sweep_flags_do_not_carry_over(self, tmp_path):
+        out = tmp_path / "given.csv"
+        assert main(["sweep", "--noise", "bitflip", "--p-start", "0.5", "--p-end", "0.9",
+                     "--steps", "11", "--columns", "linear", "--states", "2,0",
+                     "--normalize", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 11
+        text = _run_cli(GOLDEN_ARGV["sweep-bitflip-default"])
+        # the default 101 rows for each of the three default states
+        assert len(text.splitlines()) == 1 + 3 * 101
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256["sweep-bitflip-default"]
+
+    def test_curves_out_does_not_carry_over(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["curves", "--noise", "bitflip", "--steps", "11", "--out", "given.svg"]) == 0
+        assert main(GOLDEN_ARGV["curves-bitflip"]) == 0
+        assert {p.name for p in tmp_path.iterdir()} == {"given.svg", "curves.svg"}
+        digest = hashlib.sha256((tmp_path / "curves.svg").read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256["curves-bitflip"]
+
+    @pytest.mark.parametrize("command", list(OUT_COMMANDS))
+    def test_patched_command_is_called(self, command, monkeypatch):
+        cli.build_parser()
+        calls = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda args: calls.append(args.command) or 7)
+        assert main(OUT_COMMANDS[command]) == 7
+        assert calls == [command]
+
+
 # The golden commands, and a sweep of states whose amplitudes make every
 # projector entry a rounded complex product: numpy's SIMD complex multiply
 # rounds those differently from the textbook product.

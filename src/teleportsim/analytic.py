@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channels import ChannelSpec, NoiseKind
-from .exact import PolyP
+from .exact import P, PolyP
 from .teleport import InputState
 
 
@@ -80,18 +80,44 @@ PUBLISHED = PublishedPolynomialTable(
 )
 
 
-@functools.cache
-def _coefficient_table() -> np.ndarray:
-    """u1..u6 as rows of float64 coefficients, lowest degree first, zero-padded.
+def _in_r(poly: PolyP) -> PolyP:
+    """``poly(p)`` at ``p = (1 - r)/2``, by Horner: a polynomial in r,
+    whose indeterminate ``P`` then stands for r."""
+    p_of_r = (PolyP.ONE - P) * Fraction(1, 2)
+    acc = PolyP.ZERO
+    for c in reversed(poly.coefficients):
+        acc = acc * p_of_r + c
+    return acc
 
-    Built on first use, not at import, which every CLI command pays.
+
+@functools.cache
+def _fidelity_table(kind: NoiseKind) -> tuple[int, np.ndarray]:
+    """``base``, and A, L, T, C as rows of float64 coefficients, lowest
+    degree first, zero-padded, of the published fidelity of a pure input,
+    ``A s + L n + T t + C cross``, with ``s = |a|^4 + |b|^4``,
+    ``n = |a|^2 + |b|^2``, ``t = |a|^2 |b|^2``, ``cross = 2 Re((a b*)^2)``.
+
+    Contracting the published states gives A = q^9, L = (1 - q^9)/2,
+    T = 2 q^12 (depolarizing); A = 4 u1, L = 4 u3, T = 8 (u2 + u4),
+    C = 4 u5 (bit flip); A = 1, T = 2 u6 (phase flip); 0 elsewhere.  Each
+    row is a polynomial in the channel's own variable, ``x = 1 - base p``
+    (q, or r for the flip channels), whose coefficients are small.  Derived
+    exactly on first use, not at import, which every CLI command pays.
     """
-    polys = [PUBLISHED.u1, PUBLISHED.u2, PUBLISHED.u3, PUBLISHED.u4, PUBLISHED.u5, PUBLISHED.u6]
-    table = np.zeros((len(polys), max(poly.degree for poly in polys) + 1))
-    for row, poly in enumerate(polys):
-        table[row, : poly.degree + 1] = [float(c.re) for c in poly.coefficients]
+    u = PUBLISHED
+    if kind is NoiseKind.DEPOLARIZING:
+        q9 = P**9
+        base, rows = 1, (q9, (PolyP.ONE - q9) * Fraction(1, 2), P**12 * 2, PolyP.ZERO)
+    elif kind is NoiseKind.BIT_FLIP:
+        combos = (u.u1 * 4, u.u3 * 4, (u.u2 + u.u4) * 8, u.u5 * 4)
+        base, rows = 2, tuple(map(_in_r, combos))
+    else:
+        base, rows = 2, (PolyP.ONE, PolyP.ZERO, _in_r(u.u6 * 2), PolyP.ZERO)
+    table = np.zeros((len(rows), max(row.degree for row in rows) + 1))
+    for out, row in zip(table, rows):
+        out[: row.degree + 1] = [float(c.re) for c in row.coefficients]
     table.flags.writeable = False
-    return table
+    return base, table
 
 
 def _probabilities(noise: ChannelSpec) -> tuple[np.ndarray, bool]:
@@ -100,94 +126,32 @@ def _probabilities(noise: ChannelSpec) -> tuple[np.ndarray, bool]:
     return grid.reshape(-1), grid.ndim == 0
 
 
-def _amplitudes(input_state: InputState) -> tuple[complex, complex]:
-    return complex(input_state.alpha), complex(input_state.beta)
-
-
-def _u_values(grid: np.ndarray) -> np.ndarray:
-    """u1..u6 at every grid point, shape (6, N), by Horner in float64."""
-    table = _coefficient_table()
-    acc = np.zeros((len(table), grid.size))
-    for column in table.T[::-1]:
-        acc *= grid
-        acc += column[:, None]
-    return acc
-
-
-def _pow(base: np.ndarray, exponent: int) -> np.ndarray:
-    # Python's float ** per point: np.power may take a SIMD path that
-    # rounds differently
-    return np.array([x**exponent for x in base.tolist()])
-
-
-# Complex numbers below are (re, im) pairs of float64 arrays or floats, a
-# real x being (x, 0.0).  _mul is Python's complex product formula, so each
-# step rounds as the per-point scalar arithmetic does; numpy's complex array
-# multiply does not always.
-
-
-def _mul(x, y):
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _add(x, y):
-    return x[0] + y[0], x[1] + y[1]
-
-
-def _pair(z: complex) -> tuple[float, float]:
-    return z.real, z.imag
-
-
-def _closed_entries(kind: NoiseKind, a: complex, b: complex, grid: np.ndarray) -> list:
-    """The entries 00, 01, 10, 11 of the published output state at every grid point."""
+def _moments(input_state: InputState) -> tuple[float, float, float, float]:
+    """``|a|^2``, ``|b|^2``, ``t = |a|^2 |b|^2`` and ``cross = 2 Re((a b*)^2)``."""
+    a, b = complex(input_state.alpha), complex(input_state.beta)
     aa, dd = abs(a) ** 2, abs(b) ** 2
-    coh = a * b.conjugate()
-    coh_c = _pair(coh.conjugate())
-    coh = _pair(coh)
-    if kind is NoiseKind.DEPOLARIZING:
-        q = 1 - grid
-        q9, q12 = _pow(q, 9), _pow(q, 12)
-        mix = (1 - q9) / 2
-        return [
-            (q9 * aa + mix, 0.0),
-            _mul((q12, 0.0), coh),
-            _mul((q12, 0.0), coh_c),
-            (q9 * dd + mix, 0.0),
-        ]
-    if kind is NoiseKind.BIT_FLIP:
-        u1, u2, u3, u4, u5 = _u_values(grid)[:5]
-        four = (4.0, 0.0)
-        return [
-            (4 * (u1 * aa + u2 * dd + u3), 0.0),
-            _mul(four, _add(_mul((u4, 0.0), coh), _mul((u5, 0.0), coh_c))),
-            _mul(four, _add(_mul((u5, 0.0), coh), _mul((u4, 0.0), coh_c))),
-            (4 * (u2 * aa + u1 * dd + u3), 0.0),
-        ]
-    u6 = (_u_values(grid)[5], 0.0)
-    return [(aa, 0.0), _mul(u6, coh), _mul(u6, coh_c), (dd, 0.0)]
+    z = a * b.conjugate()
+    return aa, dd, aa * dd, 2 * (z * z).real
 
 
 def fidelity_closed(input_state: InputState, noise: ChannelSpec):
-    """<psi| rho |psi> for the published output state rho, expanded to a
-    real number.
+    """<psi| rho |psi> for the published output state rho, as the real form
+    of ``_fidelity_table``.
 
     A float for a scalar ``p``; an array for a batch spec, each value bit
-    for bit the scalar one.
+    for bit the scalar one: only ``+`` and ``*`` on float64 are used.
     """
     grid, scalar = _probabilities(noise)
-    a, b = _amplitudes(input_state)
-    r00, r01, r10, r11 = _closed_entries(noise.kind, a, b, grid)
-    terms = (
-        _mul((abs(a) ** 2, 0.0), r00),
-        _mul(_pair(a.conjugate() * b), r01),
-        _mul(_pair(b.conjugate() * a), r10),
-        _mul((abs(b) ** 2, 0.0), r11),
-    )
-    re, im = functools.reduce(_add, terms)
-    # real by conjugate symmetry; a residue (or a nan) means a typo
-    if not np.all(np.abs(im) <= 1e-12):
-        raise ValueError("closed-form fidelity has an imaginary part above 1e-12")
-    return float(re[0]) if scalar else re
+    base, table = _fidelity_table(noise.kind)
+    x = 1 - base * grid
+    # A, L, T and C at every grid point, by one stacked Horner
+    acc = np.zeros((len(table), grid.size))
+    for column in table.T[::-1]:
+        acc *= x
+        acc += column[:, None]
+    aa, dd, t, cross = _moments(input_state)
+    values = acc[0] * (aa * aa + dd * dd) + acc[1] * (aa + dd) + acc[2] * t + acc[3] * cross
+    return float(values[0]) if scalar else values
 
 
 def _slope(kind: NoiseKind, t, cross):
@@ -207,9 +171,8 @@ def linear_slope(kind: NoiseKind, input_state: InputState) -> float:
     approximations; it equals -dF/dp at p = 0 of the corresponding
     published closed form.
     """
-    a, b = _amplitudes(input_state)
-    z = a * b.conjugate()
-    return _slope(kind, abs(a) ** 2 * abs(b) ** 2, 2 * (z * z).real)
+    _, _, t, cross = _moments(input_state)
+    return _slope(kind, t, cross)
 
 
 def fidelity_linear(input_state: InputState, noise: ChannelSpec):

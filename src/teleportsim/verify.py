@@ -225,16 +225,16 @@ def _product_of_noisy_marginals(rho: Operator, p: float) -> Operator:
     return out
 
 
+# the inputs have dyadic entries, so every step of both forms at p = 1/2 is
+# exact in floats and the report prints exact deviations
 def _bell_pair_state() -> Operator:
-    amp = 2**-0.5
-    bell = projector([amp, 0, 0, amp])
-    qubit3 = projector([1, 0])
-    return tensor(bell, qubit3)
+    bell = Operator([[0.5, 0, 0, 0.5], [0, 0, 0, 0], [0, 0, 0, 0], [0.5, 0, 0, 0.5]])
+    return tensor(bell, projector([1, 0]))
 
 
 def _plus_product_state() -> Operator:
-    plus = projector([2**-0.5, 2**-0.5])
-    mixed = Operator([[0.3, 0], [0, 0.7]])
+    plus = Operator(np.full((2, 2), 0.5))
+    mixed = Operator([[0.25, 0], [0, 0.75]])
     zero = projector([1, 0])
     return tensor(tensor(plus, mixed), zero)
 
@@ -256,8 +256,8 @@ def verify_marginal_factorization() -> list[VerificationTarget]:
     return [
         VerificationTarget(
             "factorized marginal form on a product state",
-            TargetStatus.MATCH if dev_product <= 1e-14 else TargetStatus.MISMATCH,
-            "agreement within 1e-14",
+            TargetStatus.MATCH if dev_product == 0 else TargetStatus.MISMATCH,
+            "exact agreement",
             f"max entry deviation {dev_product:.3e}",
         ),
         VerificationTarget(

@@ -16,18 +16,21 @@ conjugations, on gates written out here with numpy:
 - :func:`pauli_conjugate` conjugates by one Pauli on any qubit of n, the
   general form of the noise kernel's flips and of the 2x2 corrections in
   ``teleport.measure_and_correct``;
-- :func:`rho10_closed` assembles the published output state from the
-  entries that ``analytic.fidelity_closed`` contracts, so the state itself
+- :func:`rho10_closed` assembles the published output state, written as
+  the paper writes it: u1..u6 by Horner in p, and the four entries built as
+  complex (re, im) pairs of float64 arrays.  ``analytic.fidelity_closed``
+  contracts the same state to a real form in the channel's own variable, so
+  this module owns the complex-pair published state, and the state itself
   can be checked.
 """
 
 import itertools
-from functools import reduce
+from functools import cache, reduce
 from typing import Any
 
 import numpy as np
 
-from teleportsim.analytic import _amplitudes, _closed_entries, _probabilities
+from teleportsim.analytic import PUBLISHED, _probabilities
 from teleportsim.channels import ChannelSpec, NoiseKind, _complex_p, _pauli_weights
 from teleportsim.linalg import Operator, _pauli_tables, partial_trace, tensor
 from teleportsim.teleport import InputState
@@ -210,9 +213,87 @@ def flip_sum_expansion(spec: ChannelSpec, rho: Operator) -> Operator:
     return Operator(acc)
 
 
+@cache
+def _coefficient_table() -> np.ndarray:
+    """u1..u6 as rows of float64 coefficients, lowest degree first, zero-padded."""
+    polys = [PUBLISHED.u1, PUBLISHED.u2, PUBLISHED.u3, PUBLISHED.u4, PUBLISHED.u5, PUBLISHED.u6]
+    table = np.zeros((len(polys), max(poly.degree for poly in polys) + 1))
+    for row, poly in enumerate(polys):
+        table[row, : poly.degree + 1] = [float(c.re) for c in poly.coefficients]
+    table.flags.writeable = False
+    return table
+
+
+def _amplitudes(input_state: InputState) -> tuple[complex, complex]:
+    return complex(input_state.alpha), complex(input_state.beta)
+
+
+def _u_values(grid: np.ndarray) -> np.ndarray:
+    """u1..u6 at every grid point, shape (6, N), by Horner in float64."""
+    table = _coefficient_table()
+    acc = np.zeros((len(table), grid.size))
+    for column in table.T[::-1]:
+        acc *= grid
+        acc += column[:, None]
+    return acc
+
+
+def _pow(base: np.ndarray, exponent: int) -> np.ndarray:
+    # Python's float ** per point: np.power may take a SIMD path that
+    # rounds differently
+    return np.array([x**exponent for x in base.tolist()])
+
+
+# Complex numbers below are (re, im) pairs of float64 arrays or floats, a
+# real x being (x, 0.0).  _mul is Python's complex product formula, so each
+# step rounds as the per-point scalar arithmetic does; numpy's complex array
+# multiply does not always.
+
+
+def _mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _pair(z: complex) -> tuple[float, float]:
+    return z.real, z.imag
+
+
+def _closed_entries(kind: NoiseKind, a: complex, b: complex, grid: np.ndarray) -> list:
+    """The entries 00, 01, 10, 11 of the published output state at every grid point."""
+    aa, dd = abs(a) ** 2, abs(b) ** 2
+    coh = a * b.conjugate()
+    coh_c = _pair(coh.conjugate())
+    coh = _pair(coh)
+    if kind is NoiseKind.DEPOLARIZING:
+        q = 1 - grid
+        q9, q12 = _pow(q, 9), _pow(q, 12)
+        mix = (1 - q9) / 2
+        return [
+            (q9 * aa + mix, 0.0),
+            _mul((q12, 0.0), coh),
+            _mul((q12, 0.0), coh_c),
+            (q9 * dd + mix, 0.0),
+        ]
+    if kind is NoiseKind.BIT_FLIP:
+        u1, u2, u3, u4, u5 = _u_values(grid)[:5]
+        four = (4.0, 0.0)
+        return [
+            (4 * (u1 * aa + u2 * dd + u3), 0.0),
+            _mul(four, _add(_mul((u4, 0.0), coh), _mul((u5, 0.0), coh_c))),
+            _mul(four, _add(_mul((u5, 0.0), coh), _mul((u4, 0.0), coh_c))),
+            (4 * (u2 * aa + u1 * dd + u3), 0.0),
+        ]
+    u6 = (_u_values(grid)[5], 0.0)
+    return [(aa, 0.0), _mul(u6, coh), _mul(u6, coh_c), (dd, 0.0)]
+
+
 def rho10_closed(input_state: InputState, noise: ChannelSpec) -> Operator:
     """The published single-qubit output state under ``noise``, from
-    ``analytic._closed_entries``.
+    :func:`_closed_entries`.
 
     A batch spec gives a batched operator, one 2x2 slice per probability.
     """

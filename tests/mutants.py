@@ -56,13 +56,10 @@ MUTANTS = (
         "if not dev <= 1e-3:",
     ),
     Mutant(
-        "verify-product-threshold",
+        "verify-product-marginal-not-dyadic",
         "verify.py",
-        "TargetStatus.MATCH if dev_product <= 1e-14",
-        "TargetStatus.MATCH if dev_product <= 1e-10",
-        equivalent="the product state is fixed and its deviation is the constant "
-        "2.776e-17, so every threshold above it gives the same status; the "
-        "report prints the deviation, not the threshold",
+        "mixed = Operator([[0.25, 0], [0, 0.75]])",
+        "mixed = Operator([[0.3, 0], [0, 0.7]])",
     ),
     Mutant(
         "exact-pull-back-ancilla-x",
@@ -263,10 +260,34 @@ MUTANTS = (
         "return 9 - 14 * t - 4 * cross",
     ),
     Mutant(
-        "analytic-imaginary-check-dropped",
+        "analytic-bitflip-base-one",
         "analytic.py",
-        "if not np.all(np.abs(im) <= 1e-12):",
-        "if False:",
+        "base, rows = 2, tuple(map(_in_r, combos))",
+        "base, rows = 1, tuple(map(_in_r, combos))",
+    ),
+    Mutant(
+        "analytic-phaseflip-base-one",
+        "analytic.py",
+        "base, rows = 2, (PolyP.ONE,",
+        "base, rows = 1, (PolyP.ONE,",
+    ),
+    Mutant(
+        "analytic-bitflip-t-c-rows-swapped",
+        "analytic.py",
+        "(u.u2 + u.u4) * 8, u.u5 * 4)",
+        "u.u5 * 4, (u.u2 + u.u4) * 8)",
+    ),
+    Mutant(
+        "analytic-substitution-sign",
+        "analytic.py",
+        "p_of_r = (PolyP.ONE - P) * Fraction(1, 2)",
+        "p_of_r = (PolyP.ONE + P) * Fraction(1, 2)",
+    ),
+    Mutant(
+        "analytic-table-drops-constant",
+        "analytic.py",
+        "out[: row.degree + 1] = [float(c.re) for c in row.coefficients]",
+        "out[1 : row.degree + 1] = [float(c.re) for c in row.coefficients[1:]]",
     ),
     Mutant(
         "cli-trace-prints-negative-zero",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from exact_fidelity import overlap, published_state
 from expanded_forms import rho10_closed
 from teleportsim import analytic
 from teleportsim.analytic import (
@@ -64,6 +65,72 @@ class TestPublishedTable:
         assert PUBLISHED.u1.degree == 9
         assert PUBLISHED.u4.degree == 11
         assert PUBLISHED.u6.degree == 8
+
+
+def at_one_minus(poly, base):
+    """``poly(x)`` at ``x = 1 - base p``, by powers, not by Horner."""
+    return sum(
+        (c * (PolyP.ONE - P * base) ** k for k, c in enumerate(poly.coefficients)),
+        PolyP.ZERO,
+    )
+
+
+def table_rows(kind):
+    """The float table of ``fidelity_closed`` read back as exact polynomials in x."""
+    base, table = analytic._fidelity_table(kind)
+    return base, [PolyP([Fraction(c) for c in row]) for row in table]
+
+
+R = P  # the r-forms' indeterminate stands for r = 1 - 2p
+
+
+class TestChannelVariableForms:
+    """The published polynomials in the channel's own variable, and the real
+    form that ``fidelity_closed`` evaluates."""
+
+    def test_substituting_back_gives_the_published_table(self):
+        for name in ("u1", "u2", "u3", "u4", "u5", "u6"):
+            poly = getattr(PUBLISHED, name)
+            assert at_one_minus(analytic._in_r(poly), 2) == poly, name
+
+    def test_short_r_forms(self):
+        in_r = {name: analytic._in_r(getattr(PUBLISHED, name)) for name in ("u1", "u2", "u3", "u6")}
+        assert in_r["u6"] == R**8
+        assert in_r["u3"] == (PolyP.ONE - R**2) * Fraction(1, 16)
+        assert in_r["u1"] == R**9 * Fraction(1, 8) + (R**2 + 1) * Fraction(1, 16)
+        assert in_r["u2"] == R**9 * Fraction(-1, 8) + (R**2 + 1) * Fraction(1, 16)
+
+    def test_rows_substituted_back_equal_the_published_contraction(self):
+        u = PUBLISHED
+        q9, q12 = (PolyP.ONE - P) ** 9, (PolyP.ONE - P) ** 12
+        expected = {
+            NoiseKind.DEPOLARIZING: (1, [q9, (PolyP.ONE - q9) * Fraction(1, 2), q12 * 2, 0]),
+            NoiseKind.BIT_FLIP: (2, [u.u1 * 4, u.u3 * 4, (u.u2 + u.u4) * 8, u.u5 * 4]),
+            NoiseKind.PHASE_FLIP: (2, [PolyP.ONE, 0, u.u6 * 2, 0]),
+        }
+        for kind, (want_base, want_rows) in expected.items():
+            base, rows = table_rows(kind)
+            assert base == want_base
+            assert [at_one_minus(row, base) for row in rows] == want_rows, kind
+
+    def test_bitflip_rows_in_r(self):
+        # the forms README's findings give
+        _, (a, l, t, c) = table_rows(NoiseKind.BIT_FLIP)
+        assert a == (PolyP.ONE + R**2) * Fraction(1, 4) + R**9 * Fraction(1, 2)
+        assert l == (PolyP.ONE - R**2) * Fraction(1, 4)
+        assert t == PolyP([4, 7, 3, 1, 1, 0, 0, 0, 1, -7, 7, -1]) * Fraction(1, 8)
+        assert c == PolyP([0, 7, -1, 1, 1, 0, 0, 0, -1, -1, -7, 1]) * Fraction(1, 16)
+
+    @given(kind=st.sampled_from(list(NoiseKind)), parts=st.tuples(*[st.fractions(max_denominator=60)] * 4))
+    def test_real_form_is_the_contracted_state(self, kind, parts):
+        # on any Gaussian-rational amplitudes, normalized or not
+        a, b = GaussianRational(*parts[:2]), GaussianRational(*parts[2:])
+        aa, dd = a.norm_sq(), b.norm_sq()
+        z = a * b.conjugate()
+        moments = (aa * aa + dd * dd, aa + dd, aa * dd, 2 * (z * z).re)
+        base, rows = table_rows(kind)
+        form = sum((at_one_minus(row, base) * m for row, m in zip(rows, moments)), PolyP.ZERO)
+        assert form == overlap((a, b), published_state(kind, a, b))
 
 
 class TestClosedState:
@@ -197,9 +264,11 @@ class TestLinearApproximation:
         assert cross.imag == 0.0
 
 
-# The per-point closed forms, as the package computed them before it took a
-# whole p grid: Python scalar arithmetic, one Operator per point.  The
-# grid forms must equal them bit for bit.
+# The per-point published state, as the package computed it before it took
+# a whole p grid: Python scalar arithmetic, one Operator per point.  The
+# complex-pair grid form ``rho10_closed`` must equal it bit for bit.
+# ``fidelity_closed`` contracts the state to a real form: its bits are
+# pinned batched against scalar, and its accuracy in test_error_budget.
 
 
 def reference_rho10_closed(kind, input_state, p):
@@ -237,19 +306,6 @@ def reference_rho10_closed(kind, input_state, p):
         u6 = u("u6")
         ent = [[aa, u6 * coh], [u6 * coh.conjugate(), dd]]
     return Operator(ent)
-
-
-def reference_fidelity_closed(kind, input_state, p):
-    a, b = complex(input_state.alpha), complex(input_state.beta)
-    rho = reference_rho10_closed(kind, input_state, p).entries
-    val = (
-        abs(a) ** 2 * rho[0, 0]
-        + a.conjugate() * b * rho[0, 1]
-        + b.conjugate() * a * rho[1, 0]
-        + abs(b) ** 2 * rho[1, 1]
-    )
-    assert abs(val.imag) <= 1e-12
-    return float(val.real)
 
 
 def reference_fidelity_linear(kind, input_state, p):
@@ -299,17 +355,17 @@ class TestGridForms:
     def test_grid_equals_per_point_reference(self, kind, state, grid):
         points = grid.tolist()
         spec = ChannelSpec(kind, grid)
-        expected = np.array([reference_fidelity_closed(kind, state, p) for p in points])
-        assert fidelity_closed(state, spec).tobytes() == expected.tobytes()
+        # a scalar p is the one-point grid
+        batched = fidelity_closed(state, spec)
+        for p, want in zip(points, batched):
+            got = fidelity_closed(state, ChannelSpec(kind, p))
+            assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
+        # the complex-pair oracle keeps the per-point state's bits
         rho = rho10_closed(state, spec).entries
         expected_rho = np.array([reference_rho10_closed(kind, state, p).entries for p in points])
         assert rho.tobytes() == expected_rho.tobytes()
         expected_linear = np.array([reference_fidelity_linear(kind, state, p) for p in points])
         assert fidelity_linear(state, spec).tobytes() == expected_linear.tobytes()
-        # a scalar p is the one-point grid
-        for p, want in zip(points[:3], expected):
-            got = fidelity_closed(state, ChannelSpec(kind, p))
-            assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
 
     def test_sweep_grid_on_named_and_random_states(self):
         # the named states have real or imaginary coherences, whose products
@@ -317,17 +373,9 @@ class TestGridForms:
         grid = np.linspace(0, 1, 101)
         for kind in NoiseKind:
             for state in NAMED_STATES + [haar_state(seed) for seed in range(20)]:
-                expected = [reference_fidelity_closed(kind, state, p) for p in grid.tolist()]
+                expected = [fidelity_closed(state, ChannelSpec(kind, p)) for p in grid.tolist()]
                 got = fidelity_closed(state, ChannelSpec(kind, grid))
                 assert got.tobytes() == np.array(expected).tobytes()
-
-    def test_powers_equal_python_pow(self, rng):
-        # np.power takes a SIMD path on some hosts and rounds differently
-        # from Python's float ** on a few percent of these points
-        q = np.concatenate([rng.random(20000), np.linspace(0, 1, 1001)])
-        for exponent in (9, 12):
-            expected = np.array([x**exponent for x in q.tolist()])
-            assert analytic._pow(q, exponent).tobytes() == expected.tobytes()
 
     def test_return_types(self):
         state = NAMED_STATES[8]
@@ -352,22 +400,6 @@ class TestGridForms:
             fn(state, ChannelSpec(NoiseKind.BIT_FLIP, 1.5))
         with pytest.raises(ValueError, match="1-D"):
             fn(state, ChannelSpec(NoiseKind.BIT_FLIP, np.zeros((2, 2))))
-
-    def test_imaginary_part_checked_at_every_point(self, monkeypatch):
-        real_entries = analytic._closed_entries
-
-        def skewed(kind, a, b, grid):
-            # a typo-like imaginary residue at p = 1 only
-            entries = real_entries(kind, a, b, grid)
-            re, im = entries[0]
-            entries[0] = (re, np.where(grid == 1, 1e-9, im))
-            return entries
-
-        monkeypatch.setattr(analytic, "_closed_entries", skewed)
-        grid = np.linspace(0, 1, 11)
-        fidelity_closed(NAMED_STATES[8], ChannelSpec(NoiseKind.BIT_FLIP, grid[:-1]))
-        with pytest.raises(ValueError, match="imaginary part above 1e-12"):
-            fidelity_closed(NAMED_STATES[8], ChannelSpec(NoiseKind.BIT_FLIP, grid))
 
 
 # The published slopes as the package wrote them before one formula served

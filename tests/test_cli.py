@@ -735,21 +735,23 @@ for _kind in ("depolarizing", "bitflip", "phaseflip"):
 # when the fidelity became a fixed-order fold and trace's minimum eigenvalue
 # was printed at 1e-12: before that they held only under this BLAS kernel and
 # SIMD level, and TestCrossHost now checks that they hold under others.  The
-# CSV prints 17 significant digits, so any change in the last bit of a
-# fidelity changes a hash.
+# sweep entries were recorded once more when the published fidelity became
+# one real form in the channel's own variable, which changed only their
+# f_analytic and abs_diff columns.  The CSV prints 17 significant digits, so
+# any change in the last bit of a fidelity changes a hash.
 GOLDEN_SHA256 = {
-    "sweep-depolarizing-default": "336d5827b641903f5470faf936379170558241c1255de9069518fd43d6efb0df",
-    "sweep-depolarizing-complex": "dea86f1ba19cd018959b25a665622370bc2e41574f9841b68fdaf88811d2556c",
+    "sweep-depolarizing-default": "be06f8867b092e08163927aaf3ca7423a41ff372a520ff7cb2df224cab4d5adc",
+    "sweep-depolarizing-complex": "e317ebd560a3c511b5a4bc28a41e13b84f3dec5811bdf6b11eefecd0f4514d97",
     "curves-depolarizing": "145839f51d7ef39376ed1905e5e71408ebc467ccb331cc9bfdda09267671666d",
     "trace-depolarizing-p0": "069982e9df710dacd4202f9456edd6df13df6d439a26caa7d4f13e906cfe8b96",
     "trace-depolarizing-p0.3": "b73b744163352e1985bf5d29b13081871434d79394168ed4814f8965e3afee46",
-    "sweep-bitflip-default": "543b21763f84aa066838dcd34aec444070648e2676342ff1cb89f1a863afbf90",
-    "sweep-bitflip-complex": "91175b3b6c9ecfcaddad08d1ced82accf7da3744505a45b54263e67765c0de02",
+    "sweep-bitflip-default": "7b3c6188603e7d5f4d338a51da8d8af1c331a8e31b531a6730ef7f72fa9ae19d",
+    "sweep-bitflip-complex": "7f40541c81f393b0319b344f59d0a776c87858c077d9e8a9a48ea7d91f7039a1",
     "curves-bitflip": "b68bf71df5da7dc9ca20acd08352a33cebda4de547733d22bc047b30aacde803",
     "trace-bitflip-p0": "b1047a7940c3a4673db7dcbe4e864ee521f9bf771c2f87b85ce885464d3db26c",
     "trace-bitflip-p0.3": "baae8bd4c99f74ce0e621a7be3fbef18a6325fa1f59fdfe7cccf9feccfab0aaf",
-    "sweep-phaseflip-default": "37084cd1ba34523125b0b76669be21aa34896151bf9c8af49b4fbcaa9b4949b8",
-    "sweep-phaseflip-complex": "46c3808f6fe309fdb32f581b0a78a719bacf67c2b053377a96fe2abbea4f7e95",
+    "sweep-phaseflip-default": "eb81454b44b19692f70e3efe2c10175773c7629ea01e0e33521530f74e990bef",
+    "sweep-phaseflip-complex": "7642284a346ab1935d948d15eab9ab37e026fe69cf8c745970b5de3be1438a2f",
     "curves-phaseflip": "db6559f2a0f5ba65f75597e5e6416d615b8503d043b102f32a446c2e932a2412",
     "trace-phaseflip-p0": "3391fa86ed9f4a4f79eda85afd2a31b2316c26ea7880acc3169759e7b6fa445f",
     "trace-phaseflip-p0.3": "be3248c16c0dc6351d2e42af748caab05636748717a85d1937d22da619bb3e99",
@@ -757,11 +759,12 @@ GOLDEN_SHA256 = {
 
 
 # sha256 of the `verify --out report` outputs, run from the report's
-# directory so that stdout names a relative path; recorded before the
-# per-kind target builders were folded into one.
+# directory so that stdout names a relative path; recorded when the
+# marginal-factorization inputs became dyadic, so that the report prints
+# exact deviations.
 GOLDEN_VERIFY_SHA256 = {
-    "report.txt": "ecddcede80fee18d8d5179caa1f1f1ae761fbc3829b1d4908255834d9113b488",
-    "report.tsv": "ad759551dc61c81c16414b17640b1ade748713f166189ad1c112c05d1afa1bed",
+    "report.txt": "5f576d7a03c579e7ec2a48cf411ae7bf7b6aea4e6548d5f67cec4d5ecd205d10",
+    "report.tsv": "0c42ed5868f5b2d55ad08f04d36fcc72814220ac11671a905fc071195cb13995",
     "stdout": "3598050808216214af7627f350b9360912332f942babd11f5e290fcf1dc75379",
 }
 

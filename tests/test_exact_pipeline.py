@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import dense_reference as ref
+from exact_fidelity import EPS
 from teleportsim import exact, teleport
 from teleportsim.channels import ChannelSpec, NoiseKind
 from teleportsim.exact import (
@@ -277,6 +278,13 @@ class TestDenseRouteAgreement:
             assert fidelity_polynomial(kind, state) == ref.overlap(state, dense)
 
 
+# the largest |rho10 entry - exact entry| of the float pipeline, in EPS,
+# the exact entry taken at the Gaussian-rational input itself: the measured
+# maximum, 5.31 EPS over every drawable state, wiring and kind at 41 points,
+# rounded up
+ROUTE_BUDGET_EPS = 6
+
+
 class TestFloatRouteAgreement:
     @given(
         kind=st.sampled_from(list(NoiseKind)),
@@ -288,5 +296,8 @@ class TestFloatRouteAgreement:
         noise = ChannelSpec(kind, p)
         rho10 = run_stages_from_initial(build_initial(state), noise, assignment=assignment)["rho10"]
         want = _apply_map(extract_transfer_map(kind, assignment), state)
-        at_p = np.array([[complex(e.evaluate_at(Fraction(p))) for e in row] for row in want])
-        assert np.max(np.abs(rho10.entries - at_p)) <= 1e-14
+        for got_row, want_row in zip(rho10.entries.tolist(), want):
+            for got, entry in zip(got_row, want_row):
+                exact = entry.evaluate_at(Fraction(p))
+                d_re, d_im = Fraction(got.real) - exact.re, Fraction(got.imag) - exact.im
+                assert d_re**2 + d_im**2 <= (ROUTE_BUDGET_EPS * EPS) ** 2

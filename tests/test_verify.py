@@ -77,6 +77,18 @@ def test_depolarizing_coherence_diff_details(verification_report):
     assert der_by_degree[1] == "-21/2"
 
 
+def test_marginal_deviations_are_exact(verification_report):
+    # dyadic inputs at p = 1/2: 0, 3/32 and 1/2 exactly, with no rounding
+    derived = {
+        "factorized marginal form on a product state": "max entry deviation 0.000e+00",
+        "factorized marginal form on an entangled state": "max entry deviation 0.09375 at p=1/2",
+        "factorized marginal form at p=0 on an entangled state": "max entry deviation 0.5",
+    }
+    for name, text in derived.items():
+        assert find_target(verification_report, name).derived == text
+    assert find_target(verification_report, next(iter(derived))).expected == "exact agreement"
+
+
 def test_fallback_note_present(verification_report):
     assert any("correction assignment used" in n for n in verification_report.notes)
     assert any("fallback exercised" in n for n in verification_report.notes)

@@ -1,11 +1,13 @@
 """Published closed-form results for the noisy teleportation protocol.
 
-This module is a faithful transcription of the published final states,
-fidelities, first-order approximations, and the polynomial constants
-u1..u6, evaluated numerically.  It makes no claim of independent
-correctness: the verify module compares these reference forms against the
-polynomials derived from the pipeline and reports where they agree and
-where they do not.
+This module is the one transcription of the published output states: the
+polynomial constants u1..u6 and the depolarizing powers (1-p)^9 and
+(1-p)^12 in ``PUBLISHED``, and each kind's state read from them by
+``PUBLISHED.state(kind)``.  The fidelities and first-order approximations
+are evaluated numerically from that record.  It makes no claim of
+independent correctness: the verify module compares the same record
+against the polynomials derived from the pipeline and reports where they
+agree and where they do not.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from .teleport import InputState
 
 @dataclass(frozen=True)
 class PublishedPolynomialTable:
-    """The published noise polynomials, with exact rational coefficients.
+    """The published noise polynomials in p, with exact rational coefficients.
 
     u1..u5 parameterize the bit-flip output state (u1/u2 diagonal transfer,
     u3 diagonal offset, u4/u5 coherence transfer, all scaled by 4); u6 is
-    the phase-flip coherence factor.
+    the phase-flip coherence factor; q9 = (1-p)^9 and q12 = (1-p)^12 are
+    the depolarizing diagonal and coherence factors.
     """
 
     u1: PolyP
@@ -36,6 +39,22 @@ class PublishedPolynomialTable:
     u4: PolyP
     u5: PolyP
     u6: PolyP
+    q9: PolyP
+    q12: PolyP
+
+    @functools.cache
+    def state(self, kind: NoiseKind) -> tuple[PolyP, PolyP, PolyP, PolyP, PolyP]:
+        """``(keep, swap, offset, coherence, coherence_swap)`` of the published
+        output state of ``kind``, in p: ``rho00 = keep |a|^2 + swap |b|^2 +
+        offset`` and ``rho01 = coherence a b* + coherence_swap a* b``, with
+        a and b exchanged for ``rho11`` and ``rho10``.  Built once per table
+        and kind: ``verify`` reads it at each call."""
+        if kind is NoiseKind.DEPOLARIZING:
+            mixing = (PolyP.ONE - self.q9) * Fraction(1, 2)
+            return self.q9, PolyP.ZERO, mixing, self.q12, PolyP.ZERO
+        if kind is NoiseKind.BIT_FLIP:
+            return tuple(u * 4 for u in (self.u1, self.u2, self.u3, self.u4, self.u5))
+        return PolyP.ONE, PolyP.ZERO, PolyP.ZERO, self.u6, PolyP.ZERO
 
 
 PUBLISHED = PublishedPolynomialTable(
@@ -77,16 +96,19 @@ PUBLISHED = PublishedPolynomialTable(
         ]
     ),
     u6=PolyP([1, -16, 112, -448, 1120, -1792, 1792, -1024, 256]),
+    q9=(PolyP.ONE - P) ** 9,
+    q12=(PolyP.ONE - P) ** 12,
 )
 
 
-def _in_r(poly: PolyP) -> PolyP:
-    """``poly(p)`` at ``p = (1 - r)/2``, by Horner: a polynomial in r,
-    whose indeterminate ``P`` then stands for r."""
-    p_of_r = (PolyP.ONE - P) * Fraction(1, 2)
+def _in_x(poly: PolyP, base: int) -> PolyP:
+    """``poly(p)`` at ``p = (1 - x)/base``, by Horner: a polynomial in the
+    channel's own variable ``x = 1 - base p``, whose indeterminate ``P``
+    then stands for x."""
+    p_of_x = (PolyP.ONE - P) * Fraction(1, base)
     acc = PolyP.ZERO
     for c in reversed(poly.coefficients):
-        acc = acc * p_of_r + c
+        acc = acc * p_of_x + c
     return acc
 
 
@@ -97,22 +119,16 @@ def _fidelity_table(kind: NoiseKind) -> tuple[int, np.ndarray]:
     ``A s + L n + T t + C cross``, with ``s = |a|^4 + |b|^4``,
     ``n = |a|^2 + |b|^2``, ``t = |a|^2 |b|^2``, ``cross = 2 Re((a b*)^2)``.
 
-    Contracting the published states gives A = q^9, L = (1 - q^9)/2,
-    T = 2 q^12 (depolarizing); A = 4 u1, L = 4 u3, T = 8 (u2 + u4),
-    C = 4 u5 (bit flip); A = 1, T = 2 u6 (phase flip); 0 elsewhere.  Each
-    row is a polynomial in the channel's own variable, ``x = 1 - base p``
-    (q, or r for the flip channels), whose coefficients are small.  Derived
-    exactly on first use, not at import, which every CLI command pays.
+    Contracting ``PUBLISHED.state(kind)`` gives A = keep, L = offset,
+    T = 2 (swap + coherence) and C = coherence_swap.  Each row is a
+    polynomial in the channel's own variable, ``x = 1 - base p`` (q for
+    depolarizing, r for the flip channels), whose coefficients are small.
+    Derived exactly on first use, not at import, which every CLI command
+    pays.
     """
-    u = PUBLISHED
-    if kind is NoiseKind.DEPOLARIZING:
-        q9 = P**9
-        base, rows = 1, (q9, (PolyP.ONE - q9) * Fraction(1, 2), P**12 * 2, PolyP.ZERO)
-    elif kind is NoiseKind.BIT_FLIP:
-        combos = (u.u1 * 4, u.u3 * 4, (u.u2 + u.u4) * 8, u.u5 * 4)
-        base, rows = 2, tuple(map(_in_r, combos))
-    else:
-        base, rows = 2, (PolyP.ONE, PolyP.ZERO, _in_r(u.u6 * 2), PolyP.ZERO)
+    base = 1 if kind is NoiseKind.DEPOLARIZING else 2
+    keep, swap, offset, coherence, coherence_swap = PUBLISHED.state(kind)
+    rows = [_in_x(row, base) for row in (keep, offset, (swap + coherence) * 2, coherence_swap)]
     table = np.zeros((len(rows), max(row.degree for row in rows) + 1))
     for out, row in zip(table, rows):
         out[: row.degree + 1] = [float(c.re) for c in row.coefficients]

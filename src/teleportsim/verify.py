@@ -22,7 +22,7 @@ import numpy as np
 
 from .analytic import PUBLISHED, linear_slope_exact
 from .channels import ChannelSpec, NoiseKind, apply_layer
-from .exact import GaussianRational, P, PolyP, extract_transfer_map, run_pipeline_symbolic
+from .exact import GaussianRational, PolyP, extract_transfer_map, run_pipeline_symbolic
 from .linalg import (
     Operator,
     fidelity_with,  # unused here, but perfbench/tracer.py wraps this binding
@@ -103,36 +103,37 @@ def _poly_target(name: str, expected: PolyP, derived: PolyP) -> VerificationTarg
     )
 
 
-# the expected forms that no input changes, built once per process, from
-# the survival weight 1 - p and the flip-channel transfer eigenvalue 1 - 2p
-_ONE = PolyP.ONE
-_Q9, _Q12 = (_ONE - P) ** 9, (_ONE - P) ** 12
-_MIXING = (_ONE - _Q9) * Fraction(1, 2)
-_R8 = (_ONE - PolyP([0, 2])) ** 8
+# verify's own check of u6's binomial structure, built once per process
+_R8 = (PolyP.ONE - PolyP([0, 2])) ** 8
 
 
 def _published_targets_for(
     kind: NoiseKind, matrix: np.ndarray
 ) -> list[tuple[str, PolyP, PolyP]]:
-    """(name, expected, derived) triples for the published-form targets."""
+    """(name, expected, derived) triples for the published-form targets.
+
+    For a normalized input, map entries (0, 0), (0, 3), (1, 1) and (1, 2)
+    are keep + offset, swap + offset, coherence and coherence_swap.
+    """
+    keep, swap, offset, coherence, coherence_swap = PUBLISHED.state(kind)
     if kind is NoiseKind.DEPOLARIZING:
         return [
-            ("depolarizing diagonal contraction", _Q9, matrix[0, 0] - matrix[0, 3]),
-            ("depolarizing mixing term", _MIXING, matrix[0, 3]),
-            ("depolarizing coherence keep", _Q12, matrix[1, 1]),
-            ("depolarizing coherence swap", PolyP.ZERO, matrix[1, 2]),
+            ("depolarizing diagonal contraction", keep - swap, matrix[0, 0] - matrix[0, 3]),
+            ("depolarizing mixing term", swap + offset, matrix[0, 3]),
+            ("depolarizing coherence keep", coherence, matrix[1, 1]),
+            ("depolarizing coherence swap", coherence_swap, matrix[1, 2]),
         ]
     if kind is NoiseKind.BIT_FLIP:
         return [
-            ("bitflip diagonal keep 4(u1+u3)", (PUBLISHED.u1 + PUBLISHED.u3) * 4, matrix[0, 0]),
-            ("bitflip diagonal swap 4(u2+u3)", (PUBLISHED.u2 + PUBLISHED.u3) * 4, matrix[0, 3]),
-            ("bitflip coherence keep 4u4", PUBLISHED.u4 * 4, matrix[1, 1]),
-            ("bitflip coherence swap 4u5", PUBLISHED.u5 * 4, matrix[1, 2]),
+            ("bitflip diagonal keep 4(u1+u3)", keep + offset, matrix[0, 0]),
+            ("bitflip diagonal swap 4(u2+u3)", swap + offset, matrix[0, 3]),
+            ("bitflip coherence keep 4u4", coherence, matrix[1, 1]),
+            ("bitflip coherence swap 4u5", coherence_swap, matrix[1, 2]),
         ]
     return [
-        ("phaseflip coherence vs published u6", PUBLISHED.u6, matrix[1, 1]),
-        ("phaseflip diagonal passthrough", _ONE, matrix[0, 0]),
-        ("phaseflip diagonal mixing", PolyP.ZERO, matrix[0, 3]),
+        ("phaseflip coherence vs published u6", coherence, matrix[1, 1]),
+        ("phaseflip diagonal passthrough", keep + offset, matrix[0, 0]),
+        ("phaseflip diagonal mixing", swap + offset, matrix[0, 3]),
     ]
 
 

@@ -103,8 +103,8 @@ MUTANTS = (
     Mutant(
         "verify-hoisted-target-eighth-power",
         "verify.py",
-        "_Q9, _Q12 = (_ONE - P) ** 9,",
-        "_Q9, _Q12 = (_ONE - P) ** 8,",
+        "_R8 = (PolyP.ONE - PolyP([0, 2])) ** 8",
+        "_R8 = (PolyP.ONE - PolyP([0, 2])) ** 7",
     ),
     Mutant(
         "teleport-x-flips-rows-only",
@@ -262,26 +262,56 @@ MUTANTS = (
     Mutant(
         "analytic-bitflip-base-one",
         "analytic.py",
-        "base, rows = 2, tuple(map(_in_r, combos))",
-        "base, rows = 1, tuple(map(_in_r, combos))",
+        "base = 1 if kind is NoiseKind.DEPOLARIZING else 2",
+        "base = 1 if kind is not NoiseKind.PHASE_FLIP else 2",
     ),
     Mutant(
         "analytic-phaseflip-base-one",
         "analytic.py",
-        "base, rows = 2, (PolyP.ONE,",
-        "base, rows = 1, (PolyP.ONE,",
+        "base = 1 if kind is NoiseKind.DEPOLARIZING else 2",
+        "base = 1 if kind is not NoiseKind.BIT_FLIP else 2",
     ),
     Mutant(
         "analytic-bitflip-t-c-rows-swapped",
         "analytic.py",
-        "(u.u2 + u.u4) * 8, u.u5 * 4)",
-        "u.u5 * 4, (u.u2 + u.u4) * 8)",
+        "(swap + coherence) * 2, coherence_swap)",
+        "coherence_swap, (swap + coherence) * 2)",
     ),
     Mutant(
         "analytic-substitution-sign",
         "analytic.py",
-        "p_of_r = (PolyP.ONE - P) * Fraction(1, 2)",
-        "p_of_r = (PolyP.ONE + P) * Fraction(1, 2)",
+        "p_of_x = (PolyP.ONE - P) * Fraction(1, base)",
+        "p_of_x = (PolyP.ONE + P) * Fraction(1, base)",
+    ),
+    Mutant(
+        "analytic-bitflip-scale-two",
+        "analytic.py",
+        "return tuple(u * 4 for u in",
+        "return tuple(u * 2 for u in",
+    ),
+    Mutant(
+        "analytic-t-row-drops-swap",
+        "analytic.py",
+        "(swap + coherence) * 2",
+        "coherence * 2",
+    ),
+    Mutant(
+        "analytic-depolarizing-offset-sign",
+        "analytic.py",
+        "mixing = (PolyP.ONE - self.q9) * Fraction(1, 2)",
+        "mixing = (self.q9 - PolyP.ONE) * Fraction(1, 2)",
+    ),
+    Mutant(
+        "analytic-depolarizing-eighth-power",
+        "analytic.py",
+        "q9=(PolyP.ONE - P) ** 9,",
+        "q9=(PolyP.ONE - P) ** 8,",
+    ),
+    Mutant(
+        "analytic-real-form-drops-n",
+        "analytic.py",
+        "acc[1] * (aa + dd)",
+        "acc[1]",
     ),
     Mutant(
         "analytic-table-drops-constant",

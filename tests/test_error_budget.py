@@ -4,11 +4,16 @@ Each float value is compared with the exact value at its own inputs (see
 ``exact_fidelity``), so a budget is a measured number, not a tolerance.
 The budgets are the measured maxima rounded up.  Over 2,250 drawn states
 (some with zero or 1e-12 parts) at 201 points each, the ``numeric`` column
-reached 7.74 EPS and the ``analytic`` column 3.74 EPS.
+reached 7.74 EPS and the ``analytic`` column 3.74 EPS.  On 60 random
+states off unit norm by up to the 1e-9 that ``InputState`` accepts
+(``numpy.random.default_rng(7)``), at 101 points each, they reached 5.20
+and 2.36 EPS.
 """
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, strategies as st
 
 from exact_fidelity import EPS, error_in_eps, numeric_fidelity, published_fidelity
 from teleportsim.analytic import fidelity_closed
@@ -24,9 +29,20 @@ COLUMNS = {
 }
 
 
+@st.composite
+def norm_edge_states(draw):
+    """States that ``InputState`` accepts with ``|a|^2 + |b|^2`` up to 1e-9
+    off 1, where the real form's ``n`` term differs from 1."""
+    state = draw(input_states | part_states())
+    scale = math.sqrt(1 + draw(st.floats(-1e-9, 1e-9)))
+    a, b = complex(state.alpha) * scale, complex(state.beta) * scale
+    assume(abs(abs(a) ** 2 + abs(b) ** 2 - 1) <= 1e-9)
+    return InputState(a, b)
+
+
 @pytest.mark.parametrize("column", list(COLUMNS))
 @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
-@given(state=input_states | part_states(), grid=grids())
+@given(state=input_states | part_states() | norm_edge_states(), grid=grids())
 def test_column_within_budget(kind, column, state, grid):
     function, reference = COLUMNS[column]
     exact = reference(kind, state)

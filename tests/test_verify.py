@@ -160,19 +160,39 @@ def test_find_unknown_target_raises(verification_report):
         find_target(verification_report, "no such target")
 
 
-def test_injected_table_fault_is_detected(monkeypatch):
-    # perturb the published phase-flip polynomial at degree 3 and confirm the
-    # comparison localizes exactly that coefficient
-    coeffs = [c for c in PUBLISHED.u6.coefficients]
+@pytest.mark.parametrize(
+    "field, kind, turned",
+    [
+        (
+            "u6",
+            NoiseKind.PHASE_FLIP,
+            {"phaseflip coherence vs published u6", "phaseflip u6 binomial structure (1-2p)^8"},
+        ),
+        (
+            "q9",
+            NoiseKind.DEPOLARIZING,
+            {"depolarizing diagonal contraction", "depolarizing mixing term"},
+        ),
+    ],
+    ids=["u6", "q9"],
+)
+def test_injected_table_fault_is_detected(monkeypatch, field, kind, turned):
+    # perturb one published polynomial at degree 3: exactly the targets that
+    # read it turn Mismatch, and each comparison localizes that coefficient,
+    # so verify reads the replaced table at call time
+    before = {t.name: t.status for t in verify_kind(kind)}
+    coeffs = list(getattr(PUBLISHED, field).coefficients)
     coeffs[3] = coeffs[3] + 1
-    bad_table = dataclasses.replace(PUBLISHED, u6=PolyP([c for c in coeffs]))
+    bad_table = dataclasses.replace(PUBLISHED, **{field: PolyP(coeffs)})
     monkeypatch.setattr(verify_mod, "PUBLISHED", bad_table)
-    targets = verify_kind(NoiseKind.PHASE_FLIP)
-    broken = [t for t in targets if t.name == "phaseflip coherence vs published u6"]
-    assert broken[0].status is TargetStatus.MISMATCH
-    assert [d for d, _, _ in broken[0].coefficient_diffs] == [3]
-    binomial = [t for t in targets if "binomial" in t.name][0]
-    assert binomial.status is TargetStatus.MISMATCH
+    broken = [
+        t
+        for t in verify_kind(kind)
+        if t.status is TargetStatus.MISMATCH and before[t.name] is not TargetStatus.MISMATCH
+    ]
+    assert {t.name for t in broken} == turned
+    for t in broken:
+        assert [d for d, _, _ in t.coefficient_diffs] == [3], t.name
 
 
 PYTHAGOREAN_TRIPLES = (

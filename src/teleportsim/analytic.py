@@ -3,11 +3,12 @@
 This module is the one transcription of the published output states: the
 polynomial constants u1..u6 and the depolarizing powers (1-p)^9 and
 (1-p)^12 in ``PUBLISHED``, and each kind's state read from them by
-``PUBLISHED.state(kind)``.  The fidelities and first-order approximations
-are evaluated numerically from that record.  It makes no claim of
-independent correctness: the verify module compares the same record
-against the polynomials derived from the pipeline and reports where they
-agree and where they do not.
+``PUBLISHED.state(kind)``.  ``PUBLISHED`` is the record's one binding:
+``fidelity_closed`` (its float table cached per record and kind) and the
+verify module read it at call time, so a replaced record reaches both.
+It makes no claim of independent correctness: the verify module compares
+the record with the polynomials derived from the pipeline and reports
+where they agree and where they do not.
 """
 
 from __future__ import annotations
@@ -113,21 +114,21 @@ def _in_x(poly: PolyP, base: int) -> PolyP:
 
 
 @functools.cache
-def _fidelity_table(kind: NoiseKind) -> tuple[int, np.ndarray]:
+def _fidelity_table(published: PublishedPolynomialTable, kind: NoiseKind) -> tuple[int, np.ndarray]:
     """``base``, and A, L, T, C as rows of float64 coefficients, lowest
     degree first, zero-padded, of the published fidelity of a pure input,
     ``A s + L n + T t + C cross``, with ``s = |a|^4 + |b|^4``,
     ``n = |a|^2 + |b|^2``, ``t = |a|^2 |b|^2``, ``cross = 2 Re((a b*)^2)``.
 
-    Contracting ``PUBLISHED.state(kind)`` gives A = keep, L = offset,
+    Contracting ``published.state(kind)`` gives A = keep, L = offset,
     T = 2 (swap + coherence) and C = coherence_swap.  Each row is a
     polynomial in the channel's own variable, ``x = 1 - base p`` (q for
     depolarizing, r for the flip channels), whose coefficients are small.
-    Derived exactly on first use, not at import, which every CLI command
-    pays.
+    Derived exactly on first use per record and kind, not at import, which
+    every CLI command pays.
     """
     base = 1 if kind is NoiseKind.DEPOLARIZING else 2
-    keep, swap, offset, coherence, coherence_swap = PUBLISHED.state(kind)
+    keep, swap, offset, coherence, coherence_swap = published.state(kind)
     rows = [_in_x(row, base) for row in (keep, offset, (swap + coherence) * 2, coherence_swap)]
     table = np.zeros((len(rows), max(row.degree for row in rows) + 1))
     for out, row in zip(table, rows):
@@ -158,7 +159,7 @@ def fidelity_closed(input_state: InputState, noise: ChannelSpec):
     for bit the scalar one: only ``+`` and ``*`` on float64 are used.
     """
     grid, scalar = _probabilities(noise)
-    base, table = _fidelity_table(noise.kind)
+    base, table = _fidelity_table(PUBLISHED, noise.kind)
     x = 1 - base * grid
     # A, L, T and C at every grid point, by one stacked Horner
     acc = np.zeros((len(table), grid.size))

@@ -208,8 +208,9 @@ def fidelity_with(amplitudes: Sequence[Any], rho: Operator) -> Any:
     A fold in a fixed order with no matrix product, so the value does not
     depend on the BLAS kernel, the SIMD level or the batch: the terms
     Re(conj(psi_i) psi_j rho_ij) = u_ij Re(rho_ij) - v_ij Im(rho_ij), where
-    u_ij + i v_ij = conj(psi_i) psi_j, are added left to right over (i, j)
-    in row-major order.  Each slice of a batch equals its unbatched value.
+    u_ij + i v_ij = conj(psi_i) psi_j, entry (j, i) of ``projector(psi)``,
+    are added left to right over (i, j) in row-major order.  Each slice of
+    a batch equals its unbatched value.
     """
     amps = [complex(a) for a in amplitudes]
     if len(amps) != rho.dim:
@@ -219,13 +220,10 @@ def fidelity_with(amplitudes: Sequence[Any], rho: Operator) -> Any:
     dev = hermiticity_deviation(rho)
     if not dev <= 1e-9:  # a nan deviation fails too
         raise ValueError(f"operator is not Hermitian (deviation {dev:.3e})")
-    uv = np.array(
-        [(a.real * b.real + a.imag * b.imag, a.real * b.imag - a.imag * b.real)
-         for a in amps for b in amps]
-    )
+    pairs = projector(amps).entries.T.ravel()
     entries = rho.entries
     parts = entries.reshape(entries.shape[:-2] + (-1,)).view(np.float64)
-    terms = parts[..., 0::2] * uv[:, 0] - parts[..., 1::2] * uv[:, 1]
+    terms = parts[..., 0::2] * pairs.real - parts[..., 1::2] * pairs.imag
     total = terms[..., 0]
     for k in range(1, terms.shape[-1]):
         total = total + terms[..., k]

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analytic import PUBLISHED, linear_slope_exact
+from . import analytic
 from .channels import ChannelSpec, NoiseKind, apply_layer
 from .exact import GaussianRational, PolyP, extract_transfer_map, run_pipeline_symbolic
 from .linalg import (
@@ -115,7 +115,7 @@ def _published_targets_for(
     For a normalized input, map entries (0, 0), (0, 3), (1, 1) and (1, 2)
     are keep + offset, swap + offset, coherence and coherence_swap.
     """
-    keep, swap, offset, coherence, coherence_swap = PUBLISHED.state(kind)
+    keep, swap, offset, coherence, coherence_swap = analytic.PUBLISHED.state(kind)
     if kind is NoiseKind.DEPOLARIZING:
         return [
             ("depolarizing diagonal contraction", keep - swap, matrix[0, 0] - matrix[0, 3]),
@@ -139,6 +139,7 @@ def _published_targets_for(
 
 def verify_kind(kind: NoiseKind) -> list[VerificationTarget]:
     """The published-form targets of one noise kind, in report order."""
+    published = analytic.PUBLISHED
     matrix = extract_transfer_map(kind)
     targets = [
         _poly_target(name, expected, derived)
@@ -147,7 +148,7 @@ def verify_kind(kind: NoiseKind) -> list[VerificationTarget]:
     if kind is NoiseKind.PHASE_FLIP:
         targets.insert(
             1,
-            _poly_target("phaseflip u6 binomial structure (1-2p)^8", PUBLISHED.u6, _R8),
+            _poly_target("phaseflip u6 binomial structure (1-2p)^8", published.u6, _R8),
         )
     elif kind is NoiseKind.BIT_FLIP:
         at_zero = [matrix[r, c].evaluate_at(0) for r in range(4) for c in range(4)]
@@ -156,14 +157,14 @@ def verify_kind(kind: NoiseKind) -> list[VerificationTarget]:
             VerificationTarget(
                 "bitflip u3 standalone",
                 TargetStatus.NOT_IDENTIFIABLE,
-                PUBLISHED.u3.to_text(),
+                published.u3.to_text(),
                 "only the combinations u1+u3 and u2+u3 enter the output state "
                 "for normalized inputs; u3 alone is not observable",
             ),
             _poly_target(
                 "bitflip trace identity u1+u2+2u3",
                 PolyP([Fraction(1, 4)]),
-                PUBLISHED.u1 + PUBLISHED.u2 + PUBLISHED.u3 * 2,
+                published.u1 + published.u2 + published.u3 * 2,
             ),
             VerificationTarget(
                 "bitflip map at p=0 is the identity",
@@ -205,7 +206,7 @@ def verify_linear_slopes() -> list[VerificationTarget]:
         probe = InputState(alpha, beta)
         fpoly = fidelity_polynomial(kind, probe)
         derived_c1 = fpoly.coefficient(1)
-        expected_c1 = GaussianRational(-linear_slope_exact(kind, alpha, beta))
+        expected_c1 = GaussianRational(-analytic.linear_slope_exact(kind, alpha, beta))
         label = f"slope {kind.value} at probe ({alpha},{beta})"
         targets.append(_poly_target(label, expected_c1, derived_c1))
     return targets

@@ -149,8 +149,8 @@ MUTANTS = (
     Mutant(
         "linalg-fold-drops-conjugate",
         "linalg.py",
-        "(a.real * b.real + a.imag * b.imag, a.real * b.imag - a.imag * b.real)",
-        "(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)",
+        "pairs = projector(amps).entries.T.ravel()",
+        "pairs = projector(amps).entries.ravel()",
     ),
     Mutant(
         "linalg-operator-keeps-caller-array",
@@ -312,6 +312,34 @@ MUTANTS = (
         "analytic.py",
         "acc[1] * (aa + dd)",
         "acc[1]",
+    ),
+    # the four below freeze or fork the published record's one binding; the
+    # first is seen only by a table built from a record other than the
+    # module's current one
+    Mutant(
+        "analytic-table-reads-module-record",
+        "analytic.py",
+        "coherence_swap = published.state(kind)",
+        "coherence_swap = PUBLISHED.state(kind)",
+    ),
+    Mutant(
+        "analytic-closed-form-record-bound-at-def",
+        "analytic.py",
+        "def fidelity_closed(input_state: InputState, noise: ChannelSpec):",
+        "def fidelity_closed(input_state: InputState, noise: ChannelSpec, PUBLISHED=PUBLISHED):",
+    ),
+    Mutant(
+        "verify-kind-reads-package-re-export",
+        "verify.py",
+        "    published = analytic.PUBLISHED\n",
+        "    from . import PUBLISHED as published\n",
+    ),
+    Mutant(
+        "verify-targets-read-package-re-export",
+        "verify.py",
+        "    keep, swap, offset, coherence, coherence_swap = analytic.PUBLISHED.state(kind)\n",
+        "    from . import PUBLISHED\n"
+        "    keep, swap, offset, coherence, coherence_swap = PUBLISHED.state(kind)\n",
     ),
     Mutant(
         "analytic-table-drops-constant",

@@ -77,7 +77,7 @@ def at_one_minus(poly, base):
 
 def table_rows(kind):
     """The float table of ``fidelity_closed`` read back as exact polynomials in x."""
-    base, table = analytic._fidelity_table(kind)
+    base, table = analytic._fidelity_table(PUBLISHED, kind)
     return base, [PolyP([Fraction(c) for c in row]) for row in table]
 
 

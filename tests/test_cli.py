@@ -666,14 +666,14 @@ class TestVerifyCommand:
         # entry --- must flag exactly the perturbed degree in the diffs
         import dataclasses
 
-        import teleportsim.verify as verify_mod
+        import teleportsim.analytic as analytic
         from teleportsim.analytic import PUBLISHED
         from teleportsim.exact import PolyP
 
         coeffs = list(PUBLISHED.u6.coefficients)
         coeffs[5] = coeffs[5] + 1
         monkeypatch.setattr(
-            verify_mod, "PUBLISHED", dataclasses.replace(PUBLISHED, u6=PolyP(coeffs))
+            analytic, "PUBLISHED", dataclasses.replace(PUBLISHED, u6=PolyP(coeffs))
         )
         base = tmp_path / "bad"
         assert main(["verify", "--out", str(base)]) == 1

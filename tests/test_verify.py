@@ -6,12 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import teleportsim.analytic as analytic
 import teleportsim.verify as verify_mod
 from conftest import find_target
 from pauli_table import PAULI_TRANSFER, binomial_power, bloch
-from teleportsim.analytic import PUBLISHED, linear_slope_exact
+from teleportsim.analytic import PUBLISHED, fidelity_closed, linear_slope_exact
 from teleportsim.exact import GaussianRational, PolyP, extract_transfer_map
-from teleportsim.channels import NoiseKind
+from teleportsim.channels import ChannelSpec, NoiseKind
 from teleportsim.teleport import ALTERNATE_ASSIGNMENTS, DEFAULT_ASSIGNMENT, InputState
 from teleportsim.verify import TargetStatus, fidelity_polynomial, run_verification, verify_kind
 
@@ -160,6 +161,12 @@ def test_find_unknown_target_raises(verification_report):
         find_target(verification_report, "no such target")
 
 
+# at (a, b) = (0.6, 0.8) and p = 0.3, adding p^3 to u6 adds p^3 to the
+# coherence, moving the fidelity by 2 p^3 |a|^2 |b|^2; adding it to q9 adds
+# p^3 to keep and -p^3/2 to the offset, moving it by p^3 (s - n/2)
+SHIFT_AT_PROBE = {"u6": 2 * 0.3**3 * 0.36 * 0.64, "q9": 0.3**3 * (0.36**2 + 0.64**2 - 0.5)}
+
+
 @pytest.mark.parametrize(
     "field, kind, turned",
     [
@@ -178,13 +185,21 @@ def test_find_unknown_target_raises(verification_report):
 )
 def test_injected_table_fault_is_detected(monkeypatch, field, kind, turned):
     # perturb one published polynomial at degree 3: exactly the targets that
-    # read it turn Mismatch, and each comparison localizes that coefficient,
-    # so verify reads the replaced table at call time
+    # read it turn Mismatch, each comparison localizes that coefficient, and
+    # the analytic column moves with it; restoring the record restores both.
+    # fidelity_closed runs first, so a float table cached for the original
+    # record must not outlive its replacement
+    state, spec = InputState(0.6, 0.8), ChannelSpec(kind, 0.3)
     before = {t.name: t.status for t in verify_kind(kind)}
+    fidelity = fidelity_closed(state, spec)
     coeffs = list(getattr(PUBLISHED, field).coefficients)
     coeffs[3] = coeffs[3] + 1
     bad_table = dataclasses.replace(PUBLISHED, **{field: PolyP(coeffs)})
-    monkeypatch.setattr(verify_mod, "PUBLISHED", bad_table)
+    # the float table is built from the record it is passed, not from the
+    # module's binding, which still holds the original here
+    bad_rows, rows = (analytic._fidelity_table(t, kind)[1] for t in (bad_table, PUBLISHED))
+    assert not np.array_equal(bad_rows, rows)
+    monkeypatch.setattr(analytic, "PUBLISHED", bad_table)
     broken = [
         t
         for t in verify_kind(kind)
@@ -193,6 +208,11 @@ def test_injected_table_fault_is_detected(monkeypatch, field, kind, turned):
     assert {t.name for t in broken} == turned
     for t in broken:
         assert [d for d, _, _ in t.coefficient_diffs] == [3], t.name
+    shift = fidelity_closed(state, spec) - fidelity
+    assert shift == pytest.approx(SHIFT_AT_PROBE[field], abs=1e-14)
+    monkeypatch.undo()
+    assert {t.name: t.status for t in verify_kind(kind)} == before
+    assert fidelity_closed(state, spec) == fidelity
 
 
 PYTHAGOREAN_TRIPLES = (

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .analytic import fidelity_closed, fidelity_linear
 from .channels import ChannelSpec, NoiseKind
 from .charts import render_line_chart
-from .linalg import hermitian_eigenvalues
+from .linalg import Operator, hermitian_eigenvalues
 from .teleport import InputState, run_stages, teleport_fidelity
 from .verify import run_verification
 
@@ -228,17 +228,29 @@ def cmd_trace(args) -> int:
         raise ValueError("trace works on exactly one input state")
     (state,) = states
     stages = run_stages(state, ChannelSpec(NoiseKind(args.noise), args.p))
+    *cubes, last = stages.values()
+    # the nine three-qubit stages as one stack: one eigensolver call and one
+    # trace for all nine, with the bits of the stage-by-stage calls
+    stack = Operator([rho.entries for rho in cubes])
+    min_eigs = hermitian_eigenvalues(stack)[:, 0].tolist() + [hermitian_eigenvalues(last)[0]]
+    traces = stack.trace().real.tolist() + [last.trace().real]
+    # each distinct entry formatted once, as a Python complex (faster than
+    # numpy's), keyed by its 16 bytes: -0.0 == 0.0, but %.12g prints them apart
+    raw = stack.entries.tobytes() + last.entries.tobytes()
+    keys = [raw[k : k + 16] for k in range(0, len(raw), 16)]
+    values = dict(zip(keys, stack.entries.ravel().tolist() + last.entries.ravel().tolist()))
+    cells = {key: "%32s" % ("%.12g%+.12gi" % (z.real, z.imag)) for key, z in values.items()}
     state_text = state_label(state.alpha, state.beta)
     lines = [f"stage trace: noise={args.noise} p={args.p:.17g} state={state_text}"]
-    for label, rho in stages.items():
+    offset = 0
+    for (label, rho), trace, min_eig in zip(stages.items(), traces, min_eigs):
         lines.append("")
         lines.append(f"{label} ({rho.num_qubits} qubit{'s' if rho.num_qubits > 1 else ''})")
-        row_fmt = "  " + "  ".join(["%32s"] * rho.dim)
-        # Python complexes format to the same text as numpy's, and faster
-        for row in rho.entries.tolist():
-            lines.append(row_fmt % tuple(["%.12g%+.12gi" % (z.real, z.imag) for z in row]))
-        min_eig = round(float(hermitian_eigenvalues(rho)[0]), EIGENVALUE_DIGITS) + 0.0
-        lines.append("  trace = %.12g, min eigenvalue = %.12g" % (rho.trace().real, min_eig))
+        for k in range(offset, offset + rho.dim**2, rho.dim):
+            lines.append("  " + "  ".join([cells[key] for key in keys[k : k + rho.dim]]))
+        offset += rho.dim**2
+        min_eig = round(float(min_eig), EIGENVALUE_DIGITS) + 0.0
+        lines.append("  trace = %.12g, min eigenvalue = %.12g" % (trace, min_eig))
     return _write_out(args.out, "\n".join(lines) + "\n")
 
 

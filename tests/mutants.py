@@ -354,6 +354,24 @@ MUTANTS = (
         "EIGENVALUE_DIGITS)",
     ),
     Mutant(
+        "cli-trace-memo-keyed-by-value",
+        "cli.py",
+        "keys = [raw[k : k + 16] for k in range(0, len(raw), 16)]",
+        "keys = stack.entries.ravel().tolist() + last.entries.ravel().tolist()",
+    ),
+    Mutant(
+        "cli-trace-stack-max-eigenvalue",
+        "cli.py",
+        "hermitian_eigenvalues(stack)[:, 0]",
+        "hermitian_eigenvalues(stack)[:, -1]",
+    ),
+    Mutant(
+        "cli-trace-stack-drops-stage",
+        "cli.py",
+        "Operator([rho.entries for rho in cubes])",
+        "Operator([rho.entries for rho in cubes[1:]])",
+    ),
+    Mutant(
         "cli-sweep-csv-precision",
         "cli.py",
         'row = "%.17g," + state_label(state.alpha, state.beta) + ",%.17g"',

@@ -36,7 +36,7 @@ from teleportsim.cli import (
 )
 from teleportsim.channels import ChannelSpec, NoiseKind
 from teleportsim.exact import GaussianRational
-from teleportsim.linalg import hermitian_eigenvalues
+from teleportsim.linalg import Operator, hermitian_eigenvalues
 from teleportsim.teleport import InputState, run_stages, teleport_fidelity
 from test_teleport import EDGE_STATE
 
@@ -1116,6 +1116,14 @@ def _assert_same_text(text: str, expected: str) -> None:
 
 # one state with -0.0 parts, which the label and the pipeline keep
 SIGNED_ZERO_STATES = "1,0;-0.0+0.6i,0.8-0.0i;0.5+0.5i,0.5-0.5i"
+# a drawn trace run: kind, p and the four amplitude parts, normalized later
+TRACE_DRAWS = (
+    st.sampled_from(list(NoiseKind)),
+    st.floats(min_value=-0.0, max_value=1.0),
+    st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 4).filter(
+        lambda parts: sum(x * x for x in parts) > 1e-3
+    ),
+)
 
 
 class TestFormatting:
@@ -1136,13 +1144,7 @@ class TestFormatting:
         assert "-0.0+0.6i" in text
         _assert_same_text(text, _reference_sweep_csv(config))
 
-    @given(
-        st.sampled_from(list(NoiseKind)),
-        st.floats(min_value=-0.0, max_value=1.0),
-        st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 4).filter(
-            lambda parts: sum(x * x for x in parts) > 1e-3
-        ),
-    )
+    @given(*TRACE_DRAWS)
     @example(NoiseKind.BIT_FLIP, -0.0, (0.6, -0.0, -0.0, 0.8))
     def test_trace_equals_per_entry_formatter(self, kind, p, parts):
         state = InputState.normalized(complex(*parts[:2]), complex(*parts[2:]))
@@ -1150,6 +1152,34 @@ class TestFormatting:
         argv = ["trace", "--noise", kind.value, f"--p={p!r}",
                 f"--states={_exact_text(alpha)},{_exact_text(beta)}"]
         _assert_same_text(_run_cli(argv), _reference_trace_text(kind, p, alpha, beta))
+
+    def test_trace_keeps_signed_zero_cells_apart(self):
+        # 0+0i, -0+0i and 0-0i are one complex value, and one dict key, but
+        # three printed cells: rho1 holds all three
+        argv = ["trace", "--noise", "bitflip", "--p=-0.0", "--states=0.6-0.0i,-0.0+0.8i"]
+        text = _run_cli(argv)
+        rho1 = text.split("\n\n")[1]
+        assert {"0+0i", "-0+0i", "0-0i"} <= set(rho1.split())
+        alpha, beta = complex(0.6, -0.0), complex(-0.0, 0.8)
+        _assert_same_text(text, _reference_trace_text(NoiseKind.BIT_FLIP, -0.0, alpha, beta))
+
+
+class TestTraceStack:
+    """`trace` reads the minimum eigenvalues and traces of the nine
+    three-qubit stages from one stacked operator: the same bits as one call
+    per stage."""
+
+    @settings(max_examples=200)
+    @given(*TRACE_DRAWS)
+    def test_stacked_equals_per_stage(self, kind, p, parts):
+        state = InputState.normalized(complex(*parts[:2]), complex(*parts[2:]))
+        *cubes, last = run_stages(state, ChannelSpec(kind, p)).values()
+        assert [rho.dim for rho in cubes] == [8] * 9 and last.dim == 2
+        stack = Operator([rho.entries for rho in cubes])
+        stacked = hermitian_eigenvalues(stack)[:, 0].tolist() + stack.trace().real.tolist()
+        single = [float(hermitian_eigenvalues(rho)[0]) for rho in cubes]
+        single += [float(rho.trace().real) for rho in cubes]
+        assert [x.hex() for x in stacked] == [x.hex() for x in single]
 
 
 def _load_tracer_module():
@@ -1182,6 +1212,8 @@ class TestTracerBindings:
         assert traced == untraced
         assert tracer.calls["cli.cmd_trace"] == 1
         assert tracer.calls["cli.run_sweep"] == 1
+        # one stacked call for the trace's nine three-qubit stages, one for rho10
+        assert tracer.calls["linalg.hermitian_eigenvalues"] == 2
         # one batched run for the sweep's state, one for the trace
         assert tracer.calls["teleport.run_stages_from_initial"] == 2
         assert dict(tracer.runs) == {"depolarizing": 1, "bitflip": 1}

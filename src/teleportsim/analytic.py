@@ -14,34 +14,37 @@ where they agree and where they do not.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .channels import ChannelSpec, NoiseKind
 from .exact import P, PolyP
+from .linalg import _Frozen
 from .teleport import InputState
 
 
-@dataclass(frozen=True)
-class PublishedPolynomialTable:
+class PublishedPolynomialTable(_Frozen):
     """The published noise polynomials in p, with exact rational coefficients.
 
     u1..u5 parameterize the bit-flip output state (u1/u2 diagonal transfer,
     u3 diagonal offset, u4/u5 coherence transfer, all scaled by 4); u6 is
     the phase-flip coherence factor; q9 = (1-p)^9 and q12 = (1-p)^12 are
-    the depolarizing diagonal and coherence factors.
+    the depolarizing diagonal and coherence factors.  The hash is taken
+    once, here: the caches of ``state`` and ``_fidelity_table`` look the
+    record up on every call.
     """
 
-    u1: PolyP
-    u2: PolyP
-    u3: PolyP
-    u4: PolyP
-    u5: PolyP
-    u6: PolyP
-    q9: PolyP
-    q12: PolyP
+    _fields = ("u1", "u2", "u3", "u4", "u5", "u6", "q9", "q12")
+    __slots__ = _fields + ("_hash",)
+
+    def __init__(self, u1: PolyP, u2: PolyP, u3: PolyP, u4: PolyP, u5: PolyP, u6: PolyP,
+                 q9: PolyP, q12: PolyP):
+        self._init(u1, u2, u3, u4, u5, u6, q9, q12)
+        object.__setattr__(self, "_hash", hash(self._values()))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @functools.cache
     def state(self, kind: NoiseKind) -> tuple[PolyP, PolyP, PolyP, PolyP, PolyP]:

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import enum
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
 import numpy as np
 
-from .linalg import Operator, _out_array, _pauli_tables
+from .linalg import Operator, _Frozen, _out_array, _pauli_tables
 
 # unused here, but perfbench/tracer.py wraps these bindings
 from .linalg import conjugate_by, tensor  # noqa: F401
@@ -37,8 +36,7 @@ class NoiseKind(enum.Enum):
     PHASE_FLIP = "phaseflip"
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(_Frozen):
     """A Pauli noise channel choice with its strength.
 
     ``p`` is a probability in [0, 1] of any real type, numpy scalars
@@ -48,17 +46,17 @@ class ChannelSpec:
     rejected here, by name.
     """
 
-    kind: NoiseKind
-    p: Any
+    __slots__ = _fields = ("kind", "p")
 
-    def __post_init__(self):
-        if isinstance(self.p, (list, tuple, np.ndarray)):
-            object.__setattr__(self, "p", _probability_batch(self.p))
+    def __init__(self, kind: NoiseKind, p: Any):
+        if isinstance(p, (list, tuple, np.ndarray)):
+            p = _probability_batch(p)
         # a bool is an int, but no probability: in a batch too
-        elif isinstance(self.p, bool) or not isinstance(self.p, numbers.Real):
-            raise ValueError(f"noise probability {self.p!r} is not real")
-        elif not 0 <= self.p <= 1:  # nan fails the comparison
-            raise ValueError(f"noise probability {self.p} outside [0, 1]")
+        elif isinstance(p, bool) or not isinstance(p, numbers.Real):
+            raise ValueError(f"noise probability {p!r} is not real")
+        elif not 0 <= p <= 1:  # nan fails the comparison
+            raise ValueError(f"noise probability {p} outside [0, 1]")
+        self._init(kind, p)
 
 
 _BOOLS = frozenset((bool, np.bool_))

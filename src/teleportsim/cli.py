@@ -16,12 +16,11 @@ import os
 import stat
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .analytic import fidelity_closed, fidelity_linear
 from .channels import ChannelSpec, NoiseKind
 from .charts import render_line_chart
-from .linalg import Operator, hermitian_eigenvalues
+from .linalg import Operator, _Frozen, hermitian_eigenvalues
 from .teleport import InputState, run_stages, teleport_fidelity
 from .verify import run_verification
 
@@ -85,46 +84,41 @@ def parse_states(text: str) -> list[tuple[complex, complex]]:
     return states
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    kind: NoiseKind
-    #: checked where they enter; the config checks only their type
-    states: tuple[InputState, ...]
-    p_start: float = 0.0
-    p_end: float = 1.0
-    steps: int = 101
-    columns: tuple[str, ...] = ALL_COLUMNS
-    #: the grid as checked specs of at most BATCH_POINTS points each, built
-    #: once and shared by every state and column
-    chunks: tuple[ChannelSpec, ...] = field(init=False, repr=False, compare=False)
+class SweepConfig(_Frozen):
+    #: ``states`` are checked where they enter; the config checks only their type
+    _fields = ("kind", "states", "p_start", "p_end", "steps", "columns")
+    #: ``chunks``, the grid as checked specs of at most BATCH_POINTS points each,
+    #: built once and shared by every state and column, is no field
+    __slots__ = _fields + ("chunks",)
 
-    def __post_init__(self):
-        for name, value in (("p_start", self.p_start), ("p_end", self.p_end)):
+    def __init__(self, kind: NoiseKind, states: tuple[InputState, ...], p_start: float = 0.0,
+                 p_end: float = 1.0, steps: int = 101, columns: tuple[str, ...] = ALL_COLUMNS):
+        for name, value in (("p_start", p_start), ("p_end", p_end)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} {value} is not finite")
-        if not self.p_start <= self.p_end:
-            raise ValueError(f"p_start {self.p_start} exceeds p_end {self.p_end}")
-        if self.steps < 2:
-            raise ValueError(f"steps must be at least 2, got {self.steps}")
-        if self.steps > MAX_STEPS:
-            raise ValueError(f"steps must be at most {MAX_STEPS}, got {self.steps}")
-        for col in self.columns:
+        if not p_start <= p_end:
+            raise ValueError(f"p_start {p_start} exceeds p_end {p_end}")
+        if steps < 2:
+            raise ValueError(f"steps must be at least 2, got {steps}")
+        if steps > MAX_STEPS:
+            raise ValueError(f"steps must be at most {MAX_STEPS}, got {steps}")
+        for col in columns:
             if col not in ALL_COLUMNS:
                 raise ValueError(f"unknown column {col!r}")
-        for state in self.states:
+        for state in states:
             if not isinstance(state, InputState):
                 raise ValueError(f"state {state!r} is not an InputState")
         # the ends are the values given: a computed last point can round
         # above p_end, and so above 1
-        span = self.p_end - self.p_start
-        grid = [self.p_start + span * i / (self.steps - 1) for i in range(self.steps - 1)]
-        grid.append(self.p_end)
+        span = p_end - p_start
+        grid = [p_start + span * i / (steps - 1) for i in range(steps - 1)]
+        grid.append(p_end)
+        self._init(kind, states, p_start, p_end, steps, columns)
         # in grid order, so ChannelSpec names the first bad grid point
-        chunks = tuple(
-            ChannelSpec(self.kind, grid[start : start + BATCH_POINTS])
+        object.__setattr__(self, "chunks", tuple(
+            ChannelSpec(kind, grid[start : start + BATCH_POINTS])
             for start in range(0, len(grid), BATCH_POINTS)
-        )
-        object.__setattr__(self, "chunks", chunks)
+        ))
 
     def grid(self) -> list[float]:
         return [p for chunk in self.chunks for p in chunk.p]
@@ -184,9 +178,8 @@ def _states_from_args(args) -> list[InputState]:
 def _sweep_config(args) -> SweepConfig:
     """The config of `sweep` or `curves` flags; a grid or column flag that
     is not given keeps the config's default."""
-    flags = vars(args)
     names = ("p_start", "p_end", "steps", "columns")
-    given = {name: flags[name] for name in names if name in flags}
+    given = {name: value for name, value in vars(args).items() if name in names}
     return SweepConfig(NoiseKind(args.noise), tuple(_states_from_args(args)), **given)
 
 

@@ -19,7 +19,6 @@ or a part is read out (``re``, ``im``, ``norm_sq``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm
@@ -29,6 +28,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from . import channels, teleport
+from .linalg import _Frozen
 
 
 def _ratio(value: Any) -> tuple[int, int]:
@@ -481,12 +481,16 @@ def extract_transfer_map(
     return matrix
 
 
-@dataclass(frozen=True, eq=False)
-class ExactState:
+class ExactState(_Frozen):
     """A one-qubit state whose ``entries`` is a read-only 2x2 array of
-    :class:`PolyP`, polynomials in the noise probability."""
+    :class:`PolyP`, polynomials in the noise probability.  It compares
+    and hashes by identity."""
 
-    entries: np.ndarray
+    __slots__ = _fields = ("entries",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, entries: np.ndarray):
+        self._init(entries)
 
 
 def run_pipeline_symbolic(

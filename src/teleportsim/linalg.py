@@ -27,6 +27,39 @@ def _freeze(entries: np.ndarray) -> np.ndarray:
     return entries
 
 
+class _Frozen:
+    """Base of the value classes.  A subclass names its ``__slots__`` and its
+    ``_fields``, the slots of its value in ``__init__`` order, which equality,
+    hash and ``repr`` read; ``_init`` sets them once, and nothing after."""
+
+    __slots__ = ()
+
+    def _init(self, *values: Any) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: Any):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: Any):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 class Operator:
     """Square complex matrix on ``num_qubits`` qubits: a density matrix or
     any other operator.

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from .channels import ChannelSpec, apply_layer
-from .linalg import Operator, _pauli_tables, conjugate_by, fidelity_with, projector, tensor
+from .linalg import Operator, _Frozen, _pauli_tables, conjugate_by, fidelity_with, projector, tensor
 
 
 def _exact_norm_sq(alpha: Any, beta: Any):
@@ -42,8 +41,7 @@ def _require_finite(alpha: Any, beta: Any) -> None:
             raise ValueError(f"amplitude {name} = {value} is not finite")
 
 
-@dataclass(frozen=True)
-class InputState:
+class InputState(_Frozen):
     """Single-qubit state alpha|0> + beta|1> to be teleported.
 
     Amplitudes may be complex floats or exact Gaussian rationals; either
@@ -51,18 +49,18 @@ class InputState:
     amplitudes first).
     """
 
-    alpha: Any
-    beta: Any
+    __slots__ = _fields = ("alpha", "beta")
 
-    def __post_init__(self):
-        exact = _exact_norm_sq(self.alpha, self.beta)
+    def __init__(self, alpha: Any, beta: Any):
+        self._init(alpha, beta)
+        exact = _exact_norm_sq(alpha, beta)
         if exact is not None:
             if exact != 1:
                 raise ValueError(f"exact amplitudes have |a|^2+|b|^2 = {exact}, not 1")
             return
-        _require_finite(self.alpha, self.beta)
+        _require_finite(alpha, beta)
         try:
-            norm_sq = abs(complex(self.alpha)) ** 2 + abs(complex(self.beta)) ** 2
+            norm_sq = abs(complex(alpha)) ** 2 + abs(complex(beta)) ** 2
         except OverflowError:
             norm_sq = math.inf
         if abs(norm_sq - 1.0) > 1e-9:
@@ -89,21 +87,20 @@ class InputState:
             ) from None
 
 
-@dataclass(frozen=True)
-class CorrectionAssignment:
+class CorrectionAssignment(_Frozen):
     """Which measured qubit feeds each classical correction.
 
     The default wiring applies X controlled by the qubit-2 outcome and then
     Z controlled by the qubit-1 outcome, the standard teleportation fix-up.
     """
 
-    x_source: int = 2
-    z_source: int = 1
+    __slots__ = _fields = ("x_source", "z_source")
 
-    def __post_init__(self):
-        for src in (self.x_source, self.z_source):
+    def __init__(self, x_source: int = 2, z_source: int = 1):
+        for src in (x_source, z_source):
             if src not in (1, 2):
                 raise ValueError(f"correction source must be qubit 1 or 2, got {src}")
+        self._init(x_source, z_source)
 
     def describe(self) -> str:
         return f"X<-q{self.x_source}, Z<-q{self.z_source}"

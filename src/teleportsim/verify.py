@@ -15,7 +15,6 @@ product channel on entangled inputs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +24,7 @@ from .channels import ChannelSpec, NoiseKind, apply_layer
 from .exact import GaussianRational, PolyP, extract_transfer_map, run_pipeline_symbolic
 from .linalg import (
     Operator,
+    _Frozen,
     fidelity_with,  # unused here, but perfbench/tracer.py wraps this binding
     max_entry_delta,
     partial_trace,
@@ -40,19 +40,19 @@ class TargetStatus(enum.Enum):
     NOT_IDENTIFIABLE = "NotIdentifiable"
 
 
-@dataclass(frozen=True)
-class VerificationTarget:
-    name: str
-    status: TargetStatus
-    expected: str
-    derived: str
-    coefficient_diffs: tuple[tuple[int, str, str], ...] = ()
+class VerificationTarget(_Frozen):
+    __slots__ = _fields = ("name", "status", "expected", "derived", "coefficient_diffs")
+
+    def __init__(self, name: str, status: TargetStatus, expected: str, derived: str,
+                 coefficient_diffs: tuple[tuple[int, str, str], ...] = ()):
+        self._init(name, status, expected, derived, coefficient_diffs)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    targets: tuple[VerificationTarget, ...]
-    notes: tuple[str, ...] = ()
+class VerificationReport(_Frozen):
+    __slots__ = _fields = ("targets", "notes")
+
+    def __init__(self, targets: tuple[VerificationTarget, ...], notes: tuple[str, ...] = ()):
+        self._init(targets, notes)
 
     @property
     def has_mismatch(self) -> bool:
@@ -88,18 +88,11 @@ def _poly_target(name: str, expected: PolyP, derived: PolyP) -> VerificationTarg
     if expected == derived:
         text = expected.to_text()
         return VerificationTarget(name, TargetStatus.MATCH, text, text)
-    diffs = []
-    for degree in range(max(expected.degree, derived.degree) + 1):
-        e = expected.coefficient(degree)
-        d = derived.coefficient(degree)
-        if e != d:
-            diffs.append((degree, str(e), str(d)))
+    degrees = range(max(expected.degree, derived.degree) + 1)
+    pairs = ((k, expected.coefficient(k), derived.coefficient(k)) for k in degrees)
+    diffs = tuple((k, str(e), str(d)) for k, e, d in pairs if e != d)
     return VerificationTarget(
-        name,
-        TargetStatus.MISMATCH,
-        expected.to_text(),
-        derived.to_text(),
-        tuple(diffs),
+        name, TargetStatus.MISMATCH, expected.to_text(), derived.to_text(), diffs
     )
 
 
@@ -146,10 +139,8 @@ def verify_kind(kind: NoiseKind) -> list[VerificationTarget]:
         for name, expected, derived in _published_targets_for(kind, matrix)
     ]
     if kind is NoiseKind.PHASE_FLIP:
-        targets.insert(
-            1,
-            _poly_target("phaseflip u6 binomial structure (1-2p)^8", published.u6, _R8),
-        )
+        u6_target = _poly_target("phaseflip u6 binomial structure (1-2p)^8", published.u6, _R8)
+        targets.insert(1, u6_target)
     elif kind is NoiseKind.BIT_FLIP:
         at_zero = [matrix[r, c].evaluate_at(0) for r in range(4) for c in range(4)]
         unit = [1 if r == c else 0 for r in range(4) for c in range(4)]
@@ -186,16 +177,9 @@ _SLOPE_PROBES = (
 def fidelity_polynomial(kind: NoiseKind, input_state: InputState) -> PolyP:
     """Exact fidelity <psi| rho10 |psi> of the pipeline output as a polynomial in p."""
     rho = run_pipeline_symbolic(input_state, kind).entries
-    amps = [PolyP([input_state.alpha]), PolyP([input_state.beta])]
-    return sum(
-        (
-            ai.conjugate() * rho[i, j] * aj
-            for i, ai in enumerate(amps)
-            for j, aj in enumerate(amps)
-            if ai and aj
-        ),
-        PolyP.ZERO,
-    )
+    amps = list(enumerate([PolyP([input_state.alpha]), PolyP([input_state.beta])]))
+    terms = (ai.conjugate() * rho[i, j] * aj for i, ai in amps for j, aj in amps if ai and aj)
+    return sum(terms, PolyP.ZERO)
 
 
 def verify_linear_slopes() -> list[VerificationTarget]:
@@ -203,12 +187,10 @@ def verify_linear_slopes() -> list[VerificationTarget]:
     targets = []
     for kind, alpha_re, beta in _SLOPE_PROBES:
         alpha = GaussianRational(alpha_re)
-        probe = InputState(alpha, beta)
-        fpoly = fidelity_polynomial(kind, probe)
-        derived_c1 = fpoly.coefficient(1)
-        expected_c1 = GaussianRational(-analytic.linear_slope_exact(kind, alpha, beta))
+        derived = fidelity_polynomial(kind, InputState(alpha, beta)).coefficient(1)
+        expected = GaussianRational(-analytic.linear_slope_exact(kind, alpha, beta))
         label = f"slope {kind.value} at probe ({alpha},{beta})"
-        targets.append(_poly_target(label, expected_c1, derived_c1))
+        targets.append(_poly_target(label, expected, derived))
     return targets
 
 
@@ -245,14 +227,11 @@ def verify_marginal_factorization() -> list[VerificationTarget]:
     """Quantify the factorized-marginal shortcut against the true channel."""
     spec = ChannelSpec(NoiseKind.DEPOLARIZING, 0.5)
 
-    product = _plus_product_state()
-    dev_product = max_entry_delta(
-        _product_of_noisy_marginals(product, 0.5), apply_layer(spec, product)
-    )
+    def deviation(rho: Operator) -> float:
+        return max_entry_delta(_product_of_noisy_marginals(rho, 0.5), apply_layer(spec, rho))
+
     entangled = _bell_pair_state()
-    dev_entangled = max_entry_delta(
-        _product_of_noisy_marginals(entangled, 0.5), apply_layer(spec, entangled)
-    )
+    dev_product, dev_entangled = deviation(_plus_product_state()), deviation(entangled)
     dev_p0 = max_entry_delta(_product_of_noisy_marginals(entangled, 0.0), entangled)
 
     return [
@@ -278,12 +257,8 @@ def verify_marginal_factorization() -> list[VerificationTarget]:
 
 
 def _published_forms_match(assignment: CorrectionAssignment) -> bool:
-    for kind in NoiseKind:
-        matrix = extract_transfer_map(kind, assignment)
-        for _, expected, derived in _published_targets_for(kind, matrix):
-            if expected != derived:
-                return False
-    return True
+    maps = ((kind, extract_transfer_map(kind, assignment)) for kind in NoiseKind)
+    return all(e == d for kind, m in maps for _, e, d in _published_targets_for(kind, m))
 
 
 def run_verification() -> VerificationReport:
@@ -296,11 +271,7 @@ def run_verification() -> VerificationReport:
     targets += verify_marginal_factorization()
     notes = [f"correction assignment used: {DEFAULT_ASSIGNMENT.describe()}"]
     if published_mismatch:
-        matched = None
-        for alt in ALTERNATE_ASSIGNMENTS:
-            if _published_forms_match(alt):
-                matched = alt
-                break
+        matched = next((alt for alt in ALTERNATE_ASSIGNMENTS if _published_forms_match(alt)), None)
         if matched is not None:
             notes.append(
                 "published forms are reproduced under the alternate correction "

@@ -42,3 +42,13 @@ def find_target(report, name):
         if t.name == name:
             return t
     raise KeyError(name)
+
+
+def replace_field(value, **changes):
+    """A copy of the frozen value ``value`` built through its constructor,
+    with the named fields changed: the package's value classes have no
+    ``replace`` of their own."""
+    unknown = set(changes) - set(value._fields)
+    if unknown:
+        raise TypeError(f"{type(value).__name__} has no field {sorted(unknown)}")
+    return type(value)(**{name: changes.get(name, getattr(value, name)) for name in value._fields})

@@ -238,8 +238,8 @@ MUTANTS = (
     Mutant(
         "channels-probability-one-rejected",
         "channels.py",
-        "elif not 0 <= self.p <= 1:",
-        "elif not 0 <= self.p < 1:",
+        "elif not 0 <= p <= 1:",
+        "elif not 0 <= p < 1:",
     ),
     Mutant(
         "analytic-depolarizing-slope",
@@ -380,8 +380,44 @@ MUTANTS = (
     Mutant(
         "cli-grid-end-computed",
         "cli.py",
-        "range(self.steps - 1)]\n        grid.append(self.p_end)\n",
-        "range(self.steps)]\n",
+        "range(steps - 1)]\n        grid.append(p_end)\n",
+        "range(steps)]\n",
+    ),
+    Mutant(
+        "frozen-setattr-assigns",
+        "linalg.py",
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+    ),
+    Mutant(
+        "frozen-delattr-deletes",
+        "linalg.py",
+        'raise AttributeError(f"cannot delete field {name!r}")',
+        "object.__delattr__(self, name)",
+    ),
+    Mutant(
+        "frozen-eq-drops-class-check",
+        "linalg.py",
+        "if other.__class__ is not self.__class__:",
+        "if not isinstance(other, _Frozen):",
+    ),
+    Mutant(
+        "exact-state-compares-by-value",
+        "exact.py",
+        "    __eq__, __hash__ = object.__eq__, object.__hash__\n",
+        "",
+    ),
+    Mutant(
+        "cli-sweep-config-compares-chunks",
+        "cli.py",
+        '    __slots__ = _fields + ("chunks",)',
+        '    __slots__ = _fields = _fields + ("chunks",)',
+    ),
+    Mutant(
+        "analytic-table-hash-omits-field",
+        "analytic.py",
+        'object.__setattr__(self, "_hash", hash(self._values()))',
+        'object.__setattr__(self, "_hash", hash(self._values()[:-1]))',
     ),
     Mutant(
         "guard-unused-public-name",

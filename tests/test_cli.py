@@ -604,13 +604,14 @@ class TestStatesCheckedOnce:
     )
     def test_one_input_state_per_state(self, argv, monkeypatch, tmp_path):
         built = []
-        check = InputState.__post_init__
+        # the checks are InputState's constructor: one call per state
+        check = InputState.__init__
 
-        def counting_check(state):
+        def counting_check(state, alpha, beta):
             built.append(state)
-            check(state)
+            check(state, alpha, beta)
 
-        monkeypatch.setattr(InputState, "__post_init__", counting_check)
+        monkeypatch.setattr(InputState, "__init__", counting_check)
         states = "0.6,0+0.8i" if argv[0] == "trace" else "1,0;0.6,0+0.8i;0.5+0.5i,0.5-0.5i"
         assert main(argv + ["--states", states, "--out", str(tmp_path / "out")]) == 0
         assert len(built) == states.count(";") + 1
@@ -664,17 +665,14 @@ class TestVerifyCommand:
     def test_perturbed_degree_localized(self, tmp_path, monkeypatch):
         # the same comparison --- but against a deliberately corrupted table
         # entry --- must flag exactly the perturbed degree in the diffs
-        import dataclasses
-
         import teleportsim.analytic as analytic
+        from conftest import replace_field
         from teleportsim.analytic import PUBLISHED
         from teleportsim.exact import PolyP
 
         coeffs = list(PUBLISHED.u6.coefficients)
         coeffs[5] = coeffs[5] + 1
-        monkeypatch.setattr(
-            analytic, "PUBLISHED", dataclasses.replace(PUBLISHED, u6=PolyP(coeffs))
-        )
+        monkeypatch.setattr(analytic, "PUBLISHED", replace_field(PUBLISHED, u6=PolyP(coeffs)))
         base = tmp_path / "bad"
         assert main(["verify", "--out", str(base)]) == 1
         txt = (tmp_path / "bad.txt").read_text()

@@ -2,9 +2,13 @@
 
 Interpreter start-up and imports are most of every command's wall time, so
 a module that a command starts to import shows here first.  Each command
-runs in a fresh child process, which reports the package modules, and
-which of numpy, fractions and decimal, are loaded once ``main`` returns.
+runs in a fresh child process, which reports which package modules and
+which :data:`TRACKED` modules are loaded once ``main`` returns.
 A change that trims a command's imports tightens its row here.
+
+``dataclasses`` and ``copy`` are tracked to stay absent: the value classes
+are plain frozen ``__slots__`` classes, since ``@dataclass`` generates and
+compiles each class's methods at import, in every process.
 """
 
 import json
@@ -16,6 +20,9 @@ from pathlib import Path
 import pytest
 
 from teleportsim import cli
+
+#: the modules outside the package whose loading is pinned
+TRACKED = ("numpy", "fractions", "decimal", "dataclasses", "copy")
 
 EVERY_MODULE = {
     "teleportsim",
@@ -33,7 +40,7 @@ EVERY_MODULE = {
 }
 
 #: command -> (its flags before ``--out``, its exit status, the modules it
-#: loads)
+#: loads); no command loads ``dataclasses`` or ``copy``
 COMMANDS = {
     "sweep": (["--noise", "bitflip", "--steps", "2"], 0, EVERY_MODULE),
     "trace": (["--noise", "bitflip", "--p", "0.1", "--alpha", "0.6", "--beta", "0.8"], 0,
@@ -47,8 +54,7 @@ _CHILD = """
 import json, sys
 from teleportsim.cli import main
 status = main(sys.argv[2:])
-loaded = [m for m in sys.modules
-          if m.partition(".")[0] == "teleportsim" or m in ("numpy", "fractions", "decimal")]
+loaded = [m for m in sys.modules if m.partition(".")[0] == "teleportsim" or m in TRACKED]
 with open(sys.argv[1], "w") as fh:
     json.dump({"status": status, "loaded": sorted(loaded)}, fh)
 """
@@ -62,7 +68,7 @@ def test_command_imports(command, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     report = tmp_path / "report.json"
     subprocess.run(
-        [sys.executable, "-c", _CHILD, str(report), command, *argv,
+        [sys.executable, "-c", f"TRACKED = {TRACKED!r}" + _CHILD, str(report), command, *argv,
          "--out", str(tmp_path / "out")],
         env=env, check=True, timeout=120, stdout=subprocess.DEVNULL,
     )

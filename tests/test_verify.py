@@ -1,6 +1,5 @@
 """The verification report: statuses, diffs, determinism, fault injection."""
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 import teleportsim.analytic as analytic
 import teleportsim.verify as verify_mod
-from conftest import find_target
+from conftest import find_target, replace_field
 from pauli_table import PAULI_TRANSFER, binomial_power, bloch
 from teleportsim.analytic import PUBLISHED, fidelity_closed, linear_slope_exact
 from teleportsim.exact import GaussianRational, PolyP, extract_transfer_map
@@ -194,7 +193,7 @@ def test_injected_table_fault_is_detected(monkeypatch, field, kind, turned):
     fidelity = fidelity_closed(state, spec)
     coeffs = list(getattr(PUBLISHED, field).coefficients)
     coeffs[3] = coeffs[3] + 1
-    bad_table = dataclasses.replace(PUBLISHED, **{field: PolyP(coeffs)})
+    bad_table = replace_field(PUBLISHED, **{field: PolyP(coeffs)})
     # the float table is built from the record it is passed, not from the
     # module's binding, which still holds the original here
     bad_rows, rows = (analytic._fidelity_table(t, kind)[1] for t in (bad_table, PUBLISHED))

@@ -358,14 +358,6 @@ P = PolyP([0, 1])
 _LABELS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _BITS = {label: bits for bits, label in _LABELS.items()}
 
-# Each Pauli matrix entry is 0 (None) or the unit i^e, held as e.
-_PAULI_PHASES = {
-    "I": ((0, None), (None, 0)),
-    "X": ((None, 0), (0, None)),
-    "Y": ((None, 3), (1, None)),
-    "Z": ((0, None), (None, 2)),
-}
-
 
 def _pull_back_h(x: list, z: list, qubits: tuple) -> int:
     """H P H on the string in place; returns 1 when the sign flips."""
@@ -388,12 +380,14 @@ _PULL_BACK = {"H": _pull_back_h, "CNOT": _pull_back_cnot}
 
 def _pull_back(
     label: str, assignment: "teleport.CorrectionAssignment"
-) -> "tuple[int, dict[str, int], str] | None":
+) -> "tuple[int, dict[str, int]] | None":
     """Pull the Pauli ``label`` on the output qubit back to the initial state.
 
-    Returns the sign, how many noise layers met each single-qubit Pauli of
-    the string, and the string's Pauli on qubit 1; or None when the string
-    has X or Y on qubit 2 or 3, so it vanishes on the |00> ancillas.
+    Returns the sign and how many noise layers met each single-qubit Pauli
+    of the string; or None when the string has X or Y on qubit 2 or 3, so it
+    vanishes on the |00> ancillas.  A string that survives must carry
+    ``label`` itself on qubit 1, the input qubit, as every string through
+    ``teleport.CIRCUIT`` does; any other Pauli there raises ``ValueError``.
     """
     x, z = [0] * 4, [0] * 4
     x[3], z[3] = _BITS[label]
@@ -411,7 +405,10 @@ def _pull_back(
             sign = -sign
     if x[2] or x[3]:
         return None
-    return sign, exponents, _LABELS[x[1], z[1]]
+    on_input = _LABELS[x[1], z[1]]
+    if on_input != label:
+        raise ValueError(f"{label} pulls back to {on_input} on qubit 1")
+    return sign, exponents
 
 
 def _noise_factors(kind: "channels.NoiseKind") -> dict[str, PolyP]:
@@ -428,14 +425,7 @@ _NOISE_FACTORS = {kind: _noise_factors(kind) for kind in channels.NoiseKind}
 
 
 _BASIS_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def _half_unit_multiple(c: PolyP, e: int) -> PolyP:
-    """``c * i**e / 2``: each quarter turn swaps the parts and negates one."""
-    re, im = list(c._re), list(c._im)
-    for _ in range(e % 4):
-        re, im = [-v for v in im], re
-    return PolyP._raw(re, im, 2 * c._den)
+_HALF = PolyP([Fraction(1, 2)])
 
 
 @lru_cache(maxsize=None)
@@ -447,36 +437,38 @@ def extract_transfer_map(
 
     Entry [r][c] of the returned 4x4 object array is the polynomial sending
     input entry c to output entry r, with entries flattened row-major as
-    (0,0), (0,1), (1,0), (1,1).  Built by Pauli propagation: the output is
-    ``1/2 sum_s c_s tr(P1_s rho_in) s`` over s = I, X, Y, Z on the output
-    qubit, where ``c_s P1_s`` is the pull-back of s with its sign and noise
-    factors.
+    (0,0), (0,1), (1,0), (1,1).  Built by Pauli propagation: each output
+    Pauli s = X, Y, Z pulls back to s on the input qubit, so the output
+    Bloch vector is the input's scaled by ``l_s``, the pull-back's sign
+    times its noise factors (0 when it vanishes on the ancillas).  In
+    entries, ``(1 +- l_z)/2`` keep and flip the populations and
+    ``(l_x +- l_y)/2`` keep and swap the coherences.
 
     The result is cached and read-only; treat it as immutable.
     """
     if assignment is None:
         assignment = teleport.DEFAULT_ASSIGNMENT
     factors = _NOISE_FACTORS[kind]
-    terms = [(PolyP.ONE, "I", "I")]
-    for label in "XYZ":
+    bloch = dict.fromkeys("XYZ", PolyP.ZERO)
+    for label in bloch:
         pulled = _pull_back(label, assignment)
         if pulled is not None:
-            sign, exponents, p1 = pulled
+            sign, exponents = pulled
             # one power per distinct factor: the labels of a kind share them
             powers: dict[PolyP, int] = {}
             for factor_label, e in exponents.items():
                 factor = factors[factor_label]
                 powers[factor] = powers.get(factor, 0) + e
             c = reduce(mul, [factor**e for factor, e in powers.items()])
-            terms.append((c if sign > 0 else -c, label, p1))
-    matrix = np.full((4, 4), PolyP.ZERO, dtype=object)
-    for c, label, p1 in terms:
-        s, p = _PAULI_PHASES[label], _PAULI_PHASES[p1]
-        for row, (a, b) in enumerate(_BASIS_PAIRS):
-            for col, (i, j) in enumerate(_BASIS_PAIRS):
-                if s[a][b] is not None and p[j][i] is not None:
-                    entry = _half_unit_multiple(c, s[a][b] + p[j][i])
-                    matrix[row, col] = matrix[row, col] + entry
+            bloch[label] = c if sign > 0 else -c
+    lx, ly, lz = bloch.values()
+    keep, flip = (1 + lz) * _HALF, (1 - lz) * _HALF
+    coh, coh_swap = (lx + ly) * _HALF, (lx - ly) * _HALF
+    o = PolyP.ZERO
+    matrix = np.array(
+        [[keep, o, o, flip], [o, coh, coh_swap, o], [o, coh_swap, coh, o], [flip, o, o, keep]],
+        dtype=object,
+    )
     matrix.setflags(write=False)
     return matrix
 

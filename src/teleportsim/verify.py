@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -194,19 +195,14 @@ def verify_linear_slopes() -> list[VerificationTarget]:
     return targets
 
 
-def _product_of_noisy_marginals(rho: Operator, p: float) -> Operator:
-    """The factorized shortcut form: tensor of per-qubit noisy marginals.
+def _product_of_marginals(rho: Operator) -> Operator:
+    """The tensor product of the one-qubit marginals of ``rho``.
 
-    Drops all correlations of the input state, so it can only agree with
-    the true product channel on product states.
+    Drops all correlations of the state, so it equals ``rho`` only on
+    product states, and the factorized form can only agree with the true
+    product channel there.
     """
-    out = None
-    one_q = np.eye(2, dtype=np.complex128)
-    for q in range(1, rho.num_qubits + 1):
-        marginal = partial_trace(rho, [q])
-        noisy = Operator((1 - p) * marginal.entries + (p / 2) * one_q)
-        out = noisy if out is None else tensor(out, noisy)
-    return out
+    return reduce(tensor, [partial_trace(rho, [q]) for q in range(1, rho.num_qubits + 1)])
 
 
 # the inputs have dyadic entries, so every step of both forms at p = 1/2 is
@@ -228,11 +224,12 @@ def verify_marginal_factorization() -> list[VerificationTarget]:
     spec = ChannelSpec(NoiseKind.DEPOLARIZING, 0.5)
 
     def deviation(rho: Operator) -> float:
-        return max_entry_delta(_product_of_noisy_marginals(rho, 0.5), apply_layer(spec, rho))
+        factorized = apply_layer(spec, _product_of_marginals(rho))
+        return max_entry_delta(factorized, apply_layer(spec, rho))
 
     entangled = _bell_pair_state()
     dev_product, dev_entangled = deviation(_plus_product_state()), deviation(entangled)
-    dev_p0 = max_entry_delta(_product_of_noisy_marginals(entangled, 0.0), entangled)
+    dev_p0 = max_entry_delta(_product_of_marginals(entangled), entangled)
 
     return [
         VerificationTarget(

@@ -60,6 +60,9 @@ MUTANTS = (
         "verify.py",
         "mixed = Operator([[0.25, 0], [0, 0.75]])",
         "mixed = Operator([[0.3, 0], [0, 0.7]])",
+        equivalent="both sides of the product-state target run apply_layer, so its "
+        "deviation is 0 for any product state whose one-qubit marginals multiply "
+        "back to it bit for bit, as 0.3 and 0.7 do; the report bytes do not change",
     ),
     Mutant(
         "exact-pull-back-ancilla-x",
@@ -557,6 +560,31 @@ MUTANTS = (
         "exact.py",
         "return PolyP._raw([num], [0], den)",
         "return PolyP._raw([num], [0], 1)",
+    ),
+    Mutant(
+        "exact-coherence-swap-reversed",
+        "exact.py",
+        "coh, coh_swap = (lx + ly) * _HALF, (lx - ly) * _HALF",
+        "coh, coh_swap = (lx + ly) * _HALF, (ly - lx) * _HALF",
+    ),
+    Mutant(
+        "exact-keep-flip-exchanged",
+        "exact.py",
+        "keep, flip = (1 + lz) * _HALF, (1 - lz) * _HALF",
+        "flip, keep = (1 + lz) * _HALF, (1 - lz) * _HALF",
+    ),
+    Mutant(
+        "exact-qubit-one-check-dropped",
+        "exact.py",
+        "    if on_input != label:\n"
+        '        raise ValueError(f"{label} pulls back to {on_input} on qubit 1")\n',
+        "",
+    ),
+    Mutant(
+        "verify-marginal-form-without-layer",
+        "verify.py",
+        "factorized = apply_layer(spec, _product_of_marginals(rho))",
+        "factorized = _product_of_marginals(rho)",
     ),
 )
 

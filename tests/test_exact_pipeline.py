@@ -278,28 +278,7 @@ class TestDenseRouteAgreement:
             assert fidelity_polynomial(kind, state) == ref.overlap(state, dense)
 
 
-# each input Pauli's entries, flattened like the map's columns
-PAULI_ENTRIES = {
-    "X": (PolyP.ZERO, ONE, ONE, PolyP.ZERO),
-    "Y": (PolyP.ZERO, GaussianRational(0, -1), GaussianRational(0, 1), PolyP.ZERO),
-    "Z": (ONE, PolyP.ZERO, PolyP.ZERO, -ONE),
-}
-
-
 class TestPullBackInvariant:
-    @pytest.mark.parametrize("assignment", WIRINGS, ids=lambda w: w.describe())
-    @pytest.mark.parametrize("kind", list(NoiseKind), ids=lambda k: k.value)
-    def test_each_surviving_pull_back_lands_on_its_own_label(self, kind, assignment):
-        # an output Pauli pulled back to another Pauli on qubit 1 would send
-        # that input Pauli to it; so the dense map must scale each input
-        # Pauli, by a nonzero factor exactly where its pull-back survives
-        dense = dense_transfer_map(kind, assignment)
-        for label, v in PAULI_ENTRIES.items():
-            image = [sum((dense[r, c] * v[c] for c in range(4)), PolyP.ZERO) for r in range(4)]
-            scale = sum((x * y.conjugate() for x, y in zip(image, v)), PolyP.ZERO) * Fraction(1, 2)
-            assert image == [scale * y for y in v], label
-            assert (exact._pull_back(label, assignment) is not None) == bool(scale), label
-
     def test_pull_back_onto_another_pauli_raises(self, monkeypatch):
         # the map's Bloch form rests on the invariant, so a circuit that
         # breaks it fails by name
